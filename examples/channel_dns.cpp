@@ -17,8 +17,11 @@
 //     --pa A --pb B               explicit process grid
 //     --stats FILE.csv            profile output (default channel_stats.csv)
 //     --slices PREFIX             write PREFIX_u.ppm / PREFIX_wz.ppm
-//     --checkpoint FILE           save state at the end
-//     --restart FILE              load state before running
+//     --checkpoint FILE           save state at the end (one file, any
+//                                 rank count)
+//     --restart FILE              load a --checkpoint file before running
+//                                 (on any process grid; continues with the
+//                                 saved dt)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -129,8 +132,7 @@ int main(int argc, char** argv) {
   pcf::vmpi::run_world(o.ranks, [&](pcf::vmpi::communicator& world) {
     pcf::core::channel_dns dns(o.cfg, world);
     if (!o.restart_path.empty()) {
-      dns.load_checkpoint(o.restart_path + "." +
-                          std::to_string(world.rank()));
+      dns.load_checkpoint(o.restart_path);
       if (world.rank() == 0)
         std::printf("restarted from step %ld (t = %.4f)\n", dns.step_count(),
                     dns.time());
@@ -142,7 +144,7 @@ int main(int argc, char** argv) {
       std::printf("channel DNS at Re_tau = %.0f: %zu x %d x %zu modes "
                   "(%zu x %d x %zu dealiased grid), dt = %g, %ld steps\n",
                   o.cfg.re_tau, o.cfg.nx, o.cfg.ny, o.cfg.nz, dns.dec().nxf,
-                  o.cfg.ny, dns.dec().nzf, o.cfg.dt, o.steps);
+                  o.cfg.ny, dns.dec().nzf, dns.dt(), o.steps);
       std::printf("%8s %12s %12s %12s %10s\n", "step", "bulk U", "KE",
                   "wall shear", "CFL");
     }
@@ -151,10 +153,14 @@ int main(int argc, char** argv) {
       dns.step();
       if (dns.step_count() > o.warmup && dns.step_count() % 10 == 0)
         dns.accumulate_stats();
-      if (world.rank() == 0 && (s + 1) % report == 0)
-        std::printf("%8ld %12.5f %12.5f %12.6f %10.4f\n", dns.step_count(),
-                    dns.bulk_velocity(), dns.kinetic_energy(),
-                    dns.wall_shear_stress(), dns.cfl());
+      if ((s + 1) % report == 0) {
+        // The diagnostics are collective: every rank computes them.
+        const double ub = dns.bulk_velocity(), ke = dns.kinetic_energy(),
+                     tau = dns.wall_shear_stress();
+        if (world.rank() == 0)
+          std::printf("%8ld %12.5f %12.5f %12.6f %10.4f\n", dns.step_count(),
+                      ub, ke, tau, dns.cfl());
+      }
     }
 
     auto prof = dns.stats();
@@ -165,10 +171,9 @@ int main(int argc, char** argv) {
     }
     if (!o.slice_prefix.empty()) write_slices(dns, world, o.slice_prefix);
     if (!o.checkpoint_path.empty()) {
-      dns.save_checkpoint(o.checkpoint_path + "." +
-                          std::to_string(world.rank()));
+      dns.save_checkpoint(o.checkpoint_path);
       if (world.rank() == 0)
-        std::printf("checkpoint written to %s.*\n", o.checkpoint_path.c_str());
+        std::printf("checkpoint written to %s\n", o.checkpoint_path.c_str());
     }
     if (world.rank() == 0) {
       auto t = dns.timings();

@@ -18,17 +18,6 @@ std::uint64_t bits_of(double x) {
   return b;
 }
 
-// Mirror of the checkpoint writer's section header (checkpoint.cpp). The
-// v2 layout is frozen — tests hash whole checkpoint files — so reading it
-// back here cannot drift from the writer.
-struct section_header {
-  char name[8];
-  std::uint64_t bytes;
-  std::uint32_t crc;
-  std::uint32_t reserved;
-};
-static_assert(sizeof(section_header) == 24, "section header must be packed");
-
 }  // namespace
 
 std::uint32_t step_fingerprint::combined() const {
@@ -48,62 +37,46 @@ std::uint32_t step_fingerprint::combined() const {
 }
 
 step_fingerprint fingerprint(core::channel_dns& dns,
-                             const std::string& scratch_path) {
-  // The gathered-global format is the decomposition-independent view of
-  // the state: each rank's mode lines land at their global offsets through
-  // an exact single-owner sum reduction, so the section CRCs match across
-  // any pa x pb split. save_checkpoint_global barriers before returning,
-  // after which every rank may read the file.
-  dns.save_checkpoint_global(scratch_path);
+                             const std::string& /*unused*/) {
+  // The checkpoint's section table is the decomposition-independent view
+  // of the state: each section CRC covers the global array, stitched from
+  // every rank's own mode lines, so it matches across any pa x pb split.
+  const std::vector<core::checkpoint_section> table =
+      dns.checkpoint_sections();
+  auto crc_of = [&](const std::string& name) -> const std::uint32_t* {
+    for (const auto& e : table)
+      if (e.name == name) return &e.crc;
+    return nullptr;
+  };
 
   step_fingerprint fp;
   fp.step = dns.step_count();
   fp.time_bits = bits_of(dns.time());
   fp.dt_bits = bits_of(dns.dt());
-
-  std::ifstream is(scratch_path, std::ios::binary);
-  PCF_REQUIRE(is.good(),
-              "cannot reopen fingerprint scratch checkpoint: " + scratch_path);
-  // Header: magic u64, dims u64[3], time double, steps long, meta u32[2].
-  is.seekg(static_cast<std::streamoff>(4 * sizeof(std::uint64_t) +
-                                       sizeof(double) + sizeof(long)));
-  std::uint32_t meta[2] = {0, 0};
-  is.read(reinterpret_cast<char*>(meta), sizeof(meta));
-  PCF_REQUIRE(!is.fail() && meta[0] >= 4,
-              "fingerprint scratch checkpoint has unexpected layout");
-  const char* names[4] = {"c_v", "c_om", "c_phi", "mean"};
-  std::uint32_t* out[4] = {&fp.crc_v, &fp.crc_om, &fp.crc_phi, &fp.crc_mean};
-  for (int t = 0; t < 4; ++t) {
-    section_header h{};
-    is.read(reinterpret_cast<char*>(&h), sizeof(h));
-    PCF_REQUIRE(!is.fail() &&
-                    std::string(h.name, strnlen(h.name, sizeof(h.name))) ==
-                        names[t],
-                std::string("fingerprint scratch checkpoint section '") +
-                    names[t] + "' missing");
-    *out[t] = h.crc;
-    is.seekg(static_cast<std::streamoff>(h.bytes), std::ios::cur);
+  fp.crc_v = *crc_of("c_v");
+  fp.crc_om = *crc_of("c_om");
+  fp.crc_phi = *crc_of("c_phi");
+  fp.crc_mean = *crc_of("mean");
+  // Scenario sections (passive scalars, flow-rate forcing state) fold in
+  // the order sc0, scm0, sc1, scm1, ..., frc — each scalar's field next
+  // to its mean, the order the committed scenario traces were recorded
+  // in, not the file's table order. Stays 0 when there are none.
+  std::vector<const std::uint32_t*> scenario;
+  for (std::size_t i = 0; i < dns.num_scalars(); ++i) {
+    scenario.push_back(crc_of("sc" + std::to_string(i)));
+    scenario.push_back(crc_of("scm" + std::to_string(i)));
   }
-  // Scenario sections (passive scalars, flow-rate forcing state) follow
-  // the frozen four; fold their CRCs in checkpoint order. Stays 0 when
-  // there are none.
-  if (meta[0] > 4) {
+  if (const std::uint32_t* frc = crc_of("frc")) scenario.push_back(frc);
+  if (!scenario.empty()) {
     std::uint32_t c = crc32_init();
-    for (std::uint32_t t = 4; t < meta[0]; ++t) {
-      section_header h{};
-      is.read(reinterpret_cast<char*>(&h), sizeof(h));
-      PCF_REQUIRE(!is.fail(),
-                  "fingerprint scratch checkpoint scenario section missing");
-      c = crc32_update(c, &h.crc, sizeof(h.crc));
-      is.seekg(static_cast<std::streamoff>(h.bytes), std::ios::cur);
-    }
+    for (const std::uint32_t* crc : scenario)
+      c = crc32_update(c, crc, sizeof(*crc));
     fp.crc_scalars = crc32_final(c);
   }
   return fp;
 }
 
-trace record_trace(core::channel_dns& dns, int nsteps,
-                   const std::string& scratch_path) {
+trace record_trace(core::channel_dns& dns, int nsteps) {
   // PCF_DETERMINISM_POOLED (the `determinism-pooled` CMake test preset):
   // drive every recorded step through a full suspend -> release ->
   // re-lease -> resume cycle, so the whole suite proves that workspace
@@ -112,14 +85,14 @@ trace record_trace(core::channel_dns& dns, int nsteps,
   static const bool cycle = std::getenv("PCF_DETERMINISM_POOLED") != nullptr;
   trace t;
   t.steps.reserve(static_cast<std::size_t>(nsteps) + 1);
-  t.steps.push_back(fingerprint(dns, scratch_path));
+  t.steps.push_back(fingerprint(dns));
   for (int s = 0; s < nsteps; ++s) {
     if (cycle) {
       dns.suspend();
       dns.resume();
     }
     dns.step();
-    t.steps.push_back(fingerprint(dns, scratch_path));
+    t.steps.push_back(fingerprint(dns));
   }
   return t;
 }

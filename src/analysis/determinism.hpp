@@ -3,12 +3,12 @@
 // The solver is deterministic by construction (DESIGN.md, "Determinism
 // contract"): thread counts, transform batch width, pipeline depth and the
 // virtual-rank decomposition are all data-movement choices that must not
-// change a single bit of the evolved state, and a run restored from any
-// checkpoint format must continue exactly as the uninterrupted run.
+// change a single bit of the evolved state, and a run restored from a
+// checkpoint must continue exactly as the uninterrupted run.
 // This header turns that contract into something a test can assert *per
 // step*: a `step_fingerprint` condenses the instantaneous state into the
-// per-section CRC-32s of a gathered-global checkpoint (decomposition-
-// independent: every mode line has one owner, so the gather is exact),
+// per-section CRC-32s of its checkpoint (decomposition-independent: each
+// covers a global array whose every mode line has exactly one owner),
 // and `compare` reports the first diverging step *and field* so a failure
 // names where the bit-identity broke, not just that it did.
 #pragma once
@@ -33,8 +33,9 @@ struct step_fingerprint {
   std::uint32_t crc_phi = 0;   // phi-hat
   std::uint32_t crc_mean = 0;  // mean U/W profiles
   // Fold of every scenario section CRC (passive scalars, flow-rate
-  // forcing state) in checkpoint order; 0 for the default scenario, so
-  // default-channel golden traces are unchanged by the scenario layer.
+  // forcing state) in the order sc0, scm0, sc1, scm1, ..., frc; 0 for the
+  // default scenario, so default-channel golden traces are unchanged by
+  // the scenario layer.
   std::uint32_t crc_scalars = 0;
 
   /// One CRC-32 over every field above — the per-step value a golden
@@ -50,17 +51,17 @@ struct trace {
   std::vector<step_fingerprint> steps;
 };
 
-/// Digest the instantaneous state. Collective: writes a gathered-global
-/// checkpoint to `scratch_path` (overwritten per call) and parses the
-/// section CRCs back out of it, so every rank returns the identical
-/// fingerprint regardless of the decomposition.
+/// Digest the instantaneous state from the checkpoint's section CRCs,
+/// computed in memory (channel_dns::checkpoint_sections). Collective;
+/// every rank returns the identical fingerprint regardless of the
+/// decomposition. `ignored` is accepted for older callers that passed a
+/// scratch file; nothing is written.
 [[nodiscard]] step_fingerprint fingerprint(core::channel_dns& dns,
-                                           const std::string& scratch_path);
+                                           const std::string& ignored = {});
 
 /// Fingerprint the current state, then advance `nsteps` steps
 /// fingerprinting after each one: nsteps + 1 rows. Collective.
-[[nodiscard]] trace record_trace(core::channel_dns& dns, int nsteps,
-                                 const std::string& scratch_path);
+[[nodiscard]] trace record_trace(core::channel_dns& dns, int nsteps);
 
 /// One point of disagreement between two traces: the row, the step count
 /// recorded there, and the first field that differs ("rows" for a length
@@ -87,8 +88,7 @@ struct divergence {
 void write_trace_csv(const std::string& path, const trace& t);
 [[nodiscard]] trace read_trace_csv(const std::string& path);
 
-/// CRC-32 of an entire file — pins the frozen on-disk checkpoint layout
-/// (the 0x3fa23d27 per-rank quickstart lineage).
+/// CRC-32 of an entire file — pins the frozen on-disk checkpoint layout.
 [[nodiscard]] std::uint32_t file_crc32(const std::string& path);
 
 }  // namespace pcf::determinism

@@ -55,10 +55,6 @@ struct tenant {
   std::uint64_t last_ran = 0;  // service stamp; smallest = coldest
   bool initialized = false;    // initialize() has seeded the state
   bool spilled = false;        // a spill checkpoint awaits readmission
-  double spill_dt = 0.0;       // dt in effect at eviction (checkpoints
-                               // carry time/steps/state but dt is config:
-                               // the readmission must restore the dt the
-                               // CFL controller had evolved to)
   bool evicting = false;       // an evictor is writing that checkpoint
   bool in_slice = false;       // a worker is inside this tenant's slice
   std::atomic<bool> cancel_requested{false};
@@ -158,11 +154,11 @@ struct campaign_server::impl {
       victim->evicting = true;
       victim->state = job_state::evicted;
       std::unique_ptr<core::channel_dns> doomed = std::move(victim->dns);
-      victim->spill_dt = doomed->dt();
       const std::string path = spill_path(*victim);
       lk.unlock();
-      // The instance is suspended, so the per-rank save streams the heap
-      // state without re-leasing any workspace blocks.
+      // The instance is suspended, so the save streams the heap state
+      // without re-leasing any workspace blocks; on the tenant's 1-rank
+      // world its collectives are local.
       doomed->save_checkpoint(path);
       doomed.reset();
       lk.lock();
@@ -186,7 +182,7 @@ struct campaign_server::impl {
 
   /// Construct (or reconstruct) the tenant's instance and bring its state
   /// in: initialize() on first admission, load_checkpoint() after an
-  /// eviction — the restart-continuation path PR 5 pinned bit-identical.
+  /// eviction — the restart-continuation path pinned bit-identical.
   /// Runs unlocked: the instance lands in the slice-local `inst` (published
   /// to `t.dns` only under the server mutex, where resident_locked() and
   /// the evictor read it), and the tenant fields touched here are private
@@ -201,15 +197,17 @@ struct campaign_server::impl {
       cc.tuning_cache = cfg.tuning_cache;
     inst = std::make_unique<core::channel_dns>(cc, *t.world);
     if (t.spilled) {
+      // The checkpoint carries the dt controller's state: the restored
+      // run steps with the dt the controller had evolved to.
       inst->load_checkpoint(spill_path(t));
-      if (t.spill_dt > 0.0) inst->set_dt(t.spill_dt);
       readmitted = true;
     } else if (!t.initialized) {
       inst->initialize(t.spec.perturbation, t.spec.seed);
       t.initialized = true;
+      if (t.spec.cfl_target > 0.0)
+        inst->set_cfl_target(t.spec.cfl_target, t.spec.dt_min,
+                             t.spec.dt_max);
     }
-    if (t.spec.cfl_target > 0.0)
-      inst->set_cfl_target(t.spec.cfl_target, t.spec.dt_min, t.spec.dt_max);
   }
 
   void finalize_cancel_locked(tenant& t) {

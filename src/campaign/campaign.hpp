@@ -6,8 +6,9 @@
 // this repo already knows how to share: the block pool recycles workspace
 // between suspended tenants (PR 8), FFT plans are immutable and shareable
 // (fft/plan_cache.hpp), the tuning memo publishes one measurement to every
-// identical config (pencil/autotune.hpp), and v2 checkpoints restart
-// bit-identically (PR 5). The campaign server composes those pieces:
+// identical config (pencil/autotune.hpp), and a checkpoint restarts
+// bit-identically, dt controller included (core/simulation.hpp). The
+// campaign server composes those pieces:
 //
 //   * Each job is a TENANT: a single-rank vmpi world plus a channel_dns,
 //     advanced in SLICES of K steps. Between slices the tenant suspends,
@@ -18,10 +19,12 @@
 //     progress everywhere instead of head-of-line blocking.
 //   * When residency pressure exceeds the budget (live instances or pool
 //     bytes), the COLDEST suspended tenant is EVICTED: its state spills to
-//     a v2 checkpoint and the instance is destroyed. Its next slice
-//     readmits it — reconstruct + load_checkpoint — and the restart-
-//     continuation contract makes the evicted run's trace bit-identical
-//     to a never-evicted one.
+//     a checkpoint (the single-file format, on the tenant's 1-rank
+//     world, written without resuming the suspended instance) and the
+//     instance is destroyed. Its next slice readmits it — reconstruct +
+//     load_checkpoint, which also restores the adaptive dt — and the
+//     restart-continuation contract makes the evicted run's trace
+//     bit-identical to a never-evicted one.
 //   * Physics is untouched by all of this: scheduling order, slice width,
 //     eviction and cache sharing are data-movement choices, and the
 //     campaign determinism suite pins every run's per-step fingerprint to

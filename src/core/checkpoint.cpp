@@ -1,8 +1,19 @@
-// channel_dns checkpointing: per-rank, gathered-global and parallel
-// single-file formats (v2 sectioned layout with per-array CRC-32; v1
-// accepted on load). The byte layout is frozen — tests hash checkpoint
-// files to pin bit-identity of the time advance across refactors.
+// channel_dns checkpointing: one decomposition-independent file.
+//
+// Layout (frozen — tests hash whole checkpoint files to pin bit-identity
+// of the time advance across refactors):
+//   header   magic u64, {nx, ny, nz} u64[3], time double, steps long,
+//            {section count, 0} u32[2]
+//   table    one 24-byte {name, bytes, crc} entry per section, in file
+//            order: c_v, c_om, c_phi, "sc<i>" per passive scalar, mean,
+//            "scm<i>" per scalar, "frc" under constant flow rate, ctl
+//   payload  the sections in table order at fixed global offsets
+// The distributed field sections come first, each a global array of mode
+// lines; every rank writes its own lines in place, MPI-IO style, so no
+// rank ever holds more than its local state. The tail (mean profiles,
+// scalar means, forcing state, dt controller) is written by rank 0.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -18,15 +29,7 @@ namespace pcf::core {
 
 namespace {
 
-// Checkpoint format magics. v1 ("PCFDNS01") wrote raw arrays with no
-// integrity metadata; it is still accepted on load. v2 ("PCFDNS02") writes
-// through the atomic temp+rename writer and wraps every array in a named
-// section with a CRC-32, so corruption is detected per array with a
-// precise error instead of silently seeding a bogus restart. The +1/+2
-// offsets distinguish the global and parallel single-file layouts, as in
-// v1.
-constexpr std::uint64_t kCheckpointMagicV1 = 0x50434644'4e533031ull;
-constexpr std::uint64_t kCheckpointMagic = 0x50434644'4e533032ull;
+constexpr std::uint64_t kCheckpointMagic = 0x50434644'4e533034ull;
 
 struct section_header {
   char name[8];           // zero-padded section name
@@ -36,480 +39,162 @@ struct section_header {
 };
 static_assert(sizeof(section_header) == 24, "section header must be packed");
 
-section_header make_section_header(const char* name, std::uint64_t bytes,
-                                   std::uint32_t crc) {
+constexpr std::size_t kHeaderBytes = 4 * sizeof(std::uint64_t) +
+                                     sizeof(double) + sizeof(long) +
+                                     2 * sizeof(std::uint32_t);
+
+// The "ctl" section: the dt controller state {dt, CFL target, dt_min,
+// dt_max, last CFL}, so a restored run steps with the dt the controller
+// had evolved to and keeps adapting it exactly as the uninterrupted run.
+constexpr std::size_t kCtlElems = 5;
+
+section_header make_header(const checkpoint_section& e) {
   section_header h{};
-  std::snprintf(h.name, sizeof(h.name), "%s", name);
-  h.bytes = bytes;
-  h.crc = crc;
+  std::snprintf(h.name, sizeof(h.name), "%s", e.name.c_str());
+  h.bytes = e.bytes;
+  h.crc = e.crc;
   return h;
 }
 
-std::string section_name(const section_header& h) {
-  return std::string(h.name, strnlen(h.name, sizeof(h.name)));
-}
-
-void write_section(io::atomic_file_writer& os, const char* name,
-                   const void* data, std::size_t bytes) {
-  const section_header h =
-      make_section_header(name, bytes, crc32(data, bytes));
-  os.write(&h, sizeof(h));
-  os.write(data, bytes);
-}
-
-/// Read and verify one v2 section into `data`; every failure mode names
-/// the section so a restart script can tell *which* array is damaged.
-void read_section(std::istream& is, const char* name, void* data,
-                  std::size_t bytes) {
-  section_header h{};
-  is.read(reinterpret_cast<char*>(&h), sizeof(h));
-  PCF_REQUIRE(!is.fail() && is.gcount() == sizeof(h),
-              std::string("checkpoint section '") + name +
-                  "' header truncated");
-  PCF_REQUIRE(section_name(h) == name,
-              "checkpoint section '" + section_name(h) +
-                  "' unexpected (expected '" + name + "')");
-  PCF_REQUIRE(h.bytes == bytes, std::string("checkpoint section '") + name +
-                                    "' has wrong size");
-  is.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-  PCF_REQUIRE(!is.fail() &&
-                  is.gcount() == static_cast<std::streamsize>(bytes),
-              std::string("checkpoint section '") + name + "' truncated");
-  PCF_REQUIRE(crc32(data, bytes) == h.crc,
-              std::string("checkpoint section '") + name + "' CRC mismatch");
-}
-
-/// A well-formed checkpoint ends exactly at its last section: trailing
-/// bytes mean a concatenated/overlong file and are rejected.
-void require_eof(std::istream& is) {
-  PCF_REQUIRE(is.peek() == std::char_traits<char>::eof(),
-              "trailing garbage after checkpoint payload");
-}
-
-/// Scenario sections ride after the frozen default layout: "sc<i>" /
-/// "scm<i>" per passive scalar (fluctuation lines + mean profile) and a
-/// trailing "frc" pair {captured target, last forcing} under constant
-/// flow rate. A default-scenario run writes none of them, so its files
-/// stay byte-identical to the pre-scenario format.
 std::string sc_name(const char* stem, std::size_t i) {
   return std::string(stem) + std::to_string(i);
 }
 
+std::size_t payload_base(std::size_t nsections) {
+  return kHeaderBytes + nsections * sizeof(section_header);
+}
+
 }  // namespace
+
+std::vector<aligned_buffer<cplx>*> channel_dns::impl::checkpoint_fields() {
+  std::vector<aligned_buffer<cplx>*> f = {&state.c_v, &state.c_om,
+                                          &state.c_phi};
+  for (auto& sc : state.scalars) f.push_back(&sc.c_th);
+  return f;
+}
+
+std::size_t channel_dns::impl::global_line(std::size_t m) const {
+  return (d.xs.offset + m / d.zs.count) * cfg.nz + d.zs.offset +
+         m % d.zs.count;
+}
+
+std::vector<checkpoint_section> channel_dns::impl::checkpoint_layout() const {
+  const std::size_t n = modes.n;
+  const std::size_t field = cfg.nx / 2 * cfg.nz * n * sizeof(cplx);
+  const std::size_t nsc = state.scalars.size();
+  std::vector<checkpoint_section> t = {
+      {"c_v", field}, {"c_om", field}, {"c_phi", field}};
+  for (std::size_t i = 0; i < nsc; ++i) t.push_back({sc_name("sc", i), field});
+  t.push_back({"mean", 2 * n * sizeof(double)});
+  for (std::size_t i = 0; i < nsc; ++i)
+    t.push_back({sc_name("scm", i), n * sizeof(double)});
+  if (cfg.scenario.constant_flow_rate())
+    t.push_back({"frc", 2 * sizeof(double)});
+  t.push_back({"ctl", kCtlElems * sizeof(double)});
+  return t;
+}
+
+std::vector<double> channel_dns::impl::checkpoint_tail() {
+  const std::size_t n = modes.n;
+  const std::size_t nsc = state.scalars.size();
+  const bool fr = cfg.scenario.constant_flow_rate();
+  std::vector<double> local((2 + nsc) * n + (fr ? 2 : 0), 0.0),
+      tail(local.size());
+  if (modes.has_mean) {
+    auto out = std::copy(state.c_U.begin(), state.c_U.end(), local.begin());
+    out = std::copy(state.c_W.begin(), state.c_W.end(), out);
+    for (const auto& sc : state.scalars)
+      out = std::copy(sc.c_T.begin(), sc.c_T.end(), out);
+    if (fr) {
+      *out++ = mean_flow.flow_target();
+      *out = mean_flow.last_forcing();
+    }
+  }
+  // The mean mode has a single owner, so gather by bitwise OR over the raw
+  // words: it reproduces the owner's bits exactly. A floating-point sum
+  // would turn an owned -0.0 into +0.0 whenever a non-owner's +0.0 joins
+  // in, making the file depend on the decomposition.
+  world.allreduce_bor(reinterpret_cast<const std::uint64_t*>(local.data()),
+                      reinterpret_cast<std::uint64_t*>(tail.data()),
+                      local.size());
+  // The controller state is identical on every rank (cfl_global is
+  // reduced), so it needs no gather.
+  tail.insert(tail.end(), {cfg.dt, diagnostics.cfl_target(),
+                           diagnostics.dt_min(), diagnostics.dt_max(),
+                           state.cfl_global});
+  return tail;
+}
+
+std::vector<checkpoint_section> channel_dns::impl::checkpoint_sections(
+    const std::vector<double>& tail) {
+  std::vector<checkpoint_section> table = checkpoint_layout();
+  const auto fields = checkpoint_fields();
+  const std::size_t n = modes.n;
+  const std::size_t lines = cfg.nx / 2 * cfg.nz;
+  const std::size_t line_bytes = n * sizeof(cplx);
+  // Section CRCs come from the in-memory state (reading a file back would
+  // checksum whatever a fault left there). Each rank checksums its own
+  // mode lines; the lines are stitched together in global offset order
+  // with crc32_combiner. The u32 values ride in doubles through the sum
+  // reduction — each line has exactly one owner.
+  std::vector<double> crc_l(fields.size() * lines, 0.0), crc_g(crc_l.size());
+  for (std::size_t m = 0; m < modes.nmodes; ++m) {
+    const std::size_t line = global_line(m);
+    for (std::size_t f = 0; f < fields.size(); ++f)
+      crc_l[f * lines + line] = static_cast<double>(
+          crc32(fields[f]->data() + m * n, line_bytes));
+  }
+  world.allreduce_sum(crc_l.data(), crc_g.data(), crc_l.size());
+  const crc32_combiner append_line(line_bytes);
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    std::uint32_t crc = 0;  // crc32 of the empty prefix
+    for (std::size_t line = 0; line < lines; ++line)
+      crc = append_line(crc,
+                        static_cast<std::uint32_t>(crc_g[f * lines + line]));
+    table[f].crc = crc;
+  }
+  // The tail sections are consecutive slices of `tail`, in table order.
+  const char* p = reinterpret_cast<const char*>(tail.data());
+  for (std::size_t t = fields.size(); t < table.size(); ++t) {
+    table[t].crc = crc32(p, table[t].bytes);
+    p += table[t].bytes;
+  }
+  return table;
+}
+
+std::vector<checkpoint_section> channel_dns::checkpoint_sections() const {
+  auto& s = *impl_;
+  return s.checkpoint_sections(s.checkpoint_tail());
+}
 
 void channel_dns::save_checkpoint(const std::string& path) const {
   auto& s = *impl_;
-  auto& st = s.state;
-  io::atomic_file_writer os(path);
-  os.write(&kCheckpointMagic, sizeof(kCheckpointMagic));
-  const std::uint64_t dims[5] = {s.cfg.nx, static_cast<std::uint64_t>(s.cfg.ny),
-                                 s.cfg.nz, static_cast<std::uint64_t>(s.d.pa),
-                                 static_cast<std::uint64_t>(s.d.pb)};
-  os.write(dims, sizeof(dims));
-  os.write(&s.time, sizeof(s.time));
-  os.write(&s.steps, sizeof(s.steps));
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  const std::uint32_t meta[2] = {
-      static_cast<std::uint32_t>(5 + 2 * nsc + (fr ? 1 : 0)), 0};
-  os.write(meta, sizeof(meta));
-  write_section(os, "c_v", st.c_v.data(), st.c_v.size() * sizeof(cplx));
-  write_section(os, "c_om", st.c_om.data(), st.c_om.size() * sizeof(cplx));
-  write_section(os, "c_phi", st.c_phi.data(), st.c_phi.size() * sizeof(cplx));
-  write_section(os, "c_U", st.c_U.data(), st.c_U.size() * sizeof(double));
-  write_section(os, "c_W", st.c_W.data(), st.c_W.size() * sizeof(double));
-  for (std::size_t i = 0; i < nsc; ++i) {
-    const auto& sc = st.scalars[i];
-    write_section(os, sc_name("sc", i).c_str(), sc.c_th.data(),
-                  sc.c_th.size() * sizeof(cplx));
-    write_section(os, sc_name("scm", i).c_str(), sc.c_T.data(),
-                  sc.c_T.size() * sizeof(double));
-  }
-  if (fr) {
-    const double frc[2] = {s.mean_flow.flow_target(),
-                           s.mean_flow.last_forcing()};
-    write_section(os, "frc", frc, sizeof(frc));
-  }
-  os.commit();
-}
-
-void channel_dns::load_checkpoint(const std::string& path) {
-  auto& s = *impl_;
-  s.ensure_resumed();
-  auto& st = s.state;
-  std::ifstream is(path, std::ios::binary);
-  PCF_REQUIRE(is.good(), "cannot open checkpoint file for reading: " + path);
-  auto get = [&](void* p, std::size_t bytes) {
-    is.read(static_cast<char*>(p), static_cast<std::streamsize>(bytes));
-  };
-  std::uint64_t magic = 0;
-  get(&magic, sizeof(magic));
-  PCF_REQUIRE(magic == kCheckpointMagic || magic == kCheckpointMagicV1,
-              "not a checkpoint file");
-  std::uint64_t dims[5];
-  get(dims, sizeof(dims));
-  PCF_REQUIRE(!is.fail(), "checkpoint header truncated");
-  PCF_REQUIRE(dims[0] == s.cfg.nx &&
-                  dims[1] == static_cast<std::uint64_t>(s.cfg.ny) &&
-                  dims[2] == s.cfg.nz &&
-                  dims[3] == static_cast<std::uint64_t>(s.d.pa) &&
-                  dims[4] == static_cast<std::uint64_t>(s.d.pb),
-              "checkpoint grid/decomposition mismatch");
-  get(&s.time, sizeof(s.time));
-  get(&s.steps, sizeof(s.steps));
-  if (magic == kCheckpointMagicV1) {
-    get(st.c_v.data(), st.c_v.size() * sizeof(cplx));
-    get(st.c_om.data(), st.c_om.size() * sizeof(cplx));
-    get(st.c_phi.data(), st.c_phi.size() * sizeof(cplx));
-    get(st.c_U.data(), st.c_U.size() * sizeof(double));
-    get(st.c_W.data(), st.c_W.size() * sizeof(double));
-    PCF_REQUIRE(is.good(), "checkpoint read failed");
-  } else {
-    const std::size_t nsc = st.scalars.size();
-    const bool fr = s.cfg.scenario.constant_flow_rate();
-    std::uint32_t meta[2] = {0, 0};
-    get(meta, sizeof(meta));
-    PCF_REQUIRE(!is.fail() && meta[0] == 5 + 2 * nsc + (fr ? 1u : 0u),
-                "checkpoint section count mismatch");
-    read_section(is, "c_v", st.c_v.data(), st.c_v.size() * sizeof(cplx));
-    read_section(is, "c_om", st.c_om.data(), st.c_om.size() * sizeof(cplx));
-    read_section(is, "c_phi", st.c_phi.data(),
-                 st.c_phi.size() * sizeof(cplx));
-    read_section(is, "c_U", st.c_U.data(), st.c_U.size() * sizeof(double));
-    read_section(is, "c_W", st.c_W.data(), st.c_W.size() * sizeof(double));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      auto& sc = st.scalars[i];
-      read_section(is, sc_name("sc", i).c_str(), sc.c_th.data(),
-                   sc.c_th.size() * sizeof(cplx));
-      read_section(is, sc_name("scm", i).c_str(), sc.c_T.data(),
-                   sc.c_T.size() * sizeof(double));
-    }
-    if (fr) {
-      double frc[2] = {0.0, 0.0};
-      read_section(is, "frc", frc, sizeof(frc));
-      s.mean_flow.restore_forcing(frc[0], frc[1]);
-    }
-  }
-  require_eof(is);
-  st.hv_prev.fill(cplx{0, 0});
-  st.hg_prev.fill(cplx{0, 0});
-  std::fill(st.hU_prev.begin(), st.hU_prev.end(), 0.0);
-  std::fill(st.hW_prev.begin(), st.hW_prev.end(), 0.0);
-  for (auto& sc : st.scalars) {
-    sc.hth_prev.fill(cplx{0, 0});
-    std::fill(sc.hT_prev.begin(), sc.hT_prev.end(), 0.0);
-  }
-  // The restored run may step with a dt the caller changes before the first
-  // step (the runner's reduced-dt retry does); drop the factored bands so
-  // they are rebuilt against the dt actually in effect.
-  s.invalidate_solvers();
-}
-
-void channel_dns::save_checkpoint_global(const std::string& path) {
-  auto& s = *impl_;
-  auto& st = s.state;
-  const std::size_t n = s.modes.n;
-  const std::size_t modes_g = s.cfg.nx / 2 * s.cfg.nz;
-  const std::size_t per = modes_g * n;
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  std::vector<cplx> local((3 + nsc) * per, cplx{0, 0}),
-      global((3 + nsc) * per);
-  for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-    const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-    const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-    const std::size_t g = (jx * s.cfg.nz + jz) * n;
-    std::copy_n(s.line(st.c_v, m), n, local.data() + g);
-    std::copy_n(s.line(st.c_om, m), n, local.data() + per + g);
-    std::copy_n(s.line(st.c_phi, m), n, local.data() + 2 * per + g);
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy_n(s.line(st.scalars[i].c_th, m), n,
-                  local.data() + (3 + i) * per + g);
-  }
-  // Each slot has exactly one owner, so gather by bitwise OR over the
-  // raw words: it reproduces the owner's bits exactly. A floating-point
-  // sum would turn an owned -0.0 into +0.0 whenever a non-owner's +0.0
-  // joins in, making the gathered bytes depend on the decomposition.
-  s.world.allreduce_bor(reinterpret_cast<const std::uint64_t*>(local.data()),
-                        reinterpret_cast<std::uint64_t*>(global.data()),
-                        2 * local.size());
-  // The mean block gathers U, W, every scalar's mean profile and (under
-  // constant flow rate) the {target, last forcing} pair, all owned by the
-  // mean rank.
-  const std::size_t mean_elems = (2 + nsc) * n + (fr ? 2 : 0);
-  std::vector<double> mean_l(mean_elems, 0.0), mean_g(mean_elems);
-  if (s.modes.has_mean) {
-    std::copy(st.c_U.begin(), st.c_U.end(), mean_l.begin());
-    std::copy(st.c_W.begin(), st.c_W.end(),
-              mean_l.begin() + static_cast<std::ptrdiff_t>(n));
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy(st.scalars[i].c_T.begin(), st.scalars[i].c_T.end(),
-                mean_l.begin() + static_cast<std::ptrdiff_t>((2 + i) * n));
-    if (fr) {
-      mean_l[(2 + nsc) * n] = s.mean_flow.flow_target();
-      mean_l[(2 + nsc) * n + 1] = s.mean_flow.last_forcing();
-    }
-  }
-  s.world.allreduce_bor(reinterpret_cast<const std::uint64_t*>(mean_l.data()),
-                        reinterpret_cast<std::uint64_t*>(mean_g.data()),
-                        mean_l.size());
-  if (s.world.rank() == 0) {
-    io::atomic_file_writer os(path);
-    const std::uint64_t magic = kCheckpointMagic + 1;
-    const std::uint64_t dims[3] = {
-        s.cfg.nx, static_cast<std::uint64_t>(s.cfg.ny), s.cfg.nz};
-    os.write(&magic, sizeof(magic));
-    os.write(dims, sizeof(dims));
-    os.write(&s.time, sizeof(s.time));
-    os.write(&s.steps, sizeof(s.steps));
-    const std::uint32_t meta[2] = {
-        static_cast<std::uint32_t>(4 + 2 * nsc + (fr ? 1 : 0)), 0};
-    os.write(meta, sizeof(meta));
-    write_section(os, "c_v", global.data(), per * sizeof(cplx));
-    write_section(os, "c_om", global.data() + per, per * sizeof(cplx));
-    write_section(os, "c_phi", global.data() + 2 * per, per * sizeof(cplx));
-    write_section(os, "mean", mean_g.data(), 2 * n * sizeof(double));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      write_section(os, sc_name("sc", i).c_str(),
-                    global.data() + (3 + i) * per, per * sizeof(cplx));
-      write_section(os, sc_name("scm", i).c_str(),
-                    mean_g.data() + (2 + i) * n, n * sizeof(double));
-    }
-    if (fr)
-      write_section(os, "frc", mean_g.data() + (2 + nsc) * n,
-                    2 * sizeof(double));
-    os.commit();
-  }
-  s.world.barrier();
-}
-
-void channel_dns::load_checkpoint_global(const std::string& path) {
-  auto& s = *impl_;
-  s.ensure_resumed();
-  auto& st = s.state;
-  const std::size_t n = s.modes.n;
-  const std::size_t modes_g = s.cfg.nx / 2 * s.cfg.nz;
-  const std::size_t per = modes_g * n;
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  std::vector<cplx> global((3 + nsc) * per);
-  std::vector<double> mean_g((2 + nsc) * n + (fr ? 2 : 0));
-  // Rank 0 reads and verifies; success is agreed on *before* any payload
-  // broadcast so a corrupt file makes every rank throw instead of leaving
-  // ranks 1..P-1 blocked in a collective.
-  int ok = 1;
-  std::string err;
-  if (s.world.rank() == 0) {
-    try {
-      std::ifstream is(path, std::ios::binary);
-      PCF_REQUIRE(is.good(),
-                  "cannot open global checkpoint for reading: " + path);
-      std::uint64_t magic = 0, dims[3];
-      is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-      PCF_REQUIRE(magic == kCheckpointMagic + 1 ||
-                      magic == kCheckpointMagicV1 + 1,
-                  "not a global checkpoint");
-      is.read(reinterpret_cast<char*>(dims), sizeof(dims));
-      PCF_REQUIRE(!is.fail(), "global checkpoint header truncated");
-      PCF_REQUIRE(dims[0] == s.cfg.nx &&
-                      dims[1] == static_cast<std::uint64_t>(s.cfg.ny) &&
-                      dims[2] == s.cfg.nz,
-                  "global checkpoint grid mismatch");
-      is.read(reinterpret_cast<char*>(&s.time), sizeof(s.time));
-      is.read(reinterpret_cast<char*>(&s.steps), sizeof(s.steps));
-      if (magic == kCheckpointMagicV1 + 1) {
-        PCF_REQUIRE(nsc == 0 && !fr,
-                    "v1 global checkpoint has no scenario sections");
-        is.read(reinterpret_cast<char*>(global.data()),
-                static_cast<std::streamsize>(global.size() * sizeof(cplx)));
-        is.read(reinterpret_cast<char*>(mean_g.data()),
-                static_cast<std::streamsize>(mean_g.size() * sizeof(double)));
-        PCF_REQUIRE(is.good(), "global checkpoint read failed");
-      } else {
-        std::uint32_t meta[2] = {0, 0};
-        is.read(reinterpret_cast<char*>(meta), sizeof(meta));
-        PCF_REQUIRE(!is.fail() && meta[0] == 4 + 2 * nsc + (fr ? 1u : 0u),
-                    "global checkpoint section count mismatch");
-        read_section(is, "c_v", global.data(), per * sizeof(cplx));
-        read_section(is, "c_om", global.data() + per, per * sizeof(cplx));
-        read_section(is, "c_phi", global.data() + 2 * per,
-                     per * sizeof(cplx));
-        read_section(is, "mean", mean_g.data(), 2 * n * sizeof(double));
-        for (std::size_t i = 0; i < nsc; ++i) {
-          read_section(is, sc_name("sc", i).c_str(),
-                       global.data() + (3 + i) * per, per * sizeof(cplx));
-          read_section(is, sc_name("scm", i).c_str(),
-                       mean_g.data() + (2 + i) * n, n * sizeof(double));
-        }
-        if (fr)
-          read_section(is, "frc", mean_g.data() + (2 + nsc) * n,
-                       2 * sizeof(double));
-      }
-      require_eof(is);
-    } catch (const std::exception& e) {
-      ok = 0;
-      err = e.what();
-    }
-  }
-  s.world.bcast(&ok, 1, 0);
-  if (!ok) {
-    std::uint64_t len = err.size();
-    s.world.bcast(&len, 1, 0);
-    err.resize(len);
-    if (len > 0) s.world.bcast(err.data(), len, 0);
-    throw precondition_error("global checkpoint load failed: " + err);
-  }
-  s.world.bcast(&s.time, 1, 0);
-  s.world.bcast(&s.steps, 1, 0);
-  s.world.bcast(global.data(), global.size(), 0);
-  s.world.bcast(mean_g.data(), mean_g.size(), 0);
-  for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-    const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-    const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-    const std::size_t g = (jx * s.cfg.nz + jz) * n;
-    std::copy_n(global.data() + g, n, s.line(st.c_v, m));
-    std::copy_n(global.data() + per + g, n, s.line(st.c_om, m));
-    std::copy_n(global.data() + 2 * per + g, n, s.line(st.c_phi, m));
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy_n(global.data() + (3 + i) * per + g, n,
-                  s.line(st.scalars[i].c_th, m));
-  }
-  if (s.modes.has_mean) {
-    std::copy_n(mean_g.data(), n, st.c_U.begin());
-    std::copy_n(mean_g.data() + n, n, st.c_W.begin());
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy_n(mean_g.data() + (2 + i) * n, n,
-                  st.scalars[i].c_T.begin());
-  }
-  if (fr)
-    s.mean_flow.restore_forcing(mean_g[(2 + nsc) * n],
-                                mean_g[(2 + nsc) * n + 1]);
-  st.hv_prev.fill(cplx{0, 0});
-  st.hg_prev.fill(cplx{0, 0});
-  std::fill(st.hU_prev.begin(), st.hU_prev.end(), 0.0);
-  std::fill(st.hW_prev.begin(), st.hW_prev.end(), 0.0);
-  for (auto& sc : st.scalars) {
-    sc.hth_prev.fill(cplx{0, 0});
-    std::fill(sc.hT_prev.begin(), sc.hT_prev.end(), 0.0);
-  }
-  s.invalidate_solvers();
-}
-
-namespace {
-
-// Parallel single-file v2 layout: fixed header, a section table (c_v,
-// c_om, c_phi, one "sc<i>" per scalar, mean, one "scm<i>" per scalar,
-// "frc" under constant flow rate — 4 entries for the default scenario),
-// then the payloads at fixed offsets so every rank can write its modes in
-// place, MPI-IO style. The distributed field payloads come first in table
-// order; the rank-0-owned mean/scalar-mean/forcing blocks form the tail.
-constexpr std::size_t kParallelV1Header =
-    sizeof(std::uint64_t) * 4 + sizeof(double) + sizeof(long);
-constexpr std::size_t kParallelV2Header =
-    kParallelV1Header + 2 * sizeof(std::uint32_t);
-
-std::size_t parallel_payload_base(std::size_t nsections) {
-  return kParallelV2Header + nsections * sizeof(section_header);
-}
-
-}  // namespace
-
-void channel_dns::save_checkpoint_parallel(const std::string& path) {
-  auto& s = *impl_;
-  auto& st = s.state;
-  const std::size_t n = s.modes.n;
-  const std::size_t modes_g = s.cfg.nx / 2 * s.cfg.nz;
-  const std::size_t per = modes_g * n;  // elements per field section
-  const std::size_t line_bytes = n * sizeof(cplx);
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  const std::size_t nfields = 3 + nsc;
-  const std::size_t nsections = nfields + 1 + nsc + (fr ? 1 : 0);
-  const std::size_t payload = parallel_payload_base(nsections);
-  const std::size_t tail = payload + nfields * per * sizeof(cplx);
-  const std::size_t mean_elems = (2 + nsc) * n + (fr ? 2 : 0);
-  std::vector<double> mean_l(mean_elems, 0.0), mean_g(mean_elems);
-  if (s.modes.has_mean) {
-    std::copy(st.c_U.begin(), st.c_U.end(), mean_l.begin());
-    std::copy(st.c_W.begin(), st.c_W.end(),
-              mean_l.begin() + static_cast<std::ptrdiff_t>(n));
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy(st.scalars[i].c_T.begin(), st.scalars[i].c_T.end(),
-                mean_l.begin() + static_cast<std::ptrdiff_t>((2 + i) * n));
-    if (fr) {
-      mean_l[(2 + nsc) * n] = s.mean_flow.flow_target();
-      mean_l[(2 + nsc) * n + 1] = s.mean_flow.last_forcing();
-    }
-  }
-  // Bitwise-OR gather, not a sum: the mean profile is owned by a single
-  // rank and a sum would flip any -0.0 coefficient to +0.0 (see
-  // save_checkpoint_global).
-  s.world.allreduce_bor(reinterpret_cast<const std::uint64_t*>(mean_l.data()),
-                        reinterpret_cast<std::uint64_t*>(mean_g.data()),
-                        mean_l.size());
-  // Section CRCs must come from the in-memory state (reading the file back
-  // would checksum whatever a fault left there). Each rank checksums its
-  // own mode lines; rank 0 stitches them together in global offset order
-  // with crc32_combine. The u32 values ride in doubles through the
-  // existing sum reduction — each line has exactly one owner.
-  std::vector<const aligned_buffer<cplx>*> fields = {&st.c_v, &st.c_om,
-                                                     &st.c_phi};
-  for (std::size_t i = 0; i < nsc; ++i)
-    fields.push_back(&st.scalars[i].c_th);
-  std::vector<double> crc_l(nfields * modes_g, 0.0),
-      crc_g(nfields * modes_g);
-  for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-    const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-    const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-    const std::size_t line = jx * s.cfg.nz + jz;
-    for (std::size_t f = 0; f < nfields; ++f)
-      crc_l[f * modes_g + line] = static_cast<double>(
-          crc32(fields[f]->data() + m * n, line_bytes));
-  }
-  s.world.allreduce_sum(crc_l.data(), crc_g.data(), crc_l.size());
+  const std::vector<double> tail = s.checkpoint_tail();
+  const std::vector<checkpoint_section> table = s.checkpoint_sections(tail);
+  const auto fields = s.checkpoint_fields();
+  const std::size_t payload = payload_base(table.size());
+  const std::size_t field_bytes = table[0].bytes;
+  const std::size_t line_bytes = s.modes.n * sizeof(cplx);
 
   std::optional<io::atomic_file_writer> owner;
   if (s.world.rank() == 0) {
     owner.emplace(path);
-    const std::uint64_t magic = kCheckpointMagic + 2;
     const std::uint64_t dims[3] = {
         s.cfg.nx, static_cast<std::uint64_t>(s.cfg.ny), s.cfg.nz};
-    owner->write(&magic, sizeof(magic));
+    const std::uint32_t meta[2] = {static_cast<std::uint32_t>(table.size()),
+                                   0};
+    owner->write(&kCheckpointMagic, sizeof(kCheckpointMagic));
     owner->write(dims, sizeof(dims));
     owner->write(&s.time, sizeof(s.time));
     owner->write(&s.steps, sizeof(s.steps));
-    const std::uint32_t meta[2] = {static_cast<std::uint32_t>(nsections), 0};
     owner->write(meta, sizeof(meta));
-    std::vector<std::string> names = {"c_v", "c_om", "c_phi"};
-    for (std::size_t i = 0; i < nsc; ++i) names.push_back(sc_name("sc", i));
-    for (std::size_t f = 0; f < nfields; ++f) {
-      std::uint32_t crc = 0;  // crc32 of the empty prefix
-      for (std::size_t line = 0; line < modes_g; ++line)
-        crc = crc32_combine(
-            crc, static_cast<std::uint32_t>(crc_g[f * modes_g + line]),
-            line_bytes);
-      const section_header h =
-          make_section_header(names[f].c_str(), per * sizeof(cplx), crc);
+    for (const auto& e : table) {
+      const section_header h = make_header(e);
       owner->write(&h, sizeof(h));
     }
-    const section_header hm = make_section_header(
-        "mean", 2 * n * sizeof(double),
-        crc32(mean_g.data(), 2 * n * sizeof(double)));
-    owner->write(&hm, sizeof(hm));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      const section_header hs = make_section_header(
-          sc_name("scm", i).c_str(), n * sizeof(double),
-          crc32(mean_g.data() + (2 + i) * n, n * sizeof(double)));
-      owner->write(&hs, sizeof(hs));
-    }
-    if (fr) {
-      const section_header hf = make_section_header(
-          "frc", 2 * sizeof(double),
-          crc32(mean_g.data() + (2 + nsc) * n, 2 * sizeof(double)));
-      owner->write(&hf, sizeof(hf));
-    }
-    // The means live at the tail; writing them first also sizes the file.
-    owner->write_at(tail, mean_g.data(), mean_g.size() * sizeof(double));
+    // The tail comes last in the file; writing it first also sizes it.
+    owner->write_at(payload + fields.size() * field_bytes, tail.data(),
+                    tail.size() * sizeof(double));
     owner->flush();
   }
   s.world.barrier();
@@ -518,13 +203,14 @@ void channel_dns::save_checkpoint_parallel(const std::string& path) {
     io::atomic_file_writer& os =
         s.world.rank() == 0 ? *owner
                             : joiner.emplace(io::atomic_file_writer::join(path));
-    for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-      const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-      const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-      const std::size_t g = (jx * s.cfg.nz + jz) * n;
-      for (std::size_t f = 0; f < nfields; ++f)
-        os.write_at(payload + (f * per + g) * sizeof(cplx),
-                    fields[f]->data() + m * n, line_bytes);
+    // A rank's lines of one x row are z-consecutive both in memory and in
+    // the file: one write per row and field.
+    const std::size_t row = s.d.zs.count;
+    for (std::size_t m = 0; m < s.modes.nmodes; m += row) {
+      const std::size_t at = payload + s.global_line(m) * line_bytes;
+      for (std::size_t f = 0; f < fields.size(); ++f)
+        os.write_at(at + f * field_bytes, fields[f]->data() + m * s.modes.n,
+                    row * line_bytes);
     }
     if (joiner) joiner->close();
   }
@@ -533,128 +219,118 @@ void channel_dns::save_checkpoint_parallel(const std::string& path) {
   s.world.barrier();
 }
 
-void channel_dns::load_checkpoint_parallel(const std::string& path) {
+void channel_dns::load_checkpoint(const std::string& path) {
   auto& s = *impl_;
   s.ensure_resumed();
   auto& st = s.state;
-  const std::size_t n = s.modes.n;
-  const std::size_t modes_g = s.cfg.nx / 2 * s.cfg.nz;
-  const std::size_t per = modes_g * n;
+  const std::vector<checkpoint_section> layout = s.checkpoint_layout();
+  const std::size_t payload = payload_base(layout.size());
+  std::size_t expected_size = payload;
+  for (const auto& e : layout) expected_size += e.bytes;
+
+  // Every rank runs the identical verification on the shared file, so all
+  // ranks reach the same accept/reject decision without extra collectives.
+  // Nothing is restored until the whole file has verified.
   std::ifstream is(path, std::ios::binary);
-  PCF_REQUIRE(is.good(),
-              "cannot open parallel checkpoint for reading: " + path);
+  PCF_REQUIRE(is.good(), "cannot open checkpoint for reading: " + path);
+  auto get = [&](void* p, std::size_t bytes) {
+    is.read(static_cast<char*>(p), static_cast<std::streamsize>(bytes));
+  };
   std::uint64_t magic = 0, dims[3];
-  is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  PCF_REQUIRE(magic == kCheckpointMagic + 2 ||
-                  magic == kCheckpointMagicV1 + 2,
-              "not a parallel checkpoint");
-  is.read(reinterpret_cast<char*>(dims), sizeof(dims));
-  PCF_REQUIRE(!is.fail(), "parallel checkpoint header truncated");
+  double saved_time = 0.0;
+  long saved_steps = 0;
+  std::uint32_t meta[2] = {0, 0};
+  get(&magic, sizeof(magic));
+  PCF_REQUIRE(!is.fail() && magic == kCheckpointMagic,
+              "not a checkpoint file: " + path);
+  get(dims, sizeof(dims));
+  get(&saved_time, sizeof(saved_time));
+  get(&saved_steps, sizeof(saved_steps));
+  get(meta, sizeof(meta));
+  PCF_REQUIRE(!is.fail(), "checkpoint header truncated");
   PCF_REQUIRE(dims[0] == s.cfg.nx &&
                   dims[1] == static_cast<std::uint64_t>(s.cfg.ny) &&
                   dims[2] == s.cfg.nz,
-              "parallel checkpoint grid mismatch");
-  is.read(reinterpret_cast<char*>(&s.time), sizeof(s.time));
-  is.read(reinterpret_cast<char*>(&s.steps), sizeof(s.steps));
-  const bool v1 = magic == kCheckpointMagicV1 + 2;
-  const std::size_t nsc = st.scalars.size();
-  const bool fr = s.cfg.scenario.constant_flow_rate();
-  PCF_REQUIRE(!v1 || (nsc == 0 && !fr),
-              "v1 parallel checkpoint has no scenario sections");
-  const std::size_t nfields = 3 + nsc;
-  const std::size_t nsections = nfields + 1 + nsc + (fr ? 1 : 0);
-  const std::size_t payload =
-      v1 ? kParallelV1Header : parallel_payload_base(nsections);
-  const std::size_t mean_elems = (2 + nsc) * n + (fr ? 2 : 0);
-  const std::size_t tail_bytes = mean_elems * sizeof(double);
-  const auto expected_size = static_cast<std::streamoff>(
-      payload + nfields * per * sizeof(cplx) + tail_bytes);
-  // Every rank runs the identical verification on the shared file, so all
-  // ranks reach the same accept/reject decision without extra collectives.
+              "checkpoint grid mismatch");
+  PCF_REQUIRE(meta[0] == layout.size(), "checkpoint section count mismatch");
   is.seekg(0, std::ios::end);
-  PCF_REQUIRE(is.tellg() == expected_size,
-              is.tellg() < expected_size
-                  ? "parallel checkpoint truncated"
-                  : "trailing garbage after checkpoint payload");
-  if (!v1) {
-    std::uint32_t meta[2] = {0, 0};
-    is.seekg(static_cast<std::streamoff>(kParallelV1Header));
-    is.read(reinterpret_cast<char*>(meta), sizeof(meta));
-    PCF_REQUIRE(!is.fail() && meta[0] == nsections,
-                "parallel checkpoint section count mismatch");
-    std::vector<section_header> table(nsections);
-    is.read(reinterpret_cast<char*>(table.data()),
-            static_cast<std::streamsize>(nsections * sizeof(section_header)));
-    PCF_REQUIRE(!is.fail(), "parallel checkpoint section table truncated");
-    // File layout order == table order: the distributed field payloads,
-    // then the rank-0-owned mean / scalar-mean / forcing tail blocks.
-    std::vector<std::string> names = {"c_v", "c_om", "c_phi"};
-    std::vector<std::size_t> sizes(3, per * sizeof(cplx));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      names.push_back(sc_name("sc", i));
-      sizes.push_back(per * sizeof(cplx));
+  const auto size = static_cast<std::size_t>(is.tellg());
+  PCF_REQUIRE(size >= expected_size, "checkpoint truncated");
+  PCF_REQUIRE(size == expected_size,
+              "trailing garbage after checkpoint payload");
+
+  std::vector<section_header> table(layout.size());
+  is.seekg(static_cast<std::streamoff>(kHeaderBytes));
+  get(table.data(), table.size() * sizeof(section_header));
+  PCF_REQUIRE(!is.fail(), "checkpoint section table truncated");
+  std::vector<char> buf(1 << 16);
+  for (std::size_t t = 0; t < layout.size(); ++t) {
+    // The table itself carries no checksum, so every byte of an entry is
+    // checked: the zero-padded name, the size and the reserved word.
+    const section_header want = make_header(layout[t]);
+    const std::string name(table[t].name,
+                           strnlen(table[t].name, sizeof(table[t].name)));
+    PCF_REQUIRE(std::memcmp(table[t].name, want.name, sizeof(want.name)) ==
+                        0 &&
+                    table[t].bytes == want.bytes && table[t].reserved == 0,
+                "checkpoint section '" + name + "' unexpected (expected '" +
+                    layout[t].name + "')");
+    std::uint32_t crc = crc32_init();
+    for (std::size_t left = layout[t].bytes; left > 0;) {
+      const std::size_t chunk = std::min(left, buf.size());
+      get(buf.data(), chunk);
+      PCF_REQUIRE(!is.fail(),
+                  "checkpoint section '" + name + "' truncated");
+      crc = crc32_update(crc, buf.data(), chunk);
+      left -= chunk;
     }
-    names.push_back("mean");
-    sizes.push_back(2 * n * sizeof(double));
-    for (std::size_t i = 0; i < nsc; ++i) {
-      names.push_back(sc_name("scm", i));
-      sizes.push_back(n * sizeof(double));
-    }
-    if (fr) {
-      names.push_back("frc");
-      sizes.push_back(2 * sizeof(double));
-    }
-    std::vector<char> buf(1 << 20);
-    for (std::size_t t = 0; t < nsections; ++t) {
-      PCF_REQUIRE(section_name(table[t]) == names[t] &&
-                      table[t].bytes == sizes[t],
-                  "checkpoint section '" + section_name(table[t]) +
-                      "' unexpected (expected '" + names[t] + "')");
-      std::uint32_t crc = crc32_init();
-      std::size_t left = sizes[t];
-      while (left > 0) {
-        const std::size_t chunk = std::min(left, buf.size());
-        is.read(buf.data(), static_cast<std::streamsize>(chunk));
-        PCF_REQUIRE(!is.fail(), "checkpoint section '" + names[t] +
-                                    "' truncated");
-        crc = crc32_update(crc, buf.data(), chunk);
-        left -= chunk;
-      }
-      PCF_REQUIRE(crc32_final(crc) == table[t].crc,
-                  "checkpoint section '" + names[t] + "' CRC mismatch");
+    PCF_REQUIRE(crc32_final(crc) == table[t].crc,
+                "checkpoint section '" + name + "' CRC mismatch");
+  }
+
+  const auto fields = s.checkpoint_fields();
+  const std::size_t n = s.modes.n;
+  const std::size_t field_bytes = layout[0].bytes;
+  const std::size_t tail_at = payload + fields.size() * field_bytes;
+  std::vector<double> tail((expected_size - tail_at) / sizeof(double));
+  is.seekg(static_cast<std::streamoff>(tail_at));
+  get(tail.data(), tail.size() * sizeof(double));
+  PCF_REQUIRE(!is.fail(), "checkpoint read failed");
+  // The CRC proves the bytes are the ones written, not that a crafted file
+  // holds a usable controller: check it like set_dt/set_cfl_target would.
+  const double* ctl = tail.data() + tail.size() - kCtlElems;
+  PCF_REQUIRE(std::isfinite(ctl[0]) && ctl[0] > 0.0 &&
+                  std::isfinite(ctl[1]) &&
+                  (ctl[1] <= 0.0 || (ctl[2] > 0.0 && std::isfinite(ctl[3]) &&
+                                     ctl[3] >= ctl[2])),
+              "checkpoint section 'ctl' holds an invalid dt controller");
+  const std::size_t row = s.d.zs.count;  // z-consecutive lines, as saved
+  for (std::size_t m = 0; m < s.modes.nmodes; m += row) {
+    const std::size_t at = payload + s.global_line(m) * n * sizeof(cplx);
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      is.seekg(static_cast<std::streamoff>(at + f * field_bytes));
+      get(fields[f]->data() + m * n, row * n * sizeof(cplx));
     }
   }
-  std::vector<aligned_buffer<cplx>*> fields = {&st.c_v, &st.c_om,
-                                               &st.c_phi};
-  for (std::size_t i = 0; i < nsc; ++i)
-    fields.push_back(&st.scalars[i].c_th);
-  for (std::size_t m = 0; m < s.modes.nmodes; ++m) {
-    const std::size_t jx = s.d.xs.offset + m / s.d.zs.count;
-    const std::size_t jz = s.d.zs.offset + m % s.d.zs.count;
-    const std::size_t g = (jx * s.cfg.nz + jz) * n;
-    for (std::size_t f = 0; f < nfields; ++f) {
-      is.seekg(static_cast<std::streamoff>(payload +
-                                           (f * per + g) * sizeof(cplx)));
-      is.read(reinterpret_cast<char*>(fields[f]->data() + m * n),
-              static_cast<std::streamsize>(n * sizeof(cplx)));
-    }
-  }
-  std::vector<double> mean_g(mean_elems);
-  is.seekg(
-      static_cast<std::streamoff>(payload + nfields * per * sizeof(cplx)));
-  is.read(reinterpret_cast<char*>(mean_g.data()),
-          static_cast<std::streamsize>(tail_bytes));
-  PCF_REQUIRE(is.good(), "parallel checkpoint read failed");
+  PCF_REQUIRE(is.good(), "checkpoint read failed");
+
+  s.time = saved_time;
+  s.steps = saved_steps;
+  const double* in = tail.data();
   if (s.modes.has_mean) {
-    std::copy_n(mean_g.data(), n, st.c_U.begin());
-    std::copy_n(mean_g.data() + n, n, st.c_W.begin());
-    for (std::size_t i = 0; i < nsc; ++i)
-      std::copy_n(mean_g.data() + (2 + i) * n, n,
-                  st.scalars[i].c_T.begin());
+    std::copy_n(in, n, st.c_U.begin());
+    std::copy_n(in + n, n, st.c_W.begin());
+    for (std::size_t i = 0; i < st.scalars.size(); ++i)
+      std::copy_n(in + (2 + i) * n, n, st.scalars[i].c_T.begin());
   }
-  if (fr)
-    s.mean_flow.restore_forcing(mean_g[(2 + nsc) * n],
-                                mean_g[(2 + nsc) * n + 1]);
+  in += (2 + st.scalars.size()) * n;
+  if (s.cfg.scenario.constant_flow_rate()) {
+    s.mean_flow.restore_forcing(in[0], in[1]);
+    in += 2;
+  }
+  s.cfg.dt = in[0];
+  s.diagnostics.set_cfl_target(in[1], in[2], in[3]);
+  st.cfl_global = in[4];
   st.hv_prev.fill(cplx{0, 0});
   st.hg_prev.fill(cplx{0, 0});
   std::fill(st.hU_prev.begin(), st.hU_prev.end(), 0.0);
@@ -663,6 +339,10 @@ void channel_dns::load_checkpoint_parallel(const std::string& path) {
     sc.hth_prev.fill(cplx{0, 0});
     std::fill(sc.hT_prev.begin(), sc.hT_prev.end(), 0.0);
   }
+  // The restored dt may differ from the one the factored bands were built
+  // for, and the caller may still change it before the first step (the
+  // runner's reduced-dt retry does); drop the bands so they are rebuilt
+  // against the dt actually in effect.
   s.invalidate_solvers();
   s.world.barrier();
 }

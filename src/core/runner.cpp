@@ -19,12 +19,6 @@ double flow_through_time(channel_dns& dns) {
 
 namespace {
 
-std::string rank_suffix(const vmpi::communicator& world) {
-  std::string s = ".";
-  s += std::to_string(world.rank());
-  return s;
-}
-
 // Append one blow-up entry to the report file (rank 0 only; append mode so
 // repeated blow-ups in one campaign stay visible).
 void append_blowup_report(const std::string& path, const run_report& rep,
@@ -76,10 +70,9 @@ void append_blowup_report(const std::string& path, const run_report& rep,
 long restore_newest_generation(channel_dns& dns, vmpi::communicator& world,
                                const std::string& prefix) {
   // Candidate list from rank 0's view of the directory, broadcast so every
-  // rank walks the identical sequence of collectives even if a rank's own
-  // files are missing.
+  // rank walks the identical sequence of collectives.
   std::vector<long> gens;
-  if (world.rank() == 0) gens = io::list_generations(prefix, ".0");
+  if (world.rank() == 0) gens = io::list_generations(prefix);
   auto ngen = static_cast<std::uint64_t>(gens.size());
   world.bcast(&ngen, 1, 0);
   gens.resize(static_cast<std::size_t>(ngen));
@@ -89,8 +82,7 @@ long restore_newest_generation(channel_dns& dns, vmpi::communicator& world,
     const long g = gens[i];
     double ok = 1.0;
     try {
-      dns.load_checkpoint(io::generation_path(prefix, g) +
-                          rank_suffix(world));
+      dns.load_checkpoint(io::generation_path(prefix, g));
     } catch (const std::exception&) {
       ok = 0.0;  // missing, truncated, or failed a section CRC
     }
@@ -166,7 +158,9 @@ run_report run_campaign(channel_dns& dns, vmpi::communicator& world,
           restored =
               restore_newest_generation(dns, world, plan.checkpoint_path);
           if (restored >= 0) {
-            new_dt = dns.dt() * plan.retry_dt_factor;
+            // Scale the dt that blew up, not the restored one, so repeated
+            // retries keep shrinking it.
+            new_dt = dt_at_blowup * plan.retry_dt_factor;
             dns.set_dt(new_dt);
           }
         }
@@ -197,10 +191,9 @@ run_report run_campaign(channel_dns& dns, vmpi::communicator& world,
       PCF_REQUIRE(!plan.checkpoint_path.empty(),
                   "checkpoint cadence set without a path");
       dns.save_checkpoint(
-          io::generation_path(plan.checkpoint_path, dns.step_count()) +
-          rank_suffix(world));
-      io::prune_generations(plan.checkpoint_path, rank_suffix(world),
-                            plan.checkpoint_keep);
+          io::generation_path(plan.checkpoint_path, dns.step_count()));
+      if (world.rank() == 0)
+        io::prune_generations(plan.checkpoint_path, plan.checkpoint_keep);
       ++rep.checkpoints_written;
     }
   }

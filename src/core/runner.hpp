@@ -8,10 +8,10 @@
 // diagnostics, and can stop on a wall-clock budget.
 //
 // Recovery policy: checkpoints rotate through numbered generations
-// (`<prefix>.g<step>.<rank>`, newest `checkpoint_keep` kept), so a corrupt
-// or torn file never leaves the campaign without a restart point — the
-// loader falls back to the newest generation that every rank verifies and
-// whose restored state is finite. If the integration blows up (non-finite
+// (single files `<prefix>.g<step>`, newest `checkpoint_keep` kept), so a
+// corrupt or torn file never leaves the campaign without a restart point —
+// the loader falls back to the newest generation that verifies and whose
+// restored state is finite. If the integration blows up (non-finite
 // energy), the runner writes a diagnostic report (including the vmpi
 // communication statistics) and, when `max_blowup_retries` allows, restores
 // the newest good generation with the time step scaled by
@@ -32,7 +32,7 @@ struct run_plan {
   long stats_every = 10;         // steps between statistics samples
   long diag_every = 50;          // steps between diagnostics records
   long checkpoint_every = 0;     // steps between checkpoints (0 = none)
-  std::string checkpoint_path;   // prefix; ".g<step>.<rank>" is appended
+  std::string checkpoint_path;   // prefix; ".g<step>" is appended
   int checkpoint_keep = 2;       // rotated generations to keep (>= 1)
   double max_seconds = 0.0;      // wall-clock budget (0 = unlimited)
   bool stop_on_nonfinite = true;  // halt if the energy goes non-finite
@@ -78,8 +78,8 @@ struct run_report {
 /// Estimate the flow-through time Lx / U_bulk from the current state.
 double flow_through_time(channel_dns& dns);
 
-/// Restore the newest checkpoint generation under `prefix` that every rank
-/// loads cleanly (atomic rename means a generation either exists complete
+/// Restore the newest checkpoint generation under `prefix` that loads
+/// cleanly (atomic rename means a generation either exists complete
 /// or not at all, and the per-section CRCs reject silent corruption) and
 /// whose restored energy is finite. Returns the generation number, or -1
 /// if no generation is usable (the DNS state is then unspecified).

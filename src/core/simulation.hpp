@@ -223,6 +223,14 @@ struct step_timings {
   counters::pool_counts pool{};
 };
 
+/// One entry of a checkpoint's section table: a named payload, its size
+/// and the CRC-32 of its bytes.
+struct checkpoint_section {
+  std::string name;
+  std::uint64_t bytes = 0;
+  std::uint32_t crc = 0;
+};
+
 class channel_dns {
  public:
   channel_dns(const channel_config& cfg, vmpi::communicator& world);
@@ -348,31 +356,26 @@ class channel_dns {
   double flow_rate_target();
 
   // --- checkpointing ---------------------------------------------------------
-  // All three formats write crash-safely (temp file + atomic rename, so an
-  // interrupted save never damages the previous checkpoint) in the v2
-  // sectioned layout with a CRC-32 per array; loads verify every checksum
-  // and reject truncation or trailing bytes with an error naming the bad
-  // section. v1 files (no checksums) are still accepted on load.
-
-  /// Save the evolved state to a per-rank binary file (call at a step
-  /// boundary; RK3 carries no nonlinear history across steps). Restoring
-  /// requires the same configuration and decomposition.
+  /// Save the evolved state to one decomposition-independent file (call at
+  /// a step boundary; RK3 carries no nonlinear history across steps). Every
+  /// rank writes its own mode lines at their global offsets, MPI-IO style,
+  /// so no rank holds more than its local state, and the file restarts on
+  /// any process grid of the same spectral resolution. The write is
+  /// crash-safe (temp file + atomic rename: an interrupted save never
+  /// damages the previous checkpoint), every section carries a CRC-32,
+  /// and the dt controller's state rides along. Collective.
   void save_checkpoint(const std::string& path) const;
+  /// Restore a save_checkpoint file onto this instance's process grid,
+  /// verifying every section checksum first; truncation, trailing bytes
+  /// and corruption are rejected with an error naming the section.
+  /// Collective.
   void load_checkpoint(const std::string& path);
 
-  /// Decomposition-independent checkpoint: gathers the global modal state
-  /// and writes one file from rank 0 (collective). load redistributes it
-  /// onto this instance's process grid, so a run saved on P_A x P_B ranks
-  /// restarts on any other grid of the same spectral resolution.
-  void save_checkpoint_global(const std::string& path);
-  void load_checkpoint_global(const std::string& path);
-
-  /// Parallel single-file checkpoint: every rank writes its own modes at
-  /// their global offsets (MPI-IO style — no rank gathers the global
-  /// state, so memory stays O(local) as a production-size run requires).
-  /// The file layout is global, so it is also decomposition-independent.
-  void save_checkpoint_parallel(const std::string& path);
-  void load_checkpoint_parallel(const std::string& path);
+  /// The section table save_checkpoint would write for the current state,
+  /// computed in memory (no file is touched): section names in file order
+  /// with their payload sizes and CRC-32s. Identical on every rank for
+  /// every decomposition. Collective.
+  [[nodiscard]] std::vector<checkpoint_section> checkpoint_sections() const;
 
   // --- performance ----------------------------------------------------------
   [[nodiscard]] step_timings timings() const;

@@ -1,7 +1,7 @@
 // Internal definition of channel_dns::impl, shared by the simulation's
 // translation units (simulation.cpp: lifecycle + stepping, observables.cpp:
-// diagnostics/statistics/spectra, checkpoint.cpp: the three checkpoint
-// formats). Not installed; include only from src/core.
+// diagnostics/statistics/spectra, checkpoint.cpp: the single-file
+// checkpoint). Not installed; include only from src/core.
 //
 // The impl is a thin composition root: it owns the communicator, the
 // decomposition, the workspace arena, the pencil kernel, the operators and
@@ -156,6 +156,24 @@ struct channel_dns::impl {
       invalidate_solvers();
     }
   }
+
+  // Checkpoint layout (checkpoint.cpp).
+  /// The distributed field buffers in file order: v, omega_y, phi, then
+  /// one theta per passive scalar.
+  [[nodiscard]] std::vector<aligned_buffer<cplx>*> checkpoint_fields();
+  /// Global line index jx * nz + jz of local mode m.
+  [[nodiscard]] std::size_t global_line(std::size_t m) const;
+  /// Section names and payload sizes in file order (CRCs left zero).
+  [[nodiscard]] std::vector<checkpoint_section> checkpoint_layout() const;
+  /// The rank-0 tail payloads behind the distributed fields (mean
+  /// profiles, scalar means, forcing state, dt controller), gathered onto
+  /// every rank. Collective.
+  [[nodiscard]] std::vector<double> checkpoint_tail();
+  /// checkpoint_layout() with each CRC filled in from memory: per-line
+  /// CRCs of the distributed fields stitched in global order, and the
+  /// `tail` slices. Collective.
+  [[nodiscard]] std::vector<checkpoint_section> checkpoint_sections(
+      const std::vector<double>& tail);
 
   // Convenience forwarders used across the TUs.
   [[nodiscard]] cplx* line(aligned_buffer<cplx>& b, std::size_t m) {

@@ -13,6 +13,10 @@ class diagnostics_stage {
 
   /// Adaptive time stepping (optional); target <= 0 disables it.
   void set_cfl_target(double target, double dt_min, double dt_max);
+  /// The controller settings (checkpointed with the state).
+  [[nodiscard]] double cfl_target() const { return cfl_target_; }
+  [[nodiscard]] double dt_min() const { return dt_min_; }
+  [[nodiscard]] double dt_max() const { return dt_max_; }
 
   /// End-of-step work: reduce the local CFL estimates into
   /// state.cfl_global and run the proportional dt controller. Returns the

@@ -181,8 +181,7 @@ std::string generation_path(const std::string& prefix, long generation) {
   return prefix + ".g" + std::to_string(generation);
 }
 
-std::vector<long> list_generations(const std::string& prefix,
-                                   const std::string& suffix) {
+std::vector<long> list_generations(const std::string& prefix) {
   const std::filesystem::path p(prefix);
   std::filesystem::path dir = p.parent_path();
   if (dir.empty()) dir = ".";
@@ -192,14 +191,10 @@ std::vector<long> list_generations(const std::string& prefix,
   for (std::filesystem::directory_iterator it(dir, ec), end;
        !ec && it != end; it.increment(ec)) {
     const std::string name = it->path().filename().string();
-    if (name.size() <= stem.size() + suffix.size() ||
-        name.compare(0, stem.size(), stem) != 0 ||
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0)
+    if (name.size() <= stem.size() || name.compare(0, stem.size(), stem) != 0)
       continue;
-    const std::string digits =
-        name.substr(stem.size(), name.size() - stem.size() - suffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
+    const std::string digits = name.substr(stem.size());
+    if (digits.find_first_not_of("0123456789") != std::string::npos)
       continue;
     gens.push_back(std::stol(digits));
   }
@@ -208,15 +203,14 @@ std::vector<long> list_generations(const std::string& prefix,
   return gens;
 }
 
-void prune_generations(const std::string& prefix, const std::string& suffix,
-                       int keep) {
+void prune_generations(const std::string& prefix, int keep) {
   PCF_REQUIRE(keep >= 1, "must keep at least one checkpoint generation");
-  auto gens = list_generations(prefix, suffix);
+  auto gens = list_generations(prefix);
   if (gens.size() <= static_cast<std::size_t>(keep)) return;
   for (std::size_t i = 0; i + static_cast<std::size_t>(keep) < gens.size();
        ++i) {
     std::error_code ec;
-    std::filesystem::remove(generation_path(prefix, gens[i]) + suffix, ec);
+    std::filesystem::remove(generation_path(prefix, gens[i]), ec);
   }
 }
 

@@ -3,16 +3,16 @@
 // The paper's production campaigns (Section 6) run for days and survive on
 // checkpoint/restart; a checkpoint writer that truncates the target in
 // place turns any mid-write crash into the loss of the only restart point.
-// Every checkpoint format in this repository therefore writes through
-// `atomic_file_writer`: bytes go to a temp path next to the target, and
-// only a successful commit() renames the temp over the target (rename(2)
-// is atomic within a filesystem), so a crash at any byte leaves the
-// previous checkpoint intact.
+// The checkpoint writer therefore goes through `atomic_file_writer`:
+// bytes go to a temp path next to the target, and only a successful
+// commit() renames the temp over the target (rename(2) is atomic within a
+// filesystem), so a crash at any byte leaves the previous checkpoint
+// intact.
 //
 // `fault_policy` injects deterministic faults into this write path so
 // tests can *prove* the guarantee: every injected fault is either
 // invisible (the old file survives untouched) or detected on load (the
-// per-section CRCs in the checkpoint format catch it with a precise
+// per-section CRCs in the checkpoint catch it with a precise
 // error). Nothing here is randomized — the fault fires at an exact byte.
 #pragma once
 
@@ -119,22 +119,19 @@ class atomic_file_writer {
 
 // --- checkpoint generation bookkeeping -------------------------------------
 //
-// Rotated checkpoints are named `<prefix>.g<generation><suffix>` (the
-// per-rank formats append ".<rank>" as the suffix; single-file formats use
-// an empty suffix). Generations are ordered by their number — the runner
-// uses the step count — so "newest good" is well defined across restarts.
+// Rotated checkpoints are single files named `<prefix>.g<generation>`.
+// Generations are ordered by their number — the runner uses the step
+// count — so "newest good" is well defined across restarts.
 
-/// `<prefix>.g<generation>` (append the format's own suffix afterwards).
+/// `<prefix>.g<generation>`.
 [[nodiscard]] std::string generation_path(const std::string& prefix,
                                           long generation);
 
-/// Generation numbers g for which `<prefix>.g<g><suffix>` exists, sorted
+/// Generation numbers g for which `<prefix>.g<g>` exists, sorted
 /// ascending. Scans the prefix's directory; missing directory -> empty.
-[[nodiscard]] std::vector<long> list_generations(const std::string& prefix,
-                                                 const std::string& suffix);
+[[nodiscard]] std::vector<long> list_generations(const std::string& prefix);
 
-/// Delete all but the newest `keep` generations of `<prefix>.g*<suffix>`.
-void prune_generations(const std::string& prefix, const std::string& suffix,
-                       int keep);
+/// Delete all but the newest `keep` generations of `<prefix>.g*`.
+void prune_generations(const std::string& prefix, int keep);
 
 }  // namespace pcf::io

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <mutex>
 
 #include "core/simulation.hpp"
@@ -89,7 +90,7 @@ TEST(GlobalCheckpoint, RestartOnDifferentDecomposition) {
     dns.initialize(0.1, 3);
     dns.step();
     dns.step();
-    dns.save_checkpoint_global(path);
+    dns.save_checkpoint(path);
     dns.step();
     auto prof = dns.mean_profile();  // collective: every rank participates
     if (world.rank() == 0) direct = prof;
@@ -100,7 +101,7 @@ TEST(GlobalCheckpoint, RestartOnDifferentDecomposition) {
   cfg.pb = 1;
   run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
-    dns.load_checkpoint_global(path);
+    dns.load_checkpoint(path);
     EXPECT_EQ(dns.step_count(), 2);
     dns.step();
     resumed = dns.mean_profile();
@@ -108,29 +109,6 @@ TEST(GlobalCheckpoint, RestartOnDifferentDecomposition) {
   ASSERT_EQ(direct.size(), resumed.size());
   for (std::size_t i = 0; i < direct.size(); ++i)
     EXPECT_NEAR(direct[i], resumed[i], 1e-10);
-  std::remove(path.c_str());
-}
-
-TEST(GlobalCheckpoint, RoundTripPreservesEnergyAndTime) {
-  const std::string path = ::testing::TempDir() + "/pcf_gckpt2.bin";
-  auto cfg = cfg_small();
-  double e_before = 0.0, t_before = 0.0;
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.initialize(0.2, 9);
-    dns.step();
-    e_before = dns.kinetic_energy();
-    t_before = dns.time();
-    dns.save_checkpoint_global(path);
-  });
-  cfg.pa = 2;
-  run_world(2, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.load_checkpoint_global(path);
-    EXPECT_DOUBLE_EQ(dns.time(), t_before);
-    EXPECT_NEAR(dns.kinetic_energy(), e_before, 1e-10 * e_before);
-  });
-  cfg.pa = 1;
   std::remove(path.c_str());
 }
 
@@ -144,7 +122,7 @@ TEST(ParallelCheckpoint, SingleFileRestartAcrossDecompositions) {
     channel_dns dns(cfg, world);
     dns.initialize(0.1, 13);
     dns.step();
-    dns.save_checkpoint_parallel(path);
+    dns.save_checkpoint(path);
     dns.step();
     auto prof = dns.mean_profile();  // collective: every rank participates
     if (world.rank() == 0) direct = prof;
@@ -154,7 +132,7 @@ TEST(ParallelCheckpoint, SingleFileRestartAcrossDecompositions) {
   cfg.pb = 2;
   run_world(2, [&](communicator& world) {
     channel_dns dns(cfg, world);
-    dns.load_checkpoint_parallel(path);
+    dns.load_checkpoint(path);
     EXPECT_EQ(dns.step_count(), 1);
     dns.step();
     resumed = dns.mean_profile();
@@ -165,65 +143,22 @@ TEST(ParallelCheckpoint, SingleFileRestartAcrossDecompositions) {
   std::remove(path.c_str());
 }
 
-TEST(ParallelCheckpoint, AgreesWithGatheredCheckpoint) {
-  // Both formats carry the same state: loading either must reproduce the
-  // same kinetic energy.
-  const std::string p1 = ::testing::TempDir() + "/pcf_pckpt_a.bin";
-  const std::string p2 = ::testing::TempDir() + "/pcf_pckpt_b.bin";
-  auto cfg = cfg_small();
-  double e_ref = 0.0;
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.initialize(0.25, 21);
-    dns.step();
-    e_ref = dns.kinetic_energy();
-    dns.save_checkpoint_parallel(p1);
-    dns.save_checkpoint_global(p2);
-  });
-  for (const auto& p : {p1, p2}) {
-    run_world(1, [&](communicator& world) {
-      channel_dns dns(cfg, world);
-      if (p == p1)
-        dns.load_checkpoint_parallel(p);
-      else
-        dns.load_checkpoint_global(p);
-      EXPECT_NEAR(dns.kinetic_energy(), e_ref, 1e-12 * e_ref);
-    });
-  }
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
-}
-
 TEST(ParallelCheckpoint, RejectsWrongMagic) {
   const std::string path = ::testing::TempDir() + "/pcf_pckpt_bad.bin";
   auto cfg = cfg_small();
   run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(0.0);
-    dns.save_checkpoint_global(path);  // wrong format on purpose
+    dns.save_checkpoint(path);
   });
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.put('X');  // first byte of the magic
+  }
   EXPECT_THROW(run_world(1,
                          [&](communicator& world) {
                            channel_dns dns(cfg, world);
-                           dns.load_checkpoint_parallel(path);
-                         }),
-               pcf::precondition_error);
-  std::remove(path.c_str());
-}
-
-TEST(GlobalCheckpoint, RejectsWrongResolution) {
-  const std::string path = ::testing::TempDir() + "/pcf_gckpt3.bin";
-  auto cfg = cfg_small();
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.initialize(0.0);
-    dns.save_checkpoint_global(path);
-  });
-  cfg.nz = 16;
-  EXPECT_THROW(run_world(1,
-                         [&](communicator& world) {
-                           channel_dns dns(cfg, world);
-                           dns.load_checkpoint_global(path);
+                           dns.load_checkpoint(path);
                          }),
                pcf::precondition_error);
   std::remove(path.c_str());

@@ -95,8 +95,8 @@ TEST(Runner, WallClockBudgetStopsEarly) {
 }
 
 void remove_generations(const std::string& prefix) {
-  for (long g : pcf::io::list_generations(prefix, ".0"))
-    std::remove((pcf::io::generation_path(prefix, g) + ".0").c_str());
+  for (long g : pcf::io::list_generations(prefix))
+    std::remove(pcf::io::generation_path(prefix, g).c_str());
   std::remove((prefix + ".blowup.txt").c_str());
 }
 
@@ -113,11 +113,11 @@ TEST(Runner, CheckpointsOnCadenceWithRotation) {
     auto rep = run_campaign(dns, world, plan);
     EXPECT_EQ(rep.checkpoints_written, rep.steps_run / 4);
     // Rotation keeps exactly the newest two generations, named by step.
-    auto gens = pcf::io::list_generations(path, ".0");
+    auto gens = pcf::io::list_generations(path);
     ASSERT_EQ(gens.size(), 2u);
     EXPECT_EQ(gens.back(), (rep.steps_run / 4) * 4);
     EXPECT_EQ(gens.front(), gens.back() - 4);
-    std::ifstream is(pcf::io::generation_path(path, gens.back()) + ".0",
+    std::ifstream is(pcf::io::generation_path(path, gens.back()),
                      std::ios::binary);
     EXPECT_TRUE(is.good());
   });
@@ -160,12 +160,12 @@ TEST(Runner, FallsBackToOlderGenerationWhenNewestCorrupt) {
     plan.checkpoint_keep = 2;
     plan.checkpoint_path = path;
     run_campaign(dns, world, plan);
-    auto gens = pcf::io::list_generations(path, ".0");
+    auto gens = pcf::io::list_generations(path);
     ASSERT_EQ(gens.size(), 2u);
     // Flip one payload byte in the newest generation: its section CRC must
     // reject it and the loader must fall back to the older one.
     const std::string newest =
-        pcf::io::generation_path(path, gens.back()) + ".0";
+        pcf::io::generation_path(path, gens.back());
     {
       std::fstream f(newest, std::ios::in | std::ios::out | std::ios::binary);
       ASSERT_TRUE(f.good());

@@ -2,13 +2,12 @@
 // walls (exact laminar linear profile), constant-flow-rate forcing (bulk
 // velocity held exactly by linearity of the mean Helmholtz solve), and
 // passive scalars (exact conduction steady state, analytic diffusive
-// decay). Plus the config validation boundary and scenario-state
-// checkpoint round trips in all three formats.
+// decay). Plus the config validation boundary and the scenario-state
+// checkpoint round trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <numbers>
 #include <string>
@@ -288,26 +287,21 @@ TEST(Scenarios, ConstructorValidatesBeforeBuildingAnything) {
 
 namespace {
 
-/// Save `a` with the given saver, load into a freshly initialized `b`,
-/// and require bit-identical observables — then one more step on both to
-/// prove the restored run continues exactly (RK3 carries no nonlinear
-/// history across step boundaries).
-using checkpoint_fn =
-    std::function<void(channel_dns&, const std::string&)>;
-
-void roundtrip_and_compare(const channel_config& cfg, const std::string& tag,
-                           const checkpoint_fn& save,
-                           const checkpoint_fn& load) {
-  const std::string path = scratch(tag);
+/// Save `a`, load into a freshly initialized `b`, and require
+/// bit-identical observables — then one more step on both to prove the
+/// restored run continues exactly (RK3 carries no nonlinear history across
+/// step boundaries).
+void roundtrip_and_compare(const channel_config& cfg) {
+  const std::string path = scratch("ckpt");
   run_world(1, [&](communicator& world) {
     channel_dns a(cfg, world);
     a.initialize(0.1, 2);
     for (int s = 0; s < 3; ++s) a.step();
-    save(a, path);
+    a.save_checkpoint(path);
 
     channel_dns b(cfg, world);
     b.initialize(0.0);
-    load(b, path);
+    b.load_checkpoint(path);
     EXPECT_EQ(b.step_count(), a.step_count());
     EXPECT_DOUBLE_EQ(b.time(), a.time());
     EXPECT_DOUBLE_EQ(b.flow_rate_target(), a.flow_rate_target());
@@ -357,29 +351,6 @@ channel_config scenario_checkpoint_config() {
 
 }  // namespace
 
-TEST(Scenarios, PerRankCheckpointRoundTripsScenarioState) {
-  roundtrip_and_compare(
-      scenario_checkpoint_config(), "rank",
-      [](channel_dns& d, const std::string& p) { d.save_checkpoint(p); },
-      [](channel_dns& d, const std::string& p) { d.load_checkpoint(p); });
-}
-
-TEST(Scenarios, GlobalCheckpointRoundTripsScenarioState) {
-  roundtrip_and_compare(
-      scenario_checkpoint_config(), "global",
-      [](channel_dns& d, const std::string& p) { d.save_checkpoint_global(p); },
-      [](channel_dns& d, const std::string& p) {
-        d.load_checkpoint_global(p);
-      });
-}
-
 TEST(Scenarios, ParallelCheckpointRoundTripsScenarioState) {
-  roundtrip_and_compare(
-      scenario_checkpoint_config(), "parallel",
-      [](channel_dns& d, const std::string& p) {
-        d.save_checkpoint_parallel(p);
-      },
-      [](channel_dns& d, const std::string& p) {
-        d.load_checkpoint_parallel(p);
-      });
+  roundtrip_and_compare(scenario_checkpoint_config());
 }

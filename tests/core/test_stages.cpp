@@ -1,6 +1,6 @@
 // Per-stage unit tests of the RK3 pipeline: each stage driven against a
 // hand-built stage_context on a small grid, the whole-pipeline bit-identity
-// check against the golden checkpoint hash, and the zero-heap-allocation
+// check against the committed golden trace, and the zero-heap-allocation
 // guarantee of the hot loop (counting global operator new).
 #include <gtest/gtest.h>
 
@@ -9,16 +9,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "analysis/determinism.hpp"
 #include "core/stages/diagnostics_stage.hpp"
 #include "core/stages/implicit_stage.hpp"
 #include "core/stages/mean_flow_stage.hpp"
 #include "core/stages/nonlinear_stage.hpp"
 #include "core/stages/stage_context.hpp"
-#include "util/crc.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator: replaces the global operator new for this binary so a
@@ -353,11 +353,20 @@ TEST(Stages, DtControllerProportionalWithClamp) {
   });
 }
 
+/// The quickstart state after 25 steps must carry the section CRCs of the
+/// committed golden trace's last row: they cover every bit of the evolved
+/// state.
+void expect_golden_end_state(channel_dns& dns) {
+  const auto golden = pcf::determinism::read_trace_csv(
+      std::string(PCF_SOURCE_DIR) +
+      "/tests/determinism/golden_trace_quickstart.csv");
+  ASSERT_EQ(golden.steps.size(), 26u);
+  EXPECT_EQ(pcf::determinism::fingerprint(dns), golden.steps.back());
+}
+
 TEST(Stages, PipelineReproducesGoldenCheckpointHash) {
   // The staged pipeline must advance bit-identically to the pre-stage
-  // monolith. The golden values were produced by the PR 3 code on the
-  // quickstart configuration; the checkpoint CRC covers every bit of the
-  // evolved state.
+  // monolith, whose quickstart run produced the golden values.
   run_world(1, [&](communicator& world) {
     channel_config cfg;
     cfg.nx = 16;
@@ -371,15 +380,7 @@ TEST(Stages, PipelineReproducesGoldenCheckpointHash) {
     EXPECT_DOUBLE_EQ(dns.kinetic_energy(), 157.45739483957092);
     EXPECT_DOUBLE_EQ(dns.bulk_velocity(), 15.519657316103206);
 
-    const std::string path = "stages_golden.ckpt";
-    dns.save_checkpoint(path);
-    std::ifstream is(path, std::ios::binary);
-    ASSERT_TRUE(is.good());
-    std::vector<char> buf((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-    EXPECT_EQ(buf.size(), 203472u);
-    EXPECT_EQ(pcf::crc32(buf.data(), buf.size()), 0x3fa23d27u);
-    std::remove(path.c_str());
+    expect_golden_end_state(dns);
   });
 }
 
@@ -470,8 +471,8 @@ TEST(Stages, StepAfterResumeDoesNotAllocate) {
 TEST(Stages, SuspendResumeCyclesReproduceGoldenCheckpointHash) {
   // The acceptance gate of the pooled-arena work: quickstart physics must
   // be bit-identical through suspend -> release -> re-lease -> resume
-  // cycles, pinned by the same golden checkpoint CRC as the straight-line
-  // run. Suspends are injected at several step boundaries, including
+  // cycles, pinned by the same golden state as the straight-line run.
+  // Suspends are injected at several step boundaries, including
   // back-to-back cycles and an implicit resume via step().
   run_world(1, [&](communicator& world) {
     channel_config cfg;
@@ -498,15 +499,7 @@ TEST(Stages, SuspendResumeCyclesReproduceGoldenCheckpointHash) {
     EXPECT_DOUBLE_EQ(dns.kinetic_energy(), 157.45739483957092);
     EXPECT_DOUBLE_EQ(dns.bulk_velocity(), 15.519657316103206);
 
-    const std::string path = "stages_golden_pooled.ckpt";
-    dns.save_checkpoint(path);
-    std::ifstream is(path, std::ios::binary);
-    ASSERT_TRUE(is.good());
-    std::vector<char> buf((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-    EXPECT_EQ(buf.size(), 203472u);
-    EXPECT_EQ(pcf::crc32(buf.data(), buf.size()), 0x3fa23d27u);
-    std::remove(path.c_str());
+    expect_golden_end_state(dns);
   });
 }
 

@@ -34,27 +34,25 @@ using namespace pcf_determinism_test;
 
 constexpr int kSteps = PCF_UNDER_TSAN ? 6 : 12;
 
-trace run_config(const channel_config& cfg, const std::string& tag) {
+trace run_config(const channel_config& cfg) {
   trace t;
-  const std::string scratch = scratch_path(tag);
   run_world(cfg.pa * cfg.pb, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    const trace local = record_trace(dns, kSteps, scratch);
+    const trace local = record_trace(dns, kSteps);
     if (world.rank() == 0) t = local;
   });
-  std::remove(scratch.c_str());
   return t;
 }
 
 trace& baseline() {
-  static trace t = run_config(quickstart_config(), "baseline");
+  static trace t = run_config(quickstart_config());
   return t;
 }
 
 void expect_matches_baseline(const channel_config& cfg,
                              const std::string& tag) {
-  const trace t = run_config(cfg, tag);
+  const trace t = run_config(cfg);
   const auto divs = compare(baseline(), t);
   EXPECT_TRUE(divs.empty()) << "autotuned config '" << tag
                             << "' diverged from the baseline trace:\n"

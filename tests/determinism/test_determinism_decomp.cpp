@@ -31,28 +31,25 @@ constexpr int kSteps = PCF_UNDER_TSAN ? 6 : 12;
 /// Run the quickstart campaign on `nranks` virtual ranks (the resolved
 /// layout may rewrite cfg.pa/pb, so the rank count is explicit here) and
 /// return the per-step fingerprint trace.
-trace run_config(const channel_config& cfg, int nranks,
-                 const std::string& tag) {
+trace run_config(const channel_config& cfg, int nranks) {
   trace t;
-  const std::string scratch = scratch_path(tag);
   run_world(nranks, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    const trace local = record_trace(dns, kSteps, scratch);
+    const trace local = record_trace(dns, kSteps);
     if (world.rank() == 0) t = local;
   });
-  std::remove(scratch.c_str());
   return t;
 }
 
 trace& baseline() {
-  static trace t = run_config(quickstart_config(), 1, "baseline");
+  static trace t = run_config(quickstart_config(), 1);
   return t;
 }
 
 void expect_matches_baseline(const channel_config& cfg, int nranks,
                              const std::string& tag) {
-  const trace t = run_config(cfg, nranks, tag);
+  const trace t = run_config(cfg, nranks);
   const auto divs = compare(baseline(), t);
   EXPECT_TRUE(divs.empty()) << "decomposition '" << tag
                             << "' diverged from the baseline trace:\n"

@@ -26,7 +26,6 @@ using pcf::core::channel_config;
 using pcf::core::channel_dns;
 using pcf::determinism::compare;
 using pcf::determinism::describe;
-using pcf::determinism::file_crc32;
 using pcf::determinism::fingerprint;
 using pcf::determinism::read_trace_csv;
 using pcf::determinism::record_trace;
@@ -50,36 +49,33 @@ channel_config owned_config() {
 constexpr int kSteps = 12;
 
 TEST(DeterminismPooled, PooledTraceMatchesOwnedTrace) {
-  const std::string scratch = scratch_path("fp");
   trace owned, pooled;
   run_world(1, [&](communicator& world) {
     channel_dns dns(owned_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    owned = record_trace(dns, kSteps, scratch);
+    owned = record_trace(dns, kSteps);
   });
   run_world(1, [&](communicator& world) {
     channel_dns dns(pooled_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    pooled = record_trace(dns, kSteps, scratch);
+    pooled = record_trace(dns, kSteps);
   });
-  std::remove(scratch.c_str());
   const auto divs = compare(owned, pooled);
   EXPECT_TRUE(divs.empty())
       << "pool-leased lanes changed the physics:\n" << describe(divs);
 }
 
 TEST(DeterminismPooled, SuspendResumeCyclesMatchStraightRun) {
-  const std::string scratch = scratch_path("fp");
   trace straight, cycled;
   run_world(1, [&](communicator& world) {
     channel_dns dns(pooled_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    straight = record_trace(dns, kSteps, scratch);
+    straight = record_trace(dns, kSteps);
   });
   run_world(1, [&](communicator& world) {
     channel_dns dns(pooled_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    cycled.steps.push_back(fingerprint(dns, scratch));
+    cycled.steps.push_back(fingerprint(dns));
     for (int s = 0; s < kSteps; ++s) {
       // Release every leased block, park a squatter on the freed space so
       // the resumed lanes land on *different* blocks, then step.
@@ -89,47 +85,45 @@ TEST(DeterminismPooled, SuspendResumeCyclesMatchStraightRun) {
       dns.resume();
       block_pool::global().release(squatter);
       dns.step();
-      cycled.steps.push_back(fingerprint(dns, scratch));
+      cycled.steps.push_back(fingerprint(dns));
     }
   });
-  std::remove(scratch.c_str());
   const auto divs = compare(straight, cycled);
   EXPECT_TRUE(divs.empty())
       << "suspend/release/re-lease/resume perturbed the state:\n"
       << describe(divs);
 }
 
-// The committed golden lineage (per-step CSV + end-state checkpoint CRC
-// 0x3fa23d27) holds through pooled lanes AND a full release/re-lease cycle
-// before every one of the 25 steps.
+// The committed golden trace holds through pooled lanes AND a full
+// release/re-lease cycle before every one of the 25 steps, and a
+// checkpoint saved from the suspended end state restores that state.
 TEST(DeterminismPooled, CycledPooledRunMatchesCommittedGolden) {
   if (PCF_UNDER_TSAN) GTEST_SKIP() << "golden artifacts excluded from the "
                                       "sanitizer matrix (runtime bound)";
-  const std::string scratch = scratch_path("fp");
   const std::string ckpt = scratch_path("ckpt");
   constexpr int kGoldenSteps = 25;
   trace t;
-  std::uint32_t ckpt_crc = 0;
   run_world(1, [&](communicator& world) {
     channel_dns dns(pooled_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    t.steps.push_back(fingerprint(dns, scratch));
+    t.steps.push_back(fingerprint(dns));
     for (int s = 0; s < kGoldenSteps; ++s) {
       dns.suspend();
       dns.resume();
       dns.step();
-      t.steps.push_back(fingerprint(dns, scratch));
+      t.steps.push_back(fingerprint(dns));
     }
     // Save from the suspended state: save_checkpoint reads only owned
-    // evolved state and must not need the workspace.
+    // evolved state and must not need (or re-lease) the workspace.
     dns.suspend();
     dns.save_checkpoint(ckpt);
-    ckpt_crc = file_crc32(ckpt);
+    EXPECT_TRUE(dns.suspended());
+    channel_dns restored(pooled_config(), world);
+    restored.load_checkpoint(ckpt);
+    EXPECT_EQ(fingerprint(restored), t.steps.back())
+        << "checkpoint saved while suspended does not restore the state";
   });
-  std::remove(scratch.c_str());
   std::remove(ckpt.c_str());
-  EXPECT_EQ(ckpt_crc, 0x3fa23d27u)
-      << "pooled+cycled end state diverged from the committed lineage";
   const trace golden = read_trace_csv(
       std::string(PCF_SOURCE_DIR) +
       "/tests/determinism/golden_trace_quickstart.csv");
@@ -147,12 +141,11 @@ TEST(DeterminismPooled, CycledPooledRunMatchesCommittedGolden) {
 TEST(DeterminismPooled, InterleavedSimulationsRecycleBlocksIndependently) {
   constexpr int kSims = 3;
   constexpr int kRounds = 6;
-  const std::string scratch = scratch_path("fp");
   trace reference;
   run_world(1, [&](communicator& world) {
     channel_dns dns(pooled_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    reference = record_trace(dns, kRounds, scratch);
+    reference = record_trace(dns, kRounds);
   });
 
   const auto leased0 = block_pool::global().stats().blocks_leased;
@@ -164,7 +157,7 @@ TEST(DeterminismPooled, InterleavedSimulationsRecycleBlocksIndependently) {
     std::uint64_t one_resumed = 0;
     for (int i = 0; i < kSims; ++i) {
       sims[i]->initialize(kQuickstartPerturbation, kQuickstartSeed);
-      traces[i].steps.push_back(fingerprint(*sims[i], scratch));
+      traces[i].steps.push_back(fingerprint(*sims[i]));
       sims[i]->suspend();
       one_resumed = std::max(
           one_resumed, block_pool::global().stats().blocks_leased - leased0);
@@ -173,7 +166,7 @@ TEST(DeterminismPooled, InterleavedSimulationsRecycleBlocksIndependently) {
       for (int i = 0; i < kSims; ++i) {
         sims[i]->resume();
         sims[i]->step();
-        traces[i].steps.push_back(fingerprint(*sims[i], scratch));
+        traces[i].steps.push_back(fingerprint(*sims[i]));
         sims[i]->suspend();
       }
       // With every simulation suspended, no workspace blocks stay leased
@@ -197,14 +190,12 @@ TEST(DeterminismPooled, InterleavedSimulationsRecycleBlocksIndependently) {
     }
     for (auto* s : sims) delete s;
   });
-  std::remove(scratch.c_str());
 }
 
 // Restoring a checkpoint into a *suspended* simulation exercises the
 // implicit-resume path inside load_checkpoint: the restored run continues
 // bit-identically with the uninterrupted one.
 TEST(DeterminismPooled, CheckpointRestoresIntoSuspendedSimulation) {
-  const std::string scratch = scratch_path("fp");
   const std::string ckpt = scratch_path("ckpt");
   constexpr int kHead = 5, kTail = 7;
   trace straight_tail, restored_tail;
@@ -213,7 +204,7 @@ TEST(DeterminismPooled, CheckpointRestoresIntoSuspendedSimulation) {
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < kHead; ++s) dns.step();
     dns.save_checkpoint(ckpt);
-    straight_tail = record_trace(dns, kTail, scratch);
+    straight_tail = record_trace(dns, kTail);
   });
   run_world(1, [&](communicator& world) {
     channel_dns dns(pooled_config(), world);
@@ -222,9 +213,8 @@ TEST(DeterminismPooled, CheckpointRestoresIntoSuspendedSimulation) {
     ASSERT_TRUE(dns.suspended());
     dns.load_checkpoint(ckpt);  // must implicitly resume and re-lease
     EXPECT_FALSE(dns.suspended());
-    restored_tail = record_trace(dns, kTail, scratch);
+    restored_tail = record_trace(dns, kTail);
   });
-  std::remove(scratch.c_str());
   std::remove(ckpt.c_str());
   const auto divs = compare(straight_tail, restored_tail);
   EXPECT_TRUE(divs.empty())

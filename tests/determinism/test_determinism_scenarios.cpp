@@ -61,16 +61,14 @@ channel_config scalar_config() {
   return cfg;
 }
 
-trace run_config(const channel_config& cfg, const std::string& tag) {
+trace run_config(const channel_config& cfg) {
   trace t;
-  const std::string scratch = scratch_path(tag);
   run_world(cfg.pa * cfg.pb, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    const trace local = record_trace(dns, kSteps, scratch);
+    const trace local = record_trace(dns, kSteps);
     if (world.rank() == 0) t = local;
   });
-  std::remove(scratch.c_str());
   return t;
 }
 
@@ -78,7 +76,7 @@ trace run_config(const channel_config& cfg, const std::string& tag) {
 /// (advance + FFT + reorder), and two rank splits with the pipelined
 /// exchange path.
 void expect_one_trace(channel_config base, const std::string& name) {
-  const trace baseline = run_config(base, name + "_base");
+  const trace baseline = run_config(base);
 
   channel_config threaded = base;
   threaded.advance_threads = 2;
@@ -97,7 +95,7 @@ void expect_one_trace(channel_config base, const std::string& name) {
       {split_b, name + "_p2x2_d2"},
   };
   for (const auto& [cfg, tag] : variants) {
-    const trace t = run_config(cfg, tag);
+    const trace t = run_config(cfg);
     const auto divs = compare(baseline, t);
     EXPECT_TRUE(divs.empty()) << "config '" << tag
                               << "' diverged from the scenario baseline:\n"
@@ -124,10 +122,10 @@ TEST(DeterminismScenarios, PooledWorkspaceReproducesScalarTrace) {
   // Scenario state lives in the same leasable arenas as the velocity
   // fields; suspend/release/re-lease cycles must not move a bit.
   channel_config base = scalar_config();
-  const trace owned = run_config(base, "owned");
+  const trace owned = run_config(base);
   channel_config pooled = base;
   pooled.pooled_workspace = true;
-  const trace leased = run_config(pooled, "pooled");
+  const trace leased = run_config(pooled);
   const auto divs = compare(owned, leased);
   EXPECT_TRUE(divs.empty()) << describe(divs);
 }
@@ -136,11 +134,11 @@ TEST(DeterminismScenarios, ScenarioSectionsJoinTheFingerprint) {
   // Scalars and flow-rate state write checkpoint sections, so their
   // fingerprints must carry a nonzero crc_scalars; Couette state lives
   // entirely in the frozen mean section and must NOT grow the format.
-  const trace sc = run_config(scalar_config(), "sc_fp");
+  const trace sc = run_config(scalar_config());
   for (const auto& fp : sc.steps) EXPECT_NE(fp.crc_scalars, 0u);
-  const trace fr = run_config(flow_rate_config(), "fr_fp");
+  const trace fr = run_config(flow_rate_config());
   for (const auto& fp : fr.steps) EXPECT_NE(fp.crc_scalars, 0u);
-  const trace co = run_config(couette_config(), "co_fp");
+  const trace co = run_config(couette_config());
   for (const auto& fp : co.steps) EXPECT_EQ(fp.crc_scalars, 0u);
 }
 
@@ -149,7 +147,7 @@ TEST(DeterminismScenarios, ExtendedTraceCsvRoundTrips) {
   // column); the reader must accept it and reproduce the rows exactly.
   // The legacy 8-column header keeps working for default-channel traces
   // (covered by the golden suite).
-  const trace t = run_config(scalar_config(), "csv");
+  const trace t = run_config(scalar_config());
   const std::string path = scratch_path("csv_file");
   write_trace_csv(path, t);
   const trace back = read_trace_csv(path);

@@ -1,10 +1,12 @@
 // Restart-continuation parity: a run interrupted at step k, destroyed,
 // restored from a checkpoint and continued must reproduce the
-// uninterrupted run's per-step state CRCs exactly, for every checkpoint
-// format and k in {1, mid, N-1}. RK3 carries no nonlinear history across
-// step boundaries (zeta_1 = 0), so a checkpoint written at a step
-// boundary captures the complete dynamical state — any divergence is a
-// bug, and the harness names the step and field where it appears.
+// uninterrupted run's per-step state CRCs exactly, for k in {1, mid, N-1},
+// with a fixed dt and with the adaptive-dt controller active. RK3 carries
+// no nonlinear history across step boundaries (zeta_1 = 0), and the
+// checkpoint carries the dt controller's state, so a checkpoint written
+// at a step boundary captures the complete dynamical state — any
+// divergence is a bug, and the harness names the step and field where it
+// appears.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,36 +36,27 @@ using namespace pcf_determinism_test;
 
 constexpr int kSteps = PCF_UNDER_TSAN ? 6 : 12;
 
-enum class fmt { per_rank, global, parallel };
-
-const char* fmt_name(fmt f) {
-  switch (f) {
-    case fmt::per_rank: return "per_rank";
-    case fmt::global: return "global";
-    default: return "parallel";
-  }
+/// Adaptive dt: the controller changes dt every step, so dt_bits differ
+/// from step to step and a restart that lost the controller state diverges
+/// on the first step after it.
+void enable_cfl_target(channel_dns& dns) {
+  dns.set_cfl_target(0.1, 1e-6, 2e-4);
 }
 
-std::string rank_suffix(const communicator& world) {
-  return "." + std::to_string(world.rank());
-}
-
-/// The uninterrupted reference trace (nranks = 1 unless stated; every
-/// scenario below compares its continuation against rows k..N of this).
-trace& baseline() {
-  static trace t = [] {
-    trace b;
-    const std::string scratch =
-        ::testing::TempDir() + "/pcf_det_restart_baseline";
+/// The uninterrupted reference trace on one rank (every scenario below
+/// compares its continuation against rows k..N of it), with a fixed dt or
+/// with the CFL target active.
+trace& baseline(bool adaptive = false) {
+  static trace t[2];
+  trace& b = t[adaptive ? 1 : 0];
+  if (b.steps.empty())
     run_world(1, [&](communicator& world) {
       channel_dns dns(quickstart_config(), world);
       dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-      b = record_trace(dns, kSteps, scratch);
+      if (adaptive) enable_cfl_target(dns);
+      b = record_trace(dns, kSteps);
     });
-    std::remove(scratch.c_str());
-    return b;
-  }();
-  return t;
+  return b;
 }
 
 trace tail_from(const trace& full, int k) {
@@ -72,104 +65,71 @@ trace tail_from(const trace& full, int k) {
   return t;
 }
 
-/// Interrupt at step k under `f`, destroy the simulation, restore a fresh
-/// instance from the file, continue to step N, and return the restored
-/// run's per-step trace (rows k..N).
-trace interrupted_run(fmt f, int k, int nranks) {
-  const std::string base = scratch_path(std::string(fmt_name(f)) + "_k" +
-                                        std::to_string(k));
-  const std::string ckpt = base + ".ckpt";
-  const std::string scratch = base + ".fp";
+/// Interrupt at step k, save a checkpoint generation as the runner does,
+/// destroy the simulation, restore a fresh instance through
+/// resume_or_initialize, continue to step N, and return the restored run's
+/// per-step trace (rows k..N). The restored instance is configured only by
+/// the checkpoint: it calls neither set_dt nor set_cfl_target.
+trace interrupted_run(int k, bool adaptive) {
+  const std::string ckpt = scratch_path("k" + std::to_string(k) + ".ckpt");
   const channel_config cfg = quickstart_config();
 
-  run_world(nranks, [&](communicator& world) {
+  run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
+    if (adaptive) enable_cfl_target(dns);
     for (int s = 0; s < k; ++s) dns.step();
-    switch (f) {
-      case fmt::per_rank:
-        // Through the runner's generation rotation, as a campaign would.
-        dns.save_checkpoint(
-            pcf::io::generation_path(ckpt, dns.step_count()) +
-            rank_suffix(world));
-        break;
-      case fmt::global:
-        dns.save_checkpoint_global(ckpt);
-        break;
-      case fmt::parallel:
-        dns.save_checkpoint_parallel(ckpt);
-        break;
-    }
+    dns.save_checkpoint(pcf::io::generation_path(ckpt, dns.step_count()));
   });  // simulation destroyed here
 
   trace cont;
-  run_world(nranks, [&](communicator& world) {
+  run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
-    switch (f) {
-      case fmt::per_rank: {
-        const long g = resume_or_initialize(dns, world, ckpt,
-                                            kQuickstartPerturbation,
-                                            kQuickstartSeed);
-        EXPECT_EQ(g, k);
-        break;
-      }
-      case fmt::global:
-        dns.load_checkpoint_global(ckpt);
-        break;
-      case fmt::parallel:
-        dns.load_checkpoint_parallel(ckpt);
-        break;
-    }
+    const long g = resume_or_initialize(dns, world, ckpt,
+                                        kQuickstartPerturbation,
+                                        kQuickstartSeed);
+    EXPECT_EQ(g, k);
     EXPECT_EQ(dns.step_count(), k);
-    const trace local = record_trace(dns, kSteps - k, scratch);
-    if (world.rank() == 0) cont = local;
+    cont = record_trace(dns, kSteps - k);
   });
-
-  std::remove(scratch.c_str());
-  std::remove(ckpt.c_str());
-  std::remove((ckpt + ".0").c_str());
-  for (int r = 0; r < nranks; ++r)
-    std::remove(
-        (pcf::io::generation_path(ckpt, k) + "." + std::to_string(r)).c_str());
+  std::remove(pcf::io::generation_path(ckpt, k).c_str());
   return cont;
 }
 
-class RestartParity : public ::testing::TestWithParam<fmt> {};
-
-// k in {1, mid, N-1} for each format: the restored-and-continued run's
-// trace must equal the uninterrupted run's rows k..N bit for bit.
-TEST_P(RestartParity, ContinuationMatchesUninterruptedRun) {
-  const fmt f = GetParam();
+void expect_continuations_match(bool adaptive) {
   for (int k : {1, kSteps / 2, kSteps - 1}) {
-    const trace cont = interrupted_run(f, k, 1);
-    const auto divs = compare(tail_from(baseline(), k), cont);
-    EXPECT_TRUE(divs.empty())
-        << "format " << fmt_name(f) << ", checkpoint at step " << k
-        << ": restored run diverged:\n"
-        << describe(divs);
+    const auto divs =
+        compare(tail_from(baseline(adaptive), k), interrupted_run(k, adaptive));
+    EXPECT_TRUE(divs.empty()) << "checkpoint at step " << k
+                              << ": restored run diverged:\n"
+                              << describe(divs);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllFormats, RestartParity,
-                         ::testing::Values(fmt::per_rank, fmt::global,
-                                           fmt::parallel),
-                         [](const auto& info) {
-                           return std::string(fmt_name(info.param));
-                         });
+// k in {1, mid, N-1}: the restored-and-continued run's trace must equal
+// the uninterrupted run's rows k..N bit for bit.
+TEST(RestartParity, ContinuationMatchesUninterruptedRun) {
+  expect_continuations_match(false);
+}
+
+// The same with the adaptive-dt controller active: the checkpoint carries
+// dt, the CFL target, its clamps and the last CFL, so the restored run
+// steps with the evolved dt and keeps adapting it identically.
+TEST(RestartParity, ContinuationWithCflTargetMatchesUninterruptedRun) {
+  expect_continuations_match(true);
+}
 
 // The decomposition-changing restart: interrupt on one rank, continue on
-// 2 x 2 (global format is decomposition-independent) — same trace.
+// 2 x 2 (the checkpoint is decomposition-independent) — same trace.
 TEST(RestartParityMultiRank, GlobalRestartOntoDifferentGridMatches) {
   const int k = kSteps / 2;
-  const std::string base = scratch_path("regrid");
-  const std::string ckpt = base + ".ckpt";
-  const std::string scratch = base + ".fp";
+  const std::string ckpt = scratch_path("regrid.ckpt");
 
   run_world(1, [&](communicator& world) {
     channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < k; ++s) dns.step();
-    dns.save_checkpoint_global(ckpt);
+    dns.save_checkpoint(ckpt);
   });
 
   trace cont;
@@ -178,34 +138,31 @@ TEST(RestartParityMultiRank, GlobalRestartOntoDifferentGridMatches) {
   cfg.pb = 2;
   run_world(4, [&](communicator& world) {
     channel_dns dns(cfg, world);
-    dns.load_checkpoint_global(ckpt);
-    const trace local = record_trace(dns, kSteps - k, scratch);
+    dns.load_checkpoint(ckpt);
+    const trace local = record_trace(dns, kSteps - k);
     if (world.rank() == 0) cont = local;
   });
-  std::remove(scratch.c_str());
   std::remove(ckpt.c_str());
 
   const auto divs = compare(tail_from(baseline(), k), cont);
-  EXPECT_TRUE(divs.empty()) << "1-rank -> 2x2 global restart diverged:\n"
+  EXPECT_TRUE(divs.empty()) << "1-rank -> 2x2 restart diverged:\n"
                             << describe(divs);
 }
 
-// Per-rank restart parity on a 2-rank split (resume_or_initialize walks
-// the generation list collectively).
-TEST(RestartParityMultiRank, PerRankRestartOnTwoRanksMatches) {
+// Restart parity on a 2-rank split through the runner's generations
+// (resume_or_initialize walks the generation list collectively).
+TEST(RestartParityMultiRank, GenerationRestartOnTwoRanksMatches) {
   const int k = kSteps / 2;
   channel_config cfg = quickstart_config();
   cfg.pa = 2;
 
-  const std::string base = scratch_path("tworank");
-  const std::string ckpt = base + ".ckpt";
-  const std::string scratch = base + ".fp";
+  const std::string ckpt = scratch_path("tworank.ckpt");
 
   trace uninterrupted;
   run_world(2, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    const trace local = record_trace(dns, kSteps, scratch);
+    const trace local = record_trace(dns, kSteps);
     if (world.rank() == 0) uninterrupted = local;
   });
   {
@@ -219,8 +176,7 @@ TEST(RestartParityMultiRank, PerRankRestartOnTwoRanksMatches) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < k; ++s) dns.step();
-    dns.save_checkpoint(pcf::io::generation_path(ckpt, dns.step_count()) +
-                        rank_suffix(world));
+    dns.save_checkpoint(pcf::io::generation_path(ckpt, dns.step_count()));
   });
 
   trace cont;
@@ -230,16 +186,13 @@ TEST(RestartParityMultiRank, PerRankRestartOnTwoRanksMatches) {
                                         kQuickstartPerturbation,
                                         kQuickstartSeed);
     EXPECT_EQ(g, k);
-    const trace local = record_trace(dns, kSteps - k, scratch);
+    const trace local = record_trace(dns, kSteps - k);
     if (world.rank() == 0) cont = local;
   });
-  std::remove(scratch.c_str());
-  for (int r = 0; r < 2; ++r)
-    std::remove(
-        (pcf::io::generation_path(ckpt, k) + "." + std::to_string(r)).c_str());
+  std::remove(pcf::io::generation_path(ckpt, k).c_str());
 
   const auto divs = compare(tail_from(uninterrupted, k), cont);
-  EXPECT_TRUE(divs.empty()) << "2-rank per-rank restart diverged:\n"
+  EXPECT_TRUE(divs.empty()) << "2-rank generation restart diverged:\n"
                             << describe(divs);
 }
 
@@ -252,17 +205,14 @@ TEST(RestartParityMultiRank, PerRankRestartOnTwoRanksMatches) {
 TEST(RestartRecovery, InPlaceRestoreWithReducedDtMatchesFreshInstance) {
   const int k = 3, m = PCF_UNDER_TSAN ? 3 : 6;
   const double reduced_dt = 5e-5;
-  const std::string base = scratch_path("blowup");
-  const std::string ckpt = base + ".ckpt";
-  const std::string scratch = base + ".fp";
+  const std::string ckpt = scratch_path("blowup.ckpt");
 
   trace recovered;
   run_world(1, [&](communicator& world) {
     channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < k; ++s) dns.step();
-    dns.save_checkpoint(pcf::io::generation_path(ckpt, dns.step_count()) +
-                        rank_suffix(world));
+    dns.save_checkpoint(pcf::io::generation_path(ckpt, dns.step_count()));
     // Provoke the blow-up: a dt four orders of magnitude past stability.
     dns.set_dt(1.0);
     for (int s = 0; s < 8 && std::isfinite(dns.kinetic_energy()); ++s)
@@ -272,18 +222,17 @@ TEST(RestartRecovery, InPlaceRestoreWithReducedDtMatchesFreshInstance) {
     const long g = restore_newest_generation(dns, world, ckpt);
     ASSERT_EQ(g, k);
     dns.set_dt(reduced_dt);
-    recovered = record_trace(dns, m, scratch);
+    recovered = record_trace(dns, m);
   });
 
   trace fresh;
   run_world(1, [&](communicator& world) {
     channel_dns dns(quickstart_config(), world);
-    dns.load_checkpoint(pcf::io::generation_path(ckpt, k) + ".0");
+    dns.load_checkpoint(pcf::io::generation_path(ckpt, k));
     dns.set_dt(reduced_dt);
-    fresh = record_trace(dns, m, scratch);
+    fresh = record_trace(dns, m);
   });
-  std::remove(scratch.c_str());
-  std::remove((pcf::io::generation_path(ckpt, k) + ".0").c_str());
+  std::remove(pcf::io::generation_path(ckpt, k).c_str());
 
   const auto divs = compare(fresh, recovered);
   EXPECT_TRUE(divs.empty())
@@ -296,25 +245,22 @@ TEST(RestartRecovery, InPlaceRestoreWithReducedDtMatchesFreshInstance) {
 // stepped past it (the arenas and histories carry no pre-restore state).
 TEST(RestartRecovery, InPlaceReloadRewindsExactly) {
   const int k = 2, m = PCF_UNDER_TSAN ? 3 : 5;
-  const std::string base = scratch_path("rewind");
-  const std::string ckpt = base + ".ckpt.0";
-  const std::string scratch = base + ".fp";
+  const std::string ckpt = scratch_path("rewind.ckpt");
 
   run_world(1, [&](communicator& world) {
     channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < k; ++s) dns.step();
     dns.save_checkpoint(ckpt);
-    const trace onward = record_trace(dns, m, scratch);
+    const trace onward = record_trace(dns, m);
     dns.load_checkpoint(ckpt);
     EXPECT_EQ(dns.step_count(), k);
-    const trace replay = record_trace(dns, m, scratch);
+    const trace replay = record_trace(dns, m);
     const auto divs = compare(onward, replay);
     EXPECT_TRUE(divs.empty())
         << "in-place rewind replay diverged:\n"
         << describe(divs);
   });
-  std::remove(scratch.c_str());
   std::remove(ckpt.c_str());
 }
 

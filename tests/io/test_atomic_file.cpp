@@ -163,25 +163,27 @@ TEST(AtomicFile, GenerationNamingRoundTrips) {
 TEST(AtomicFile, ListAndPruneGenerations) {
   const std::string prefix = tmp_target("af_gen");
   for (long g : {400L, 100L, 300L, 200L})
-    spit(pcf::io::generation_path(prefix, g) + ".0", "x");
-  // An unrelated suffix must not be picked up.
-  spit(pcf::io::generation_path(prefix, 999) + ".1", "x");
-  auto gens = pcf::io::list_generations(prefix, ".0");
+    spit(pcf::io::generation_path(prefix, g), "x");
+  // An in-flight temp file is not a generation.
+  const std::string tmp =
+      atomic_file_writer::temp_path(pcf::io::generation_path(prefix, 999));
+  spit(tmp, "x");
+  auto gens = pcf::io::list_generations(prefix);
   ASSERT_EQ(gens.size(), 4u);
   EXPECT_EQ(gens.front(), 100);
   EXPECT_EQ(gens.back(), 400);
 
-  pcf::io::prune_generations(prefix, ".0", 2);
-  gens = pcf::io::list_generations(prefix, ".0");
+  pcf::io::prune_generations(prefix, 2);
+  gens = pcf::io::list_generations(prefix);
   ASSERT_EQ(gens.size(), 2u);
   EXPECT_EQ(gens[0], 300);
   EXPECT_EQ(gens[1], 400);
-  // The other suffix survives pruning.
-  EXPECT_EQ(slurp(pcf::io::generation_path(prefix, 999) + ".1"), "x");
+  // The temp file survives pruning.
+  EXPECT_EQ(slurp(tmp), "x");
 
   for (long g : {300L, 400L})
-    std::remove((pcf::io::generation_path(prefix, g) + ".0").c_str());
-  std::remove((pcf::io::generation_path(prefix, 999) + ".1").c_str());
+    std::remove(pcf::io::generation_path(prefix, g).c_str());
+  std::remove(tmp.c_str());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/simulation.hpp"
+#include "util/crc.hpp"
 
 namespace {
 
@@ -18,6 +19,16 @@ using pcf::core::channel_config;
 using pcf::core::channel_dns;
 using pcf::vmpi::communicator;
 using pcf::vmpi::run_world;
+
+// Checkpoint header: magic, nx/ny/nz, time, steps, {section count, 0};
+// the 24-byte section table entries {name[8], bytes, crc, 0} follow.
+constexpr std::size_t kHeader = 8 + 3 * 8 + 8 + 8 + 2 * 4;
+
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
 
 channel_config cfg_small() {
   channel_config cfg;
@@ -134,54 +145,43 @@ TEST(Checkpoint, RejectsTrailingGarbage) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, LoadsV1FormatFiles) {
-  // Build a v1 (headerless, no-CRC) file from a v2 save: keep the
-  // magic/dims/time/steps prefix with the old magic, drop the meta words,
-  // concatenate the raw section payloads. The loader must accept it.
-  const std::string v2 = ::testing::TempDir() + "/pcf_ckpt_v2.bin";
-  const std::string v1 = ::testing::TempDir() + "/pcf_ckpt_v1.bin";
+TEST(Checkpoint, RejectsInvalidControllerState) {
+  // A ctl section whose CRC matches but whose dt is not positive must still
+  // be refused: the loader validates the values, not only the checksum.
+  const std::string path = ::testing::TempDir() + "/pcf_ckpt_ctl.bin";
   run_world(1, [&](communicator& world) {
     channel_dns dns(cfg_small(), world);
-    dns.initialize(0.1, 11);
-    for (int i = 0; i < 2; ++i) dns.step();
-    dns.save_checkpoint(v2);
-
-    std::ifstream is(v2, std::ios::binary);
-    std::vector<char> bytes{std::istreambuf_iterator<char>(is),
-                            std::istreambuf_iterator<char>()};
-    constexpr std::uint64_t kMagicV1 = 0x50434644'4e533031ull;
-    constexpr std::size_t kPrefix = 8 + 5 * 8 + 8 + 8;  // magic..steps
-    std::ofstream os(v1, std::ios::binary);
-    os.write(reinterpret_cast<const char*>(&kMagicV1), 8);
-    os.write(bytes.data() + 8, kPrefix - 8);
-    std::size_t pos = kPrefix + 2 * 4;  // skip the v2 meta (two uint32s)
-    while (pos + 24 <= bytes.size()) {
-      std::uint64_t sz = 0;  // section header: name[8], bytes, crc, reserved
-      std::memcpy(&sz, bytes.data() + pos + 8, 8);
-      os.write(bytes.data() + pos + 24, static_cast<std::streamsize>(sz));
-      pos += 24 + sz;
-    }
-    ASSERT_EQ(pos, bytes.size());
-    os.close();
-
+    dns.initialize(0.05);
+    dns.save_checkpoint(path);
+    std::vector<char> bytes = slurp(path);
+    // ctl is the last section: the file's last five doubles, dt first.
+    const std::size_t ctl = bytes.size() - 5 * sizeof(double);
+    const double bad_dt = -1e-4;
+    std::memcpy(bytes.data() + ctl, &bad_dt, sizeof(bad_dt));
+    const std::uint32_t crc =
+        pcf::crc32(bytes.data() + ctl, 5 * sizeof(double));
+    std::uint32_t count = 0;
+    std::memcpy(&count, bytes.data() + kHeader - 8, sizeof(count));
+    std::memcpy(bytes.data() + kHeader + 24 * (count - 1) + 16, &crc,
+                sizeof(crc));
+    std::ofstream(path, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     channel_dns dns2(cfg_small(), world);
-    dns2.load_checkpoint(v1);
-    EXPECT_EQ(dns2.time(), dns.time());
-    EXPECT_EQ(dns2.step_count(), dns.step_count());
-    const auto a = dns.mean_profile();
-    const auto b = dns2.mean_profile();
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+    try {
+      dns2.load_checkpoint(path);
+      FAIL() << "invalid dt controller state was accepted";
+    } catch (const pcf::precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("ctl"), std::string::npos)
+          << e.what();
+    }
   });
-  std::remove(v2.c_str());
-  std::remove(v1.c_str());
+  std::remove(path.c_str());
 }
 
 #ifdef PCF_SOURCE_DIR
-TEST(Checkpoint, CommittedV1ArtifactStillLoads) {
+TEST(Checkpoint, CommittedArtifactLoads) {
   // The repository ships the checkpoint of the minimal Re_tau = 180 run
-  // (results/README.md) in the v1 format; the v2 loader must keep
-  // accepting it.
+  // (results/README.md); the loader must keep accepting it.
   channel_config cfg;
   cfg.nx = 32;
   cfg.nz = 16;
@@ -193,7 +193,7 @@ TEST(Checkpoint, CommittedV1ArtifactStillLoads) {
   run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.load_checkpoint(std::string(PCF_SOURCE_DIR) +
-                        "/results/minimal_channel.ckpt.0");
+                        "/results/minimal_channel.ckpt");
     EXPECT_EQ(dns.step_count(), 20000);
     EXPECT_NEAR(dns.time(), 4.0, 1e-9);
     const double ke = dns.kinetic_energy();

@@ -1,5 +1,5 @@
-// Deterministic fault-injection matrix for the three checkpoint formats
-// (ctest label: faults).
+// Deterministic fault-injection matrix for the checkpoint file (ctest
+// label: faults).
 //
 // Every injected fault must be either *invisible* — the crash hit before
 // commit, so the previous checkpoint survives bit for bit — or *detected*
@@ -38,32 +38,6 @@ channel_config cfg_small() {
   return cfg;
 }
 
-enum class fmt { per_rank, global, parallel };
-
-const char* fmt_name(fmt f) {
-  switch (f) {
-    case fmt::per_rank: return "per_rank";
-    case fmt::global: return "global";
-    default: return "parallel";
-  }
-}
-
-void save_as(channel_dns& dns, fmt f, const std::string& path) {
-  switch (f) {
-    case fmt::per_rank: dns.save_checkpoint(path); break;
-    case fmt::global: dns.save_checkpoint_global(path); break;
-    case fmt::parallel: dns.save_checkpoint_parallel(path); break;
-  }
-}
-
-void load_as(channel_dns& dns, fmt f, const std::string& path) {
-  switch (f) {
-    case fmt::per_rank: dns.load_checkpoint(path); break;
-    case fmt::global: dns.load_checkpoint_global(path); break;
-    case fmt::parallel: dns.load_checkpoint_parallel(path); break;
-  }
-}
-
 std::vector<char> slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is.good()) return {};
@@ -71,35 +45,39 @@ std::vector<char> slurp(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-/// File offset of the first payload byte of the named 24-byte-header
-/// section in a v2 per-rank (5 dims) or global (3 dims) checkpoint; 0 if
-/// absent.
+// Header: magic, nx/ny/nz, time, steps, {section count, 0}.
+constexpr std::size_t kHeader = 8 + 3 * 8 + 8 + 8 + 2 * 4;
+constexpr std::size_t kEntry = 24;  // table entry: name[8], bytes, crc, 0
+
+std::uint32_t section_count(const std::vector<char>& bytes) {
+  std::uint32_t n = 0;
+  std::memcpy(&n, bytes.data() + kHeader - 8, sizeof(n));
+  return n;
+}
+
+/// File offset of the first payload byte of the named section, found
+/// through the section table; 0 if absent.
 std::uint64_t section_payload_offset(const std::vector<char>& bytes,
-                                     const char* name, std::size_t ndims) {
+                                     const char* name) {
   char key[8] = {};
   std::snprintf(key, sizeof(key), "%s", name);
-  // Sections start after magic + dims + time + steps + meta (two uint32s).
-  for (std::size_t pos = 8 + ndims * 8 + 8 + 8 + 2 * 4;
-       pos + 24 <= bytes.size();) {
+  const std::uint32_t n = section_count(bytes);
+  std::uint64_t at = kHeader + n * kEntry;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    const char* e = bytes.data() + kHeader + t * kEntry;
+    if (std::memcmp(e, key, sizeof(key)) == 0) return at;
     std::uint64_t sz = 0;
-    std::memcpy(&sz, bytes.data() + pos + 8, 8);
-    if (std::memcmp(bytes.data() + pos, key, 8) == 0) return pos + 24;
-    pos += 24 + sz;
+    std::memcpy(&sz, e + 8, sizeof(sz));
+    at += sz;
   }
   return 0;
 }
 
-struct fault_case {
-  fmt format;
-  fault_kind kind;
-};
-
-class FaultMatrix : public ::testing::TestWithParam<fault_case> {};
+class FaultMatrix : public ::testing::TestWithParam<fault_kind> {};
 
 TEST_P(FaultMatrix, EveryFaultIsInvisibleOrDetected) {
-  const auto [format, kind] = GetParam();
+  const fault_kind kind = GetParam();
   const std::string path = ::testing::TempDir() + "/pcf_fault_" +
-                           fmt_name(format) + "_" +
                            std::to_string(static_cast<int>(kind)) + ".ckpt";
   run_world(1, [&](communicator& world) {
     auto cfg = cfg_small();
@@ -107,20 +85,14 @@ TEST_P(FaultMatrix, EveryFaultIsInvisibleOrDetected) {
     dns.initialize(0.1, 3);
     dns.step();
     // A known-good previous checkpoint generation.
-    save_as(dns, format, path);
+    dns.save_checkpoint(path);
     const auto good = slurp(path);
     ASSERT_FALSE(good.empty());
 
-    // Aim the fault at real payload bytes: inside the c_om section for the
-    // headered formats, inside the mode payload for the parallel layout.
-    std::uint64_t target = 0;
-    if (format == fmt::parallel) {
-      target = 152 + 64;  // v2 parallel payload origin + a mode line
-    } else {
-      const std::size_t ndims = format == fmt::per_rank ? 5 : 3;
-      target = section_payload_offset(good, "c_om", ndims) + 16;
-      ASSERT_GT(target, std::uint64_t{16});
-    }
+    // Aim the fault at real payload bytes: inside the c_om section, found
+    // through the section table.
+    std::uint64_t target = section_payload_offset(good, "c_om") + 16;
+    ASSERT_GT(target, std::uint64_t{16});
     if (kind == fault_kind::short_write)
       target = good.size() - 48;  // drop the file's tail
 
@@ -129,7 +101,7 @@ TEST_P(FaultMatrix, EveryFaultIsInvisibleOrDetected) {
     {
       fault_injection_scope fault({kind, target, path});
       try {
-        save_as(dns, format, path);
+        dns.save_checkpoint(path);
       } catch (const pcf::io::injected_crash&) {
         save_crashed = true;
       }
@@ -143,7 +115,7 @@ TEST_P(FaultMatrix, EveryFaultIsInvisibleOrDetected) {
       ASSERT_EQ(after.size(), good.size());
       EXPECT_EQ(std::memcmp(after.data(), good.data(), good.size()), 0);
       channel_dns dns2(cfg, world);
-      load_as(dns2, format, path);
+      dns2.load_checkpoint(path);
       EXPECT_EQ(dns2.step_count(), 1);
       return;
     }
@@ -154,20 +126,15 @@ TEST_P(FaultMatrix, EveryFaultIsInvisibleOrDetected) {
                 kind == fault_kind::bit_flip);
     channel_dns dns2(cfg, world);
     try {
-      load_as(dns2, format, path);
-      FAIL() << fmt_name(format)
-             << ": corrupted checkpoint was silently accepted";
+      dns2.load_checkpoint(path);
+      FAIL() << "corrupted checkpoint was silently accepted";
     } catch (const pcf::precondition_error& e) {
       const std::string what = e.what();
       if (kind == fault_kind::bit_flip) {
         EXPECT_NE(what.find("CRC mismatch"), std::string::npos) << what;
-        if (format != fmt::parallel) {
-          EXPECT_NE(what.find("c_om"), std::string::npos) << what;
-        }
+        EXPECT_NE(what.find("c_om"), std::string::npos) << what;
       } else {
-        EXPECT_TRUE(what.find("truncated") != std::string::npos ||
-                    what.find("CRC mismatch") != std::string::npos)
-            << what;
+        EXPECT_NE(what.find("truncated"), std::string::npos) << what;
       }
     }
   });
@@ -175,33 +142,41 @@ TEST_P(FaultMatrix, EveryFaultIsInvisibleOrDetected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllFormatsAllFaults, FaultMatrix,
-    ::testing::Values(
-        fault_case{fmt::per_rank, fault_kind::short_write},
-        fault_case{fmt::per_rank, fault_kind::bit_flip},
-        fault_case{fmt::per_rank, fault_kind::crash_after_n},
-        fault_case{fmt::global, fault_kind::short_write},
-        fault_case{fmt::global, fault_kind::bit_flip},
-        fault_case{fmt::global, fault_kind::crash_after_n},
-        fault_case{fmt::parallel, fault_kind::short_write},
-        fault_case{fmt::parallel, fault_kind::bit_flip},
-        fault_case{fmt::parallel, fault_kind::crash_after_n}),
-    [](const ::testing::TestParamInfo<fault_case>& info) {
-      std::string kind;
-      switch (info.param.kind) {
-        case fault_kind::short_write: kind = "ShortWrite"; break;
-        case fault_kind::bit_flip: kind = "BitFlip"; break;
-        default: kind = "CrashAfterN"; break;
+    SingleFile, FaultMatrix,
+    ::testing::Values(fault_kind::short_write, fault_kind::bit_flip,
+                      fault_kind::crash_after_n),
+    [](const ::testing::TestParamInfo<fault_kind>& info) {
+      switch (info.param) {
+        case fault_kind::short_write: return std::string("ShortWrite");
+        case fault_kind::bit_flip: return std::string("BitFlip");
+        default: return std::string("CrashAfterN");
       }
-      std::string f = fmt_name(info.param.format);
-      f[0] = static_cast<char>(std::toupper(f[0]));
-      const auto us = f.find('_');
-      if (us != std::string::npos) {
-        f.erase(us, 1);
-        f[us] = static_cast<char>(std::toupper(f[us]));
-      }
-      return f + kind;
     });
+
+TEST(Faults, SectionTableBitFlipIsRejected) {
+  // The table is not covered by the payload CRCs, so the loader checks
+  // every byte of every entry against the layout it expects: flipping a
+  // bit anywhere in the table must be refused, never silently accepted.
+  const std::string path = ::testing::TempDir() + "/pcf_fault_table.ckpt";
+  run_world(1, [&](communicator& world) {
+    channel_dns dns(cfg_small(), world);
+    dns.initialize(0.1, 3);
+    dns.step();
+    dns.save_checkpoint(path);
+    const auto good = slurp(path);
+    const std::size_t table_end = kHeader + section_count(good) * kEntry;
+    for (std::size_t at = kHeader; at < table_end; ++at) {
+      auto bad = good;
+      bad[at] = static_cast<char>(bad[at] ^ 1);
+      std::ofstream(path, std::ios::binary)
+          .write(bad.data(), static_cast<std::streamsize>(bad.size()));
+      channel_dns dns2(cfg_small(), world);
+      EXPECT_THROW(dns2.load_checkpoint(path), pcf::precondition_error)
+          << "flip at table byte " << at - kHeader << " was accepted";
+    }
+  });
+  std::remove(path.c_str());
+}
 
 TEST(Faults, FailOpenLeavesThePreviousCheckpointLoadable) {
   const std::string path = ::testing::TempDir() + "/pcf_fault_open.ckpt";
