@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "core/simulation.hpp"
+#include "pencil/autotune.hpp"
 #include "pencil/pencil.hpp"
 #include "util/aligned.hpp"
 
@@ -158,16 +159,24 @@ int main() {
 
   // E. Exchange strategy (paper Section 4.3): FFTW's transpose planner
   // picks between MPI_Alltoall and pairwise MPI_Sendrecv; here both run
-  // on the virtual-MPI runtime at 8 ranks, plus the auto planner's pick.
+  // on the virtual-MPI runtime at 8 ranks, plus the pair the autotuner
+  // picks per communicator.
   {
     grid ge{32, 16, 32};
-    auto cycle = [&](exchange_strategy strat, exchange_strategy* picked) {
+    auto cycle = [&](exchange_strategy strat, tune_choice* picked) {
       double out = 0;
       std::mutex m;
       pcf::vmpi::run_world(8, [&](pcf::vmpi::communicator& world) {
         pcf::vmpi::cart2d cart(world, 4, 2);
         kernel_config cfg;
-        cfg.strategy = strat;
+        cfg.strategy_a = strat;
+        cfg.strategy_b = strat;
+        tune_choice choice;
+        if (picked != nullptr) {
+          choice = autotune_transforms(ge, world, cart, cfg, tune_options{})
+                       .choice;
+          cfg = apply_tuning(cfg, choice);
+        }
         parallel_fft pf(ge, cart, cfg);
         const auto& d = pf.dec();
         pcf::aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{0.1, 0.0});
@@ -181,24 +190,25 @@ int main() {
         if (world.rank() == 0) {
           std::lock_guard<std::mutex> lk(m);
           out = t.seconds() / reps;
-          if (picked) *picked = pf.strategy_a();
+          if (picked != nullptr) *picked = choice;
         }
       });
       return out;
     };
+    auto name = [](exchange_strategy s) {
+      return s == exchange_strategy::pairwise ? "pairwise" : "alltoall";
+    };
     const double ta = cycle(exchange_strategy::alltoall, nullptr);
     const double tp = cycle(exchange_strategy::pairwise, nullptr);
-    exchange_strategy pick{};
-    const double tu = cycle(exchange_strategy::auto_plan, &pick);
+    tune_choice pick;
+    const double tu = cycle(exchange_strategy::alltoall, &pick);
     std::printf("\nE. transpose exchange strategy (8 virtual ranks, grid "
                 "%zu x %zu x %zu):\n", ge.nx, ge.ny, ge.nz);
     pcf::text_table te({"Strategy", "Round trip"});
     te.add_row({"alltoall", pcf::text_table::fmt_time(ta)});
     te.add_row({"pairwise sendrecv", pcf::text_table::fmt_time(tp)});
-    te.add_row({std::string("auto plan (picked ") +
-                    (pick == exchange_strategy::pairwise ? "pairwise"
-                                                         : "alltoall") +
-                    " for CommA)",
+    te.add_row({std::string("autotuned (CommA ") + name(pick.strat_a) +
+                    ", CommB " + name(pick.strat_b) + ")",
                 pcf::text_table::fmt_time(tu)});
     std::fputs(te.str().c_str(), stdout);
     std::printf("paper Section 4.3: FFTW mostly picks MPI_alltoall for "

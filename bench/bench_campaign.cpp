@@ -51,7 +51,6 @@ double solo_seconds(const campaign::job_spec& j) {
   core::channel_config cc = j.config;
   cc.pa = 1;
   cc.pb = 1;
-  cc.pooled_workspace = true;
   double s = 0.0;
   vmpi::run_world(1, [&](vmpi::communicator& world) {
     // A run costs construction + initialize + stepping — the campaign

@@ -1,15 +1,12 @@
-// Workspace arena v2 benchmark: the pooled (block-leasing) lanes against
-// the owned slabs they replaced, emitting BENCH_workspace.json so later
-// changes have a perf trajectory to compare against.
+// Workspace arena benchmark: the block pool every workspace lane leases
+// from, emitting BENCH_workspace.json so later changes have a perf
+// trajectory to compare against.
 //
-// Four sections:
+// Three sections:
 //   lease     — block_pool acquire/release latency by lease size, with the
 //               per-thread cache on (hit path, no pool mutex) and off
 //               (bitmap first-fit path), plus the pool's own lease_ns
 //               telemetry for cross-checking.
-//   advance   — seconds per quickstart step with owned lanes vs
-//               pool-leased lanes. The pool only changes where the slabs
-//               live, so the pooled wall must stay within 2% of owned.
 //   cycle     — suspend()/resume() round-trip latency: every leased block
 //               released back to the pool and the four workspace holders
 //               re-bound onto (possibly different) blocks.
@@ -21,8 +18,7 @@
 //               win the pool exists for.
 //
 // Usage: bench_workspace [--fast]
-//   --fast: few steps / sims / cycles — the ctest `perf`-label smoke
-//   variant. Env: PCF_BENCH_REPS overrides the advance step count.
+//   --fast: few sims / cycles — the ctest `perf`-label smoke variant.
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -42,14 +38,13 @@ using pcf::core::channel_dns;
 using pcf::vmpi::communicator;
 using pcf::vmpi::run_world;
 
-channel_config quickstart_config(bool pooled) {
+channel_config quickstart_config() {
   channel_config cfg;
   cfg.nx = 16;
   cfg.nz = 16;
   cfg.ny = 33;
   cfg.re_tau = 180.0;
   cfg.dt = 1e-4;
-  cfg.pooled_workspace = pooled;
   return cfg;
 }
 
@@ -66,7 +61,6 @@ lease_point measure_lease(std::size_t bytes) {
   lease_point out;
   out.bytes = bytes;
   block_pool_config cfg;
-  cfg.hugepages = false;
   {
     cfg.thread_cache_blocks = 64;
     block_pool pool(cfg);
@@ -96,28 +90,6 @@ lease_point measure_lease(std::size_t bytes) {
   return out;
 }
 
-// --- advance wall: owned vs pooled -----------------------------------------
-
-double time_advance(bool pooled, int steps, int trials) {
-  std::mutex m;
-  double best = 0.0;
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(quickstart_config(pooled), world);
-    dns.initialize(0.1, 1);
-    for (int s = 0; s < 3; ++s) dns.step();  // warm: solver caches, FFT plans
-    double local = 0.0;
-    for (int t = 0; t < trials; ++t) {
-      pcf::wall_timer w;
-      for (int s = 0; s < steps; ++s) dns.step();
-      const double per = w.seconds() / steps;
-      if (t == 0 || per < local) local = per;
-    }
-    std::lock_guard<std::mutex> lk(m);
-    best = local;
-  });
-  return best;
-}
-
 // --- suspend/resume round trip ---------------------------------------------
 
 struct cycle_result {
@@ -130,7 +102,7 @@ cycle_result measure_cycle(int cycles) {
   std::mutex m;
   cycle_result out;
   run_world(1, [&](communicator& world) {
-    channel_dns dns(quickstart_config(true), world);
+    channel_dns dns(quickstart_config(), world);
     dns.initialize(0.1, 1);
     dns.step();  // populate solver caches before the first release
     dns.suspend();
@@ -173,7 +145,7 @@ interleave_result measure_interleave(int sims, int cycles) {
     const auto leased0 = pool.stats().blocks_leased;
     std::vector<channel_dns*> dns;
     for (int i = 0; i < sims; ++i) {
-      dns.push_back(new channel_dns(quickstart_config(true), world));
+      dns.push_back(new channel_dns(quickstart_config(), world));
       dns.back()->initialize(0.1, 1 + static_cast<std::uint64_t>(i));
       dns.back()->step();  // realistic: solver caches exist before parking
       if (i == 0)
@@ -204,8 +176,8 @@ interleave_result measure_interleave(int sims, int cycles) {
 // --- JSON -------------------------------------------------------------------
 
 void write_json(const char* path, const std::vector<lease_point>& lease,
-                double owned_s, double pooled_s, const cycle_result& cyc,
-                int cyc_cycles, const interleave_result& il) {
+                const cycle_result& cyc, int cyc_cycles,
+                const interleave_result& il) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::perror(path);
@@ -224,14 +196,6 @@ void write_json(const char* path, const std::vector<lease_point>& lease,
                  i + 1 < lease.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"advance\": {\n");
-  std::fprintf(f, "    \"owned_s_per_step\": %.6e,\n", owned_s);
-  std::fprintf(f, "    \"pooled_s_per_step\": %.6e,\n", pooled_s);
-  std::fprintf(f, "    \"pooled_over_owned\": %.4f,\n", pooled_s / owned_s);
-  std::fprintf(f, "    \"bound\": 1.02,\n");
-  std::fprintf(f, "    \"within_bound\": %s\n",
-               pooled_s / owned_s <= 1.02 ? "true" : "false");
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"suspend_resume\": {\n");
   std::fprintf(f, "    \"cycles\": %d,\n", cyc_cycles);
   std::fprintf(f, "    \"suspend_us\": %.2f,\n", cyc.suspend_us);
@@ -259,16 +223,13 @@ void write_json(const char* path, const std::vector<lease_point>& lease,
 
 int main(int argc, char** argv) {
   const bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
-  const int steps = static_cast<int>(
-      pcf::bench::env_long("PCF_BENCH_REPS", fast ? 8 : 40));
-  const int trials = fast ? 2 : 4;
   const int cyc_cycles = fast ? 16 : 64;
   const int il_sims = fast ? 3 : 8;
   const int il_cycles = fast ? 8 : 64;
 
   pcf::bench::print_header(
       "BENCH workspace",
-      "block-pool leases: latency, advance parity, suspend/resume sweep");
+      "block-pool leases: latency, suspend/resume sweep");
 
   std::vector<lease_point> lease;
   for (std::size_t bytes :
@@ -279,13 +240,6 @@ int main(int argc, char** argv) {
         "lease %8zu B: cached %7.1f ns  uncached %7.1f ns  (pool telemetry "
         "%.1f ns)\n",
         p.bytes, p.cached_ns, p.uncached_ns, p.pool_lease_ns);
-
-  const double owned_s = time_advance(false, steps, trials);
-  const double pooled_s = time_advance(true, steps, trials);
-  std::printf(
-      "advance (%d steps): owned %.3f ms/step, pooled %.3f ms/step, ratio "
-      "%.4f (bound 1.02)\n",
-      steps, 1e3 * owned_s, 1e3 * pooled_s, pooled_s / owned_s);
 
   const cycle_result cyc = measure_cycle(cyc_cycles);
   std::printf(
@@ -302,8 +256,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(il.footprint_blocks),
       static_cast<unsigned long long>(il.peak_blocks), il.ratio, il.sims);
 
-  write_json("BENCH_workspace.json", lease, owned_s, pooled_s, cyc,
-             cyc_cycles, il);
+  write_json("BENCH_workspace.json", lease, cyc, cyc_cycles, il);
   std::printf("wrote BENCH_workspace.json\n");
   return 0;
 }

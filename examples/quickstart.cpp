@@ -4,22 +4,14 @@
 // a perturbed laminar state, and prints the flow diagnostics every few
 // steps. Takes a couple of seconds on one core.
 //
-//   ./quickstart [steps] [--pooled]
+//   ./quickstart [steps]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/simulation.hpp"
 
 int main(int argc, char** argv) {
-  int steps = 200;
-  bool pooled = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--pooled") == 0)
-      pooled = true;
-    else
-      steps = std::atoi(argv[i]);
-  }
+  const int steps = argc > 1 ? std::atoi(argv[1]) : 200;
 
   pcf::core::channel_config cfg;
   cfg.nx = 16;         // streamwise Fourier modes
@@ -27,7 +19,6 @@ int main(int argc, char** argv) {
   cfg.ny = 33;         // wall-normal B-spline basis functions (degree 7)
   cfg.re_tau = 180.0;  // nu = 1 / Re_tau; driven by dP/dx = -1
   cfg.dt = 1e-4;
-  cfg.pooled_workspace = pooled;  // lanes lease from the block pool
 
   pcf::vmpi::run_world(1, [&](pcf::vmpi::communicator& world) {
     pcf::core::channel_dns dns(cfg, world);
@@ -55,8 +46,7 @@ int main(int argc, char** argv) {
       std::printf("  %*s%-12s %9.3fs  %8ld calls\n", 2 * p.depth, "",
                   p.name.c_str(), p.seconds, p.calls);
 
-    std::printf("\nworkspace high-water (%s lanes):\n",
-                t.pooled ? "pooled" : "owned");
+    std::printf("\nworkspace high-water:\n");
     for (const auto& u : t.workspace)
       std::printf("  %-12s %8.1f KiB peak of %8.1f KiB (%5.1f%%)\n",
                   u.name.c_str(),
@@ -66,8 +56,7 @@ int main(int argc, char** argv) {
                       ? 100.0 * static_cast<double>(u.peak_bytes) /
                             static_cast<double>(u.capacity_bytes)
                       : 0.0);
-    if (t.pooled)
-      std::printf("  block pool: %llu blocks live (peak %llu), "
+    std::printf("  block pool: %llu blocks live (peak %llu), "
                   "%llu leases (%llu cache hits), %llu holes\n",
                   static_cast<unsigned long long>(t.pool.blocks_leased),
                   static_cast<unsigned long long>(t.pool.blocks_peak),

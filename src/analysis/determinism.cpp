@@ -1,6 +1,5 @@
 #include "analysis/determinism.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -77,20 +76,10 @@ step_fingerprint fingerprint(core::channel_dns& dns,
 }
 
 trace record_trace(core::channel_dns& dns, int nsteps) {
-  // PCF_DETERMINISM_POOLED (the `determinism-pooled` CMake test preset):
-  // drive every recorded step through a full suspend -> release ->
-  // re-lease -> resume cycle, so the whole suite proves that workspace
-  // slabs landing on different pool blocks never change bits. Safe for
-  // owned-lane configurations too (suspend frees, resume reallocates).
-  static const bool cycle = std::getenv("PCF_DETERMINISM_POOLED") != nullptr;
   trace t;
   t.steps.reserve(static_cast<std::size_t>(nsteps) + 1);
   t.steps.push_back(fingerprint(dns));
   for (int s = 0; s < nsteps; ++s) {
-    if (cycle) {
-      dns.suspend();
-      dns.resume();
-    }
     dns.step();
     t.steps.push_back(fingerprint(dns));
   }

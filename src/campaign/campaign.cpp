@@ -192,7 +192,6 @@ struct campaign_server::impl {
     core::channel_config cc = t.spec.config;
     cc.pa = 1;
     cc.pb = 1;
-    cc.pooled_workspace = true;  // suspension must free real blocks
     if (!cfg.tuning_cache.empty() && cc.autotune && cc.tuning_cache.empty())
       cc.tuning_cache = cfg.tuning_cache;
     inst = std::make_unique<core::channel_dns>(cc, *t.world);
@@ -404,8 +403,17 @@ campaign_report campaign_server::run() {
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     impl_->draining = true;
+    // Highest priority first: an idle worker starts the first slice as
+    // soon as it lands, before the rest are queued, so submission order
+    // decides that first pick.
+    std::vector<tenant*> queued;
     for (auto& t : impl_->tenants)
-      if (t->state == job_state::queued) impl_->submit_slice_locked(*t);
+      if (t->state == job_state::queued) queued.push_back(t.get());
+    std::stable_sort(queued.begin(), queued.end(),
+                     [](const tenant* x, const tenant* y) {
+                       return x->spec.priority > y->spec.priority;
+                     });
+    for (tenant* t : queued) impl_->submit_slice_locked(*t);
   }
   // Slices resubmit themselves before completing, so the drained queue
   // really is the settled campaign; the loop re-checks for jobs enqueued

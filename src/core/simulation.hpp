@@ -140,15 +140,6 @@ struct channel_config {
   // repeated factorizations (ablation: bench_ablation_solver_cache).
   bool cache_solvers = true;
 
-  // Lease the workspace lanes from the process-wide block pool
-  // (pcf::block_pool::global()) instead of owning their slabs. Pooled
-  // instances can suspend() — releasing every leased block back to the
-  // pool for other simulations — and resume() onto possibly different
-  // blocks with bit-identical physics. Allocation pattern aside, the two
-  // regimes are byte-for-byte equivalent (the determinism-pooled preset
-  // pins this).
-  bool pooled_workspace = false;
-
   // Measure-and-pick autotuning of the transform kernel at construction
   // (pencil::autotune_transforms): {exchange strategy per communicator,
   // batch width <= max_batch, pipeline depth} are timed on this grid and
@@ -162,10 +153,9 @@ struct channel_config {
   std::string tuning_cache;
 
   // Exchange strategy per transpose communicator (CommA = z<->x, CommB =
-  // y<->z). auto_plan defers to the kernel default (alltoall) or, with
-  // `autotune`, to the measured winner.
-  pencil::exchange_strategy strategy_a = pencil::exchange_strategy::auto_plan;
-  pencil::exchange_strategy strategy_b = pencil::exchange_strategy::auto_plan;
+  // y<->z); `autotune` replaces both with the measured winners.
+  pencil::exchange_strategy strategy_a = pencil::exchange_strategy::alltoall;
+  pencil::exchange_strategy strategy_b = pencil::exchange_strategy::alltoall;
 
   // Scenario layer: wall BC values, forcing mode, passive scalars. The
   // default is the classical channel and changes nothing.
@@ -217,9 +207,8 @@ struct step_timings {
     std::uint64_t peak_bytes = 0;
   };
   std::vector<lane_usage> workspace;
-  bool pooled = false;  // lanes lease their slabs from the block pool
   /// Process-wide block-pool telemetry snapshot (all pools, live +
-  /// retired); meaningful when any instance runs pooled.
+  /// retired).
   counters::pool_counts pool{};
 };
 
@@ -255,9 +244,8 @@ class channel_dns {
 
   // --- suspend / resume ------------------------------------------------------
   // A suspended simulation keeps its evolved state (fields, statistics,
-  // time) but releases every workspace slab — pooled instances hand their
-  // blocks back to the block pool for other simulations; owned instances
-  // free to the OS — and drops the cached factored solver arenas. Any
+  // time) but hands every workspace slab's blocks back to the block pool
+  // for other simulations, and drops the cached factored solver arenas. Any
   // state-touching call (step, diagnostics, checkpointing, ...) resumes
   // implicitly, re-leasing possibly different blocks; physics is
   // bit-identical across any number of suspend/resume cycles. Only legal

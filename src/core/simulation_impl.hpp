@@ -77,8 +77,7 @@ struct channel_dns::impl {
         d(pencil::grid{cfg.nx, static_cast<std::size_t>(cfg.ny), cfg.nz},
           dns_kernel_config(resolve_tuning(cfg, world, cart)), cart.pa(),
           cart.pb(), cart.coord_a(), cart.coord_b()),
-        ws(dns_workspace_sizes(cfg, d),
-           cfg.pooled_workspace ? &block_pool::global() : nullptr),
+        ws(dns_workspace_sizes(cfg, d), block_pool::global()),
         pf(pencil::grid{cfg.nx, static_cast<std::size_t>(cfg.ny), cfg.nz},
            cart, dns_kernel_config(cfg), ws.transform()),
         ops(cfg.ny, cfg.degree, cfg.stretch),
@@ -102,12 +101,11 @@ struct channel_dns::impl {
   }
 
   /// Park this instance: free the factored-solver slabs and hand every
-  /// workspace slab back (to the block pool when pooled, to the OS when
-  /// owned). Evolved state, statistics and timers are untouched. Legal
-  /// only at a step boundary; the permanent workspace checkouts (pencil
-  /// ping-pong buffers, hU/hW, CFL maxima, solve panels) are all
-  /// contents-dead there — each is zero-filled or fully rewritten before
-  /// its next read.
+  /// workspace slab back to the block pool. Evolved state, statistics and
+  /// timers are untouched. Legal only at a step boundary; the permanent
+  /// workspace checkouts (pencil ping-pong buffers, hU/hW, CFL maxima,
+  /// solve panels) are all contents-dead there — each is zero-filled or
+  /// fully rewritten before its next read.
   void suspend() {
     if (suspended_) return;
     implicit.drop_arenas();

@@ -55,7 +55,6 @@ step_timings diagnostics_stage::report() const {
   // Workspace high-water marks and (process-wide) block-pool telemetry.
   for (const auto& u : ctx_.ws.usage())
     t.workspace.push_back({u.name, u.capacity_bytes, u.peak_bytes});
-  t.pooled = ctx_.ws.pooled();
   t.pool = counters::pool_totals();
   return t;
 }

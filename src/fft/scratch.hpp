@@ -21,14 +21,11 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <complex>
 #include <cstddef>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "util/block_pool.hpp"
 #include "util/check.hpp"
 
 namespace pcf::fft::detail {
@@ -70,37 +67,6 @@ class scratch_arena {
     return a;
   }
 
-  /// Route every arena's NEW chunks through `p` (nullptr restores heap
-  /// chunks — the default). Opt-in and process-global; existing chunks
-  /// keep their current backing until consolidation retires them. Pool
-  /// blocks are 64-byte aligned, so alignment only improves. The pool
-  /// must outlive every chunk allocated from it; block_pool::global()
-  /// (a function-local static constructed before the first pooled chunk)
-  /// satisfies this for the thread_local arenas per [basic.start.term].
-  static void set_pool(block_pool* p) {
-    pool_ref_().store(p, std::memory_order_release);
-  }
-  [[nodiscard]] static block_pool* pool() {
-    return pool_ref_().load(std::memory_order_acquire);
-  }
-
-  /// Drop every retained chunk (pooled blocks go back to their pool).
-  /// Legal only with no open scopes — the suspend-adjacent hook for
-  /// shrinking a parked thread's footprint to zero.
-  void release_all() {
-    PCF_ASSERT(live_ == 0);
-    chunks_.clear();
-    cur_ = 0;
-    high_ = 0;
-  }
-
-  /// Whether any retained chunk is pool-backed (test hook).
-  [[nodiscard]] bool any_pooled() const {
-    for (const auto& ch : chunks_)
-      if (ch.src != nullptr) return true;
-    return false;
-  }
-
   /// Elements currently checked out across all open scopes.
   [[nodiscard]] std::size_t live_elems() const { return live_; }
   /// Elements of backing storage currently retained (the growth bound
@@ -112,72 +78,16 @@ class scratch_arena {
   }
 
  private:
-  // One stable-address slab: heap-owned (`p`) or a block-pool lease
-  // (`src` + `ls`). Move-only so the vector can grow without the lease
-  // being released twice; the destructor returns pooled blocks.
+  // One stable-address heap slab. The vector of chunks may reallocate;
+  // the slabs themselves never move.
   struct chunk {
-    chunk() = default;
-    chunk(chunk&& o) noexcept { *this = std::move(o); }
-    chunk& operator=(chunk&& o) noexcept {
-      if (this == &o) return *this;
-      drop();
-      p = std::move(o.p);
-      src = o.src;
-      ls = o.ls;
-      base = o.base;
-      cap = o.cap;
-      used = o.used;
-      o.src = nullptr;
-      o.ls = block_pool::lease{};
-      o.base = nullptr;
-      o.cap = o.used = 0;
-      return *this;
-    }
-    chunk(const chunk&) = delete;
-    chunk& operator=(const chunk&) = delete;
-    ~chunk() { drop(); }
-
-    void drop() {
-      if (src != nullptr) {
-        src->release(ls);
-        src = nullptr;
-      }
-      p.reset();
-      base = nullptr;
-      cap = used = 0;
-    }
-
-    std::unique_ptr<cplx[]> p;     // heap backing (null when pooled)
-    block_pool* src = nullptr;     // pool the lease came from
-    block_pool::lease ls;          // pooled backing (empty when heap)
-    cplx* base = nullptr;
+    std::unique_ptr<cplx[]> p;
     std::size_t cap = 0;
     std::size_t used = 0;
   };
 
-  /// A chunk of >= cap_elems elements from the configured pool when one
-  /// is set, else the heap. Pool leases round up to whole blocks, so the
-  /// delivered capacity may exceed the request.
   static chunk make_chunk_(std::size_t cap_elems) {
-    chunk c;
-    if (block_pool* bp = pool()) {
-      c.ls = bp->acquire(cap_elems * sizeof(cplx));
-      if (c.ls) {
-        c.src = bp;
-        c.base = reinterpret_cast<cplx*>(c.ls.data());
-        c.cap = c.ls.bytes() / sizeof(cplx);
-        return c;
-      }
-    }
-    c.p = std::make_unique<cplx[]>(cap_elems);
-    c.base = c.p.get();
-    c.cap = cap_elems;
-    return c;
-  }
-
-  static std::atomic<block_pool*>& pool_ref_() {
-    static std::atomic<block_pool*> p{nullptr};
-    return p;
+    return {std::make_unique<cplx[]>(cap_elems), cap_elems, 0};
   }
 
   scope::mark mark_() const { return {cur_, chunks_.empty() ? 0 : chunks_[cur_].used, live_}; }
@@ -198,7 +108,7 @@ class scratch_arena {
       cur_ = chunks_.size() - 1;
     }
     chunk& c = chunks_[cur_];
-    cplx* p = c.base + c.used;
+    cplx* p = c.p.get() + c.used;
     c.used += n;
     live_ += n;
     high_ = std::max(high_, live_);

@@ -249,6 +249,55 @@ std::mutex& cache_file_mutex(const std::string& path) {
   return *table.back().second;
 }
 
+// The workload every tuner decision is measured on: one RK3 nonlinear
+// substage's transforms, 3 fields down to physical space and 5 products
+// back up. Best of `reps` timed runs after an untimed warm-up, then
+// max-reduced over `world`, so every rank compares identical numbers and
+// takes the same argmin.
+double time_substage(parallel_fft& pf, vmpi::communicator& world, int reps) {
+  constexpr std::size_t kDown = 3, kUp = 5;
+  const decomp& d = pf.dec();
+  std::vector<std::vector<cplx>> spec(kUp);
+  std::vector<std::vector<double>> phys(kUp);
+  for (std::size_t f = 0; f < kUp; ++f) {
+    spec[f].assign(d.y_pencil_elems(), cplx{0.0, 0.0});
+    phys[f].assign(d.x_pencil_real_elems(), 0.0);
+  }
+  const cplx* sdown[kDown];
+  double* pdown[kDown];
+  const double* pup[kUp];
+  cplx* sup[kUp];
+  for (std::size_t f = 0; f < kDown; ++f) {
+    sdown[f] = spec[f].data();
+    pdown[f] = phys[f].data();
+  }
+  for (std::size_t f = 0; f < kUp; ++f) {
+    pup[f] = phys[f].data();
+    sup[f] = spec[f].data();
+  }
+  auto substage = [&] {
+    pf.to_physical_batch(sdown, pdown, kDown);
+    pf.to_spectral_batch(pup, sup, kUp);
+  };
+  substage();  // warm-up, untimed
+  double local = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < std::max(1, reps); ++r) {
+    wall_timer t;
+    substage();
+    local = std::min(local, t.seconds());
+  }
+  double agreed = 0.0;
+  world.allreduce_max(&local, &agreed, 1);
+  return agreed;
+}
+
+// Strategies worth timing on a communicator of `size` ranks: a size-1
+// communicator exchanges nothing, so only the default applies there.
+std::vector<exchange_strategy> strategy_candidates(int size) {
+  if (size == 1) return {exchange_strategy::alltoall};
+  return {exchange_strategy::alltoall, exchange_strategy::pairwise};
+}
+
 }  // namespace
 
 tuning_memo_stats tuning_memo_statistics() {
@@ -414,42 +463,33 @@ tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
     return rep;
   }
 
-  // Resolve the exchange strategies once, on the batch-scaled exchanges
-  // (plan_strategies measures with max_batch-wide counts and max-reduces).
+  // The exchange-strategy pair first, on the widest batch without
+  // pipelining; ties keep the earlier candidate (alltoall), and a lone
+  // candidate pair (every communicator of size 1) is not timed. The batch
+  // and depth sweep then runs with the winning pair.
   tune_choice chosen;
-  {
-    kernel_config probe = base;
-    probe.strategy = exchange_strategy::auto_plan;
-    probe.strategy_a = exchange_strategy::auto_plan;
-    probe.strategy_b = exchange_strategy::auto_plan;
-    probe.pipeline_depth = 1;
-    parallel_fft pf(g, cart, probe);
-    chosen.strat_a = pf.strategy_a();
-    chosen.strat_b = pf.strategy_b();
-    // plan_strategies agrees within each sub-communicator group, but the
-    // cart has pa CommB groups (and pb CommA groups) that can resolve
-    // differently; the tuned choice is global, so rank 0's wins.
-    std::uint32_t sb[2] = {encode_strategy(chosen.strat_a),
-                           encode_strategy(chosen.strat_b)};
-    world.bcast(sb, 2, 0);
-    decode_strategy(sb[0], chosen.strat_a);
-    decode_strategy(sb[1], chosen.strat_b);
-  }
-
-  // Workload mirroring one RK3 nonlinear substage: 3 fields down to
-  // physical space, 5 products back up.
-  const decomp dd(g, base, cart.pa(), cart.pb(), cart.coord_a(),
-                  cart.coord_b());
-  constexpr std::size_t kDown = 3, kUp = 5;
-  std::vector<std::vector<cplx>> spec(kUp);
-  std::vector<std::vector<double>> phys(kUp);
-  for (std::size_t f = 0; f < kUp; ++f) {
-    spec[f].assign(dd.y_pencil_elems(), cplx{0.0, 0.0});
-    phys[f].assign(dd.x_pencil_real_elems(), 0.0);
-  }
-
-  const int reps = std::max(1, opt.reps);
+  const std::vector<exchange_strategy> cand_a =
+      strategy_candidates(cart.pa());
+  const std::vector<exchange_strategy> cand_b =
+      strategy_candidates(cart.pb());
   double best_time = std::numeric_limits<double>::infinity();
+  if (cand_a.size() * cand_b.size() > 1) {
+    for (exchange_strategy sa : cand_a) {
+      for (exchange_strategy sb : cand_b) {
+        parallel_fft pf(g, cart,
+                        apply_tuning(base, {sa, sb,
+                                            std::max(1, base.max_batch), 1}));
+        const double agreed = time_substage(pf, world, opt.reps);
+        if (agreed < best_time) {
+          best_time = agreed;
+          chosen.strat_a = sa;
+          chosen.strat_b = sb;
+        }
+      }
+    }
+  }
+
+  best_time = std::numeric_limits<double>::infinity();
   const int fcand[3] = {1, 3, 5};
   for (int F : fcand) {
     if (F > std::max(1, base.max_batch)) continue;
@@ -458,31 +498,7 @@ tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
       parallel_fft pf(g, cart,
                       apply_tuning(base, {chosen.strat_a, chosen.strat_b, F,
                                           depth}));
-      const cplx* sdown[kDown];
-      double* pdown[kDown];
-      const double* pup[kUp];
-      cplx* sup[kUp];
-      for (std::size_t f = 0; f < kDown; ++f) {
-        sdown[f] = spec[f].data();
-        pdown[f] = phys[f].data();
-      }
-      for (std::size_t f = 0; f < kUp; ++f) {
-        pup[f] = phys[f].data();
-        sup[f] = spec[f].data();
-      }
-      auto substage = [&] {
-        pf.to_physical_batch(sdown, pdown, kDown);
-        pf.to_spectral_batch(pup, sup, kUp);
-      };
-      substage();  // warm-up, untimed
-      double local = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < reps; ++rep) {
-        wall_timer t;
-        substage();
-        local = std::min(local, t.seconds());
-      }
-      double agreed = 0.0;
-      world.allreduce_max(&local, &agreed, 1);
+      const double agreed = time_substage(pf, world, opt.reps);
       rep.measured.push_back({F, depth, agreed});
       if (F == 1 && depth == 1) rep.per_field_s = agreed;
       // Strict < with the ascending (F, depth) sweep: ties go to the
@@ -610,44 +626,11 @@ decomp_tune_report autotune_decomposition(const grid& g,
   // so the tuned choice is never slower than pencil as measured.
   const std::vector<decomp_plan> cands =
       decomposition_candidates(g, ranks, pa, pb);
-  const int reps = std::max(1, opt.reps);
-  constexpr std::size_t kDown = 3, kUp = 5;
   double best_time = std::numeric_limits<double>::infinity();
   for (const decomp_plan& p : cands) {
     vmpi::cart2d cart(world, p.pa, p.pb);
     parallel_fft pf(g, cart, base);
-    const decomp& dd = pf.dec();
-    std::vector<std::vector<cplx>> spec(kUp);
-    std::vector<std::vector<double>> phys(kUp);
-    for (std::size_t f = 0; f < kUp; ++f) {
-      spec[f].assign(dd.y_pencil_elems(), cplx{0.0, 0.0});
-      phys[f].assign(dd.x_pencil_real_elems(), 0.0);
-    }
-    const cplx* sdown[kDown];
-    double* pdown[kDown];
-    const double* pup[kUp];
-    cplx* sup[kUp];
-    for (std::size_t f = 0; f < kDown; ++f) {
-      sdown[f] = spec[f].data();
-      pdown[f] = phys[f].data();
-    }
-    for (std::size_t f = 0; f < kUp; ++f) {
-      pup[f] = phys[f].data();
-      sup[f] = spec[f].data();
-    }
-    auto substage = [&] {
-      pf.to_physical_batch(sdown, pdown, kDown);
-      pf.to_spectral_batch(pup, sup, kUp);
-    };
-    substage();  // warm-up, untimed
-    double local = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < reps; ++r) {
-      wall_timer t;
-      substage();
-      local = std::min(local, t.seconds());
-    }
-    double agreed = 0.0;
-    world.allreduce_max(&local, &agreed, 1);
+    const double agreed = time_substage(pf, world, opt.reps);
     rep.measured.push_back({p, agreed});
     if (agreed < best_time) {
       best_time = agreed;

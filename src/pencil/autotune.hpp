@@ -2,12 +2,12 @@
 //
 // The paper's kernel leans on FFTW 3.3's transpose planner, which times
 // candidate exchange implementations at plan time and keeps the fastest
-// (Section 4.3). This module extends that idea to the whole knob set the
-// batched kernel exposes: {exchange strategy per communicator, batch width
-// F, pipeline depth}, measured on the batch-scaled exchanges and the
-// 3-down + 5-up field workload an RK3 substage actually runs. Timings are
-// max-reduced across ranks before the (deterministic) argmin, so every
-// rank picks the same configuration.
+// (Section 4.3). This module is that planner, extended to the whole knob
+// set the batched kernel exposes: {exchange strategy per communicator,
+// batch width F, pipeline depth}, each measured on the 3-down + 5-up field
+// workload an RK3 substage actually runs. Timings are max-reduced across
+// all ranks before the (deterministic) argmin, so every rank picks the
+// same configuration.
 //
 // Winners persist in a small versioned on-disk cache keyed by (grid,
 // rank split, thread counts, batch ceiling, kernel flags). The cache is
@@ -102,9 +102,8 @@ struct tune_report {
                                      decomposition dk = decomposition::pencil2d,
                                      int replica_c = 0);
 
-/// `base` with the tuner's decision applied (strategy overrides, batch
-/// width and pipeline depth). The result constructs a parallel_fft that
-/// re-measures nothing.
+/// `base` with the tuner's decision applied (per-communicator strategies,
+/// batch width and pipeline depth).
 [[nodiscard]] kernel_config apply_tuning(kernel_config base,
                                          const tune_choice& choice);
 

@@ -1,7 +1,6 @@
 #include "pencil/pencil.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "fft/plan_cache.hpp"
@@ -104,40 +103,20 @@ struct parallel_fft::impl {
   thread_pool reorder_pool;
 
   // Workspaces. The customized kernel ping-pongs between two buffers; the
-  // P3DFFT-mode kernel uses a third (its documented 3x footprint). Each
-  // holds max_batch single-field workspaces side by side. Storage is
-  // either owned here or borrowed from a caller's workspace lane (the
-  // simulation's field_workspace arena) — wbuf abstracts over both.
-  struct wbuf {
-    cplx* p = nullptr;
-    std::size_t n = 0;
-    aligned_buffer<cplx> own;
-
-    void reset_owned(std::size_t count) {
-      own.reset(count);
-      p = own.data();
-      n = count;
-    }
-    void borrow(cplx* q, std::size_t count) {
-      p = q;
-      n = count;
-    }
-    [[nodiscard]] cplx* data() { return p; }
-    [[nodiscard]] bool empty() const { return n == 0; }
-    [[nodiscard]] std::size_t size() const { return n; }
-  };
-  wbuf w1, w2, w3;
+  // P3DFFT-mode kernel uses a third (its documented 3x footprint, w3 null
+  // otherwise). Each holds max_batch single-field workspaces side by side,
+  // permanently checked out of `ws_`: the caller's lane, or `own_lane_`
+  // leased from the global block pool for a standalone kernel.
+  workspace_lane own_lane_;
+  workspace_lane* ws_ = nullptr;
+  cplx* w1 = nullptr;
+  cplx* w2 = nullptr;
+  cplx* w3 = nullptr;
   std::size_t wstride = 0;  // elements of one field's workspace slot
-  workspace_lane* ws_ = nullptr;  // borrow source (null = owned buffers)
 
   // alltoallv counts/displacements, in complex elements (single-field).
   std::vector<std::size_t> sc_yz, sd_yz, rc_yz, rd_yz;  // CommB, y<->z
   std::vector<std::size_t> sc_zx, sd_zx, rc_zx, rd_zx;  // CommA, z<->x
-
-  // Exchange strategies resolved at plan time (paper Section 4.3: FFTW's
-  // planner times the candidates and keeps the fastest).
-  exchange_strategy strat_a = exchange_strategy::alltoall;
-  exchange_strategy strat_b = exchange_strategy::alltoall;
 
   // Comm thread for pipelined mode (allocated only when pipeline_depth > 1).
   std::unique_ptr<vmpi::async_proxy> comm_async;
@@ -180,26 +159,26 @@ struct parallel_fft::impl {
     exch_scratch_.resize(4 *
                          static_cast<std::size_t>(std::max(d.pa, d.pb)));
     wstride = slot_elems(d);
-    const std::size_t wn = wstride * static_cast<std::size_t>(cfg.max_batch);
-    const bool p3d = !cfg.drop_nyquist && !cfg.dealias;
-    ws_ = ws;
-    if (ws != nullptr) {
-      // Permanent checkouts from the caller's arena (sized by
-      // transform_workspace_bytes).
-      w1.borrow(ws->alloc<cplx>(wn), wn);
-      w2.borrow(ws->alloc<cplx>(wn), wn);
-      if (p3d) w3.borrow(ws->alloc<cplx>(wn), wn);
-    } else {
-      w1.reset_owned(wn);
-      w2.reset_owned(wn);
-      if (p3d) w3.reset_owned(wn);
+    if (ws == nullptr) {
+      own_lane_.lease_bytes(block_pool::global(),
+                            transform_workspace_bytes(d, cfg));
+      ws = &own_lane_;
     }
+    ws_ = ws;
+    checkout_buffers();
     if (cfg.pipeline_depth > 1) {
       comm_async = std::make_unique<vmpi::async_proxy>();
       tk1_.resize(static_cast<std::size_t>(cfg.pipeline_depth));
       tk2_.resize(static_cast<std::size_t>(cfg.pipeline_depth));
     }
-    plan_strategies();
+  }
+
+  /// Permanent checkouts from ws_ (sized by transform_workspace_bytes).
+  void checkout_buffers() {
+    const std::size_t wn = wstride * static_cast<std::size_t>(cfg.max_batch);
+    w1 = ws_->alloc<cplx>(wn);
+    w2 = ws_->alloc<cplx>(wn);
+    if (!cfg.drop_nyquist && !cfg.dealias) w3 = ws_->alloc<cplx>(wn);
   }
 
   /// One exchange with either strategy. The pairwise algorithm runs p-1
@@ -262,60 +241,6 @@ struct parallel_fft::impl {
       brd[q] = nf * rd[q];
     }
     do_exchange(comm, strat, send, bsc, bsd, recv, brc, brd);
-  }
-
-  /// Resolve the per-communicator strategies. Explicit overrides
-  /// (cfg.strategy_a/b, written by the autotuner) win; otherwise the
-  /// global cfg.strategy applies, and auto_plan is resolved by timing both
-  /// candidates on the exchanges production will actually run — i.e.
-  /// batch-scaled by max_batch, not single-field (the old behaviour, which
-  /// could pick the wrong strategy for the batched workload). Each rep is
-  /// timed separately and the best kept, so one noisy rep can't flip the
-  /// choice; all ranks must agree, so the per-candidate timings are
-  /// max-reduced before the comparison.
-  void plan_strategies() {
-    auto resolve = [&](exchange_strategy per_comm) {
-      return per_comm != exchange_strategy::auto_plan ? per_comm
-                                                      : cfg.strategy;
-    };
-    strat_a = resolve(cfg.strategy_a);
-    strat_b = resolve(cfg.strategy_b);
-    const bool need_a = strat_a == exchange_strategy::auto_plan;
-    const bool need_b = strat_b == exchange_strategy::auto_plan;
-    if (!need_a && !need_b) return;
-    const auto nf = static_cast<std::size_t>(cfg.max_batch);
-    auto pick = [&](vmpi::communicator& comm, const std::size_t* sc,
-                    const std::size_t* sd, const std::size_t* rc,
-                    const std::size_t* rd) {
-      if (comm.size() == 1) return exchange_strategy::alltoall;
-      const exchange_strategy cand[2] = {exchange_strategy::alltoall,
-                                         exchange_strategy::pairwise};
-      // Untimed warm-up: the very first exchange pays first-touch page
-      // faults on the freshly allocated w1/w2, which used to be charged to
-      // whichever candidate ran first and biased the choice.
-      do_exchange_batch(comm, cand[0], w1.data(), sc, sd, w2.data(), rc, rd,
-                        nf);
-      double best[2];
-      for (int c = 0; c < 2; ++c) {
-        best[c] = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < 3; ++rep) {
-          wall_timer t;
-          do_exchange_batch(comm, cand[c], w1.data(), sc, sd, w2.data(), rc,
-                            rd, nf);
-          best[c] = std::min(best[c], t.seconds());
-        }
-      }
-      double agreed[2];
-      comm.allreduce_max(best, agreed, 2);
-      return agreed[0] <= agreed[1] ? cand[0] : cand[1];
-    };
-    if (need_b)
-      strat_b = pick(comm_b, sc_yz.data(), sd_yz.data(), rc_yz.data(),
-                     rd_yz.data());
-    if (need_a)
-      strat_a = pick(comm_a, sc_zx.data(), sd_zx.data(), rc_zx.data(),
-                     rd_zx.data());
-    exchanges_ = 0;  // plan-time probes don't count toward batch_stats
   }
 
   void build_counts() {
@@ -649,23 +574,23 @@ struct parallel_fft::impl {
 
   void a2a_yz(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_b, strat_b, send, sc_yz.data(), sd_yz.data(), recv,
-                      rc_yz.data(), rd_yz.data(), nf);
+    do_exchange_batch(comm_b, cfg.strategy_b, send, sc_yz.data(), sd_yz.data(),
+                      recv, rc_yz.data(), rd_yz.data(), nf);
   }
   void a2a_zy(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_b, strat_b, send, rc_yz.data(), rd_yz.data(), recv,
-                      sc_yz.data(), sd_yz.data(), nf);
+    do_exchange_batch(comm_b, cfg.strategy_b, send, rc_yz.data(), rd_yz.data(),
+                      recv, sc_yz.data(), sd_yz.data(), nf);
   }
   void a2a_zx(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_a, strat_a, send, sc_zx.data(), sd_zx.data(), recv,
-                      rc_zx.data(), rd_zx.data(), nf);
+    do_exchange_batch(comm_a, cfg.strategy_a, send, sc_zx.data(), sd_zx.data(),
+                      recv, rc_zx.data(), rd_zx.data(), nf);
   }
   void a2a_xz(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_a, strat_a, send, rc_zx.data(), rd_zx.data(), recv,
-                      sc_zx.data(), sd_zx.data(), nf);
+    do_exchange_batch(comm_a, cfg.strategy_a, send, rc_zx.data(), rd_zx.data(),
+                      recv, sc_zx.data(), sd_zx.data(), nf);
   }
 
   // --- batched drivers -----------------------------------------------------
@@ -696,10 +621,10 @@ struct parallel_fft::impl {
       inverse_pipelined(specs, phys, nf);
       return;
     }
-    cplx* a = w1.data();
-    cplx* b = w2.data();
+    cplx* a = w1;
+    cplx* b = w2;
     pack_y_to_z(specs, a, nf);
-    if (w3.empty()) {
+    if (w3 == nullptr) {
       // Degenerate stages (size-1 communicator) skip the exchange AND the
       // copy: the packed buffer feeds the unpack directly, and the usual
       // ping-pong rotation is suppressed for that stage.
@@ -724,7 +649,7 @@ struct parallel_fft::impl {
       x_c2r(xdst, phys, nf);
     } else {
       // P3DFFT-style: dedicated buffers per stage (3x footprint).
-      cplx* c = w3.data();
+      cplx* c = w3;
       a2a_yz(a, b, nf);
       unpack_z_pencil(b, c, nf);
       z_fft(c, *z_inv, nf);
@@ -741,12 +666,12 @@ struct parallel_fft::impl {
       forward_pipelined(phys, specs, nf);
       return;
     }
-    cplx* a = w1.data();
-    cplx* b = w2.data();
+    cplx* a = w1;
+    cplx* b = w2;
     const double scale =
         1.0 / (static_cast<double>(d.nxf) * static_cast<double>(d.nzf));
     x_r2c(phys, a, nf);
-    if (w3.empty()) {
+    if (w3 == nullptr) {
       // Mirror of inverse_chunk: degenerate stages forward the packed
       // buffer into the unpack, suppressing that stage's ping-pong.
       pack_x_to_z(a, b, nf);
@@ -767,7 +692,7 @@ struct parallel_fft::impl {
       }
       unpack_y_pencil(ysrc, specs, nf);
     } else {
-      cplx* c = w3.data();
+      cplx* c = w3;
       pack_x_to_z(a, b, nf);
       a2a_xz(b, c, nf);
       unpack_z_from_x(c, a, nf);
@@ -845,20 +770,20 @@ struct parallel_fft::impl {
     const auto G = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(cfg.pipeline_depth),
                               nf));
-    const bool p3d = !w3.empty();
+    const bool p3d = w3 != nullptr;
     auto grp = [&](std::size_t g) {
       return block_range(nf, G, static_cast<int>(g));
     };
-    auto at = [&](wbuf& w, std::size_t g) {
-      return w.data() + grp(g).offset * wstride;
+    auto at = [&](cplx* w, std::size_t g) {
+      return w + grp(g).offset * wstride;
     };
     // Degenerate stages (size-1 comm) do no work on the comm thread and
     // hand the packed buffer straight to the unpack, flipping the
     // ping-pong roles for the rest of the chunk. The P3DFFT branch keeps
     // its fixed 3-buffer rotation (do_exchange_batch degenerates to a
     // local copy there).
-    wbuf& uz_src = (!p3d && skip_b_) ? w1 : w2;
-    wbuf& uz_dst = (!p3d && skip_b_) ? w2 : w1;
+    cplx* uz_src = (!p3d && skip_b_) ? w1 : w2;
+    cplx* uz_dst = (!p3d && skip_b_) ? w2 : w1;
     run_pipeline(
         static_cast<std::size_t>(G),
         [&](std::size_t g) {
@@ -883,8 +808,8 @@ struct parallel_fft::impl {
         },
         [&](std::size_t g) {
           const block fb = grp(g);
-          wbuf& ux_src = skip_a_ ? uz_src : uz_dst;
-          wbuf& ux_dst = skip_a_ ? uz_dst : uz_src;
+          cplx* ux_src = skip_a_ ? uz_src : uz_dst;
+          cplx* ux_dst = skip_a_ ? uz_dst : uz_src;
           cplx* in = p3d ? at(w2, g) : at(ux_src, g);
           cplx* x = p3d ? at(w3, g) : at(ux_dst, g);
           unpack_x_pencil(in, x, fb.count);
@@ -897,18 +822,18 @@ struct parallel_fft::impl {
     const auto G = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(cfg.pipeline_depth),
                               nf));
-    const bool p3d = !w3.empty();
+    const bool p3d = w3 != nullptr;
     const double scale =
         1.0 / (static_cast<double>(d.nxf) * static_cast<double>(d.nzf));
     auto grp = [&](std::size_t g) {
       return block_range(nf, G, static_cast<int>(g));
     };
-    auto at = [&](wbuf& w, std::size_t g) {
-      return w.data() + grp(g).offset * wstride;
+    auto at = [&](cplx* w, std::size_t g) {
+      return w + grp(g).offset * wstride;
     };
     // Mirror of inverse_pipelined's degenerate-stage handling.
-    wbuf& uz_src = (!p3d && skip_a_) ? w2 : w1;
-    wbuf& uz_dst = (!p3d && skip_a_) ? w1 : w2;
+    cplx* uz_src = (!p3d && skip_a_) ? w2 : w1;
+    cplx* uz_dst = (!p3d && skip_a_) ? w1 : w2;
     run_pipeline(
         static_cast<std::size_t>(G),
         [&](std::size_t g) {
@@ -989,24 +914,13 @@ batch_stats parallel_fft::batching() const {
 }
 
 std::size_t parallel_fft::workspace_bytes() const {
-  return (impl_->w1.size() + impl_->w2.size() + impl_->w3.size()) *
+  const auto& im = *impl_;
+  const std::size_t nbuf = im.w3 != nullptr ? 3 : 2;
+  return nbuf * im.wstride * static_cast<std::size_t>(im.cfg.max_batch) *
          sizeof(cplx);
 }
 
-void parallel_fft::rebind_workspace() {
-  auto& im = *impl_;
-  PCF_REQUIRE(im.ws_ != nullptr,
-              "rebind_workspace: this kernel owns its buffers (no lane to "
-              "rebind from)");
-  const std::size_t wn =
-      im.wstride * static_cast<std::size_t>(im.cfg.max_batch);
-  im.w1.borrow(im.ws_->alloc<cplx>(wn), wn);
-  im.w2.borrow(im.ws_->alloc<cplx>(wn), wn);
-  if (!im.w3.empty()) im.w3.borrow(im.ws_->alloc<cplx>(wn), wn);
-}
-
-exchange_strategy parallel_fft::strategy_a() const { return impl_->strat_a; }
-exchange_strategy parallel_fft::strategy_b() const { return impl_->strat_b; }
+void parallel_fft::rebind_workspace() { impl_->checkout_buffers(); }
 
 double parallel_fft::comm_seconds() const { return impl_->comm_t.total(); }
 double parallel_fft::reorder_seconds() const {

@@ -53,12 +53,11 @@ struct grid {
 /// How each global exchange is executed. The paper (Section 4.3) relies on
 /// FFTW 3.3's transpose planner, which times several implementations
 /// (MPI_Alltoall, MPI_Sendrecv rounds, ...) and keeps the fastest;
-/// `auto_plan` reproduces that: both strategies are timed on a dummy
-/// exchange at construction and the winner is used for production.
+/// autotune_transforms (pencil/autotune.hpp) reproduces that by timing
+/// both strategies on the RK3 substage workload.
 enum class exchange_strategy {
-  auto_plan,  // measure both at plan time, keep the faster
-  alltoall,   // one alltoallv per transpose
-  pairwise,   // P-1 rounds of pairwise sendrecv exchanges
+  alltoall,  // one alltoallv per transpose
+  pairwise,  // P-1 rounds of pairwise sendrecv exchanges
 };
 
 /// Kernel configuration. The defaults are the paper's customized kernel;
@@ -69,7 +68,6 @@ struct kernel_config {
   bool dealias = true;        // fuse 3/2 pad/truncate into the transposes
   int fft_threads = 1;        // threads for FFT + pad/truncate blocks
   int reorder_threads = 1;    // threads for pack/unpack (on-node reorder)
-  exchange_strategy strategy = exchange_strategy::alltoall;
   // Fields aggregated into one exchange by the *_batch entry points; the
   // ping-pong workspaces grow by this factor. 1 keeps the seed footprint.
   int max_batch = 1;
@@ -77,14 +75,13 @@ struct kernel_config {
   // the exchange of group k with the FFT/reorder of its neighbours on a
   // dedicated comm thread (vmpi::async_proxy). 1 = fully synchronous.
   int pipeline_depth = 1;
-  // Per-communicator strategy overrides (CommA = z<->x, CommB = y<->z).
-  // auto_plan here means "inherit `strategy`"; the autotuner writes the
-  // measured winners through these so construction skips re-measuring.
-  exchange_strategy strategy_a = exchange_strategy::auto_plan;
-  exchange_strategy strategy_b = exchange_strategy::auto_plan;
+  // Exchange strategy per communicator (CommA = z<->x, CommB = y<->z);
+  // the autotuner writes its measured winners here.
+  exchange_strategy strategy_a = exchange_strategy::alltoall;
+  exchange_strategy strategy_b = exchange_strategy::alltoall;
 
   static kernel_config p3dfft_mode() {
-    return kernel_config{false, false, 1, 1, exchange_strategy::alltoall};
+    return kernel_config{false, false, 1, 1};
   }
 };
 
@@ -133,20 +130,22 @@ struct decomp {
 
 /// Bytes of ping-pong transpose/FFT workspace one parallel_fft instance
 /// needs for this decomposition and configuration (including per-buffer
-/// alignment slack) — what to reserve on a workspace lane handed to the
-/// borrowing constructor below.
+/// alignment slack) — what to lease for the workspace lane handed to the
+/// lane constructor below.
 [[nodiscard]] std::size_t transform_workspace_bytes(const decomp& d,
                                                     const kernel_config& cfg);
 
 /// The parallel FFT kernel: spectral y-pencils <-> physical x-pencils.
-/// Thread-unsafe per instance (owns buffers); each rank builds its own.
+/// Thread-unsafe per instance; each rank builds its own. The transpose/FFT
+/// ping-pong buffers are permanent construction-time checkouts of a
+/// workspace lane.
 class parallel_fft {
  public:
+  /// Standalone kernel: leases its own lane from block_pool::global().
   parallel_fft(const grid& g, vmpi::cart2d& cart, kernel_config cfg);
-  /// Same kernel, but the transpose/FFT ping-pong buffers are checked out
-  /// of `transform_ws` (permanently, construction-time) instead of owned —
-  /// the simulation's field_workspace arena sizes them once via
-  /// transform_workspace_bytes(). The lane must outlive this instance.
+  /// Kernel on a caller's lane — the simulation's field_workspace arena
+  /// sizes it once via transform_workspace_bytes(). The lane must outlive
+  /// this instance.
   parallel_fft(const grid& g, vmpi::cart2d& cart, kernel_config cfg,
                workspace_lane& transform_ws);
   ~parallel_fft();
@@ -186,16 +185,11 @@ class parallel_fft {
   /// Re-check the ping-pong buffers out of the construction-time lane
   /// after its slab was released and reacquired (the simulation's
   /// suspend/resume cycle — the lane may sit on different pool blocks
-  /// now). Only legal on lane-backed instances; the lane must be freshly
-  /// reacquired with this kernel as its first checkout, which reproduces
-  /// the construction-time offsets. Plans, counts and exchange strategies
-  /// are untouched, so a rebind costs two bump allocations.
+  /// now). The lane must be freshly reacquired with this kernel as its
+  /// first checkout, which reproduces the construction-time offsets.
+  /// Plans, counts and exchange strategies are untouched, so a rebind
+  /// costs two bump allocations.
   void rebind_workspace();
-
-  /// Exchange strategies actually in use for CommA / CommB (resolved from
-  /// the configured strategy; auto_plan picks at construction).
-  [[nodiscard]] exchange_strategy strategy_a() const;
-  [[nodiscard]] exchange_strategy strategy_b() const;
 
   /// Section timers (accumulated across calls).
   [[nodiscard]] double comm_seconds() const;

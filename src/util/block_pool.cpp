@@ -44,15 +44,13 @@ inline constexpr unsigned char kPoison = 0xAB;
 }  // namespace
 
 struct block_pool::impl {
-  enum class backing { heap, mmap_small, mmap_huge };
-
   struct segment {
     unsigned char* base = nullptr;
     std::size_t map_bytes = 0;  // bytes handed to mmap/aligned_alloc
     std::size_t nblocks = 0;
     std::vector<std::uint64_t> free_bits;  // 1 = free
     std::size_t free_count = 0;
-    backing how = backing::heap;
+    bool mapped = false;  // mmap'd (else std::aligned_alloc)
   };
 
   /// One cached run parked by release() on the releasing thread's slot.
@@ -63,11 +61,16 @@ struct block_pool::impl {
   /// Per-thread cache slot. Owned by the pool (so flush and destruction
   /// see every run, even after the owning thread exits); the tiny mutex
   /// is uncontended on the owner's fast path and only fought over by
-  /// flush_thread_caches()/stats().
+  /// flush_thread_caches()/stats(). An exited thread's slot is handed to
+  /// the next new thread, so a process that runs each simulation on a
+  /// fresh thread keeps a bounded set of slots instead of pinning one
+  /// more small allocation per thread in the malloc heap (measured: ~66
+  /// KiB of heap growth per quickstart-sized sub-world).
   struct cache_slot {
     std::mutex mu;
     std::vector<cached_run> runs;
     std::size_t blocks = 0;
+    bool claimed = false;  // by a live thread; guarded by the pool mutex
   };
 
   block_pool_config cfg;
@@ -101,38 +104,19 @@ struct block_pool::impl {
     s.nblocks = nblocks;
     const std::size_t bytes = nblocks * cfg.block_bytes;
 #if defined(__linux__)
-    if (cfg.hugepages) {
-      // Explicit hugepages first: round to the 2 MiB granule MAP_HUGETLB
-      // requires. Usually fails without reserved hugepages — fall through
-      // silently.
-      constexpr std::size_t kHuge = 2u << 20;
-      const std::size_t hbytes = (bytes + kHuge - 1) / kHuge * kHuge;
-      void* p = ::mmap(nullptr, hbytes, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
-      if (p != MAP_FAILED) {
-        s.base = static_cast<unsigned char*>(p);
-        s.map_bytes = hbytes;
-        s.how = backing::mmap_huge;
-      }
-    }
-    if (s.base == nullptr) {
-      void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-      if (p != MAP_FAILED) {
-        if (cfg.hugepages) (void)::madvise(p, bytes, MADV_HUGEPAGE);
-        s.base = static_cast<unsigned char*>(p);
-        s.map_bytes = bytes;
-        s.how = backing::mmap_small;
-      }
+    void* m = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m != MAP_FAILED) {
+      s.base = static_cast<unsigned char*>(m);
+      s.mapped = true;
     }
 #endif
     if (s.base == nullptr) {
       void* p = std::aligned_alloc(kAlignment, bytes);
       if (p == nullptr) throw std::bad_alloc();
       s.base = static_cast<unsigned char*>(p);
-      s.map_bytes = bytes;
-      s.how = backing::heap;
     }
+    s.map_bytes = bytes;
     s.free_bits.assign((nblocks + 63) / 64, ~std::uint64_t{0});
     // Clear the padding bits past nblocks so run scans never step off the
     // end of the segment.
@@ -145,7 +129,7 @@ struct block_pool::impl {
   static void free_segment(segment& s) {
     if (s.base == nullptr) return;
 #if defined(__linux__)
-    if (s.how != backing::heap) {
+    if (s.mapped) {
       ::munmap(s.base, s.map_bytes);
       s.base = nullptr;
       return;
@@ -215,8 +199,9 @@ struct block_pool::impl {
     return reg;
   }
 
-  /// Return one slot's parked runs to the segment bitmaps. Lock order
-  /// matches flush_caches(): pool mutex, then the slot.
+  /// Return an exiting thread's parked runs to the segment bitmaps and
+  /// free its slot for the next new thread. Lock order matches
+  /// flush_caches(): pool mutex, then the slot.
   void flush_slot(cache_slot& s) {
     std::lock_guard<std::mutex> lk(mu);
     std::lock_guard<std::mutex> sl(s.mu);
@@ -225,6 +210,7 @@ struct block_pool::impl {
     exit_flushed.fetch_add(s.blocks, std::memory_order_relaxed);
     s.blocks = 0;
     s.runs.clear();
+    s.claimed = false;
   }
 
   cache_slot& slot_for_thread() {
@@ -232,9 +218,16 @@ struct block_pool::impl {
     for (const auto& e : reg)
       if (e.pool_id == id) return *e.slot;
     std::lock_guard<std::mutex> lk(mu);
-    slots.emplace_back();
-    reg.push_back({id, &slots.back()});
-    return slots.back();
+    cache_slot* s = nullptr;
+    for (auto& c : slots)
+      if (!c.claimed) {
+        s = &c;
+        break;
+      }
+    if (s == nullptr) s = &slots.emplace_back();
+    s->claimed = true;
+    reg.push_back({id, s});
+    return *s;
   }
 
   /// Exact-or-split fit from the calling thread's cache. Returns true and
@@ -432,9 +425,9 @@ block_pool::stats_t block_pool::stats() const {
   s.lease_ns = p_->lease_ns.load();
   std::lock_guard<std::mutex> lk(p_->mu);
   s.segments = p_->segments.size();
+  s.cache_slots = p_->slots.size();
   for (const auto& seg : p_->segments) {
     s.blocks_total += seg.nblocks;
-    if (seg.how == impl::backing::mmap_huge) ++s.hugepage_segments;
     // Hole scan: free runs that end at a used block.
     std::size_t run = 0;
     for (std::size_t i = 0; i < seg.nblocks; ++i) {
@@ -478,7 +471,6 @@ pool_counts pool_totals() {
     t.blocks_peak += s.blocks_peak;
     t.holes += s.holes;
     t.segments += s.segments;
-    t.hugepage_segments += s.hugepage_segments;
   }
   return t;
 }

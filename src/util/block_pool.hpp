@@ -1,15 +1,15 @@
 // Process-wide pooled block allocator for leasable workspace arenas.
 //
 // The workspace arena (util/workspace.hpp) sizes every lane ONCE and the
-// hot loop never allocates — but a one-simulation arena owns its
-// full-footprint slabs for the simulation's whole lifetime, which is
-// exactly wrong for a campaign server time-slicing many queued runs under
-// a bounded memory budget. This pool makes arena storage *leasable*:
+// hot loop never allocates — but an arena that owned its full-footprint
+// slabs for the simulation's whole lifetime would be exactly wrong for a
+// campaign server time-slicing many queued runs under a bounded memory
+// budget. This pool makes arena storage *leasable*:
 //
 //   * Memory is carved into fixed-size, 64-byte-aligned BLOCKS inside
-//     large SEGMENTS (mmap'd, optionally hugepage-backed). A per-segment
-//     free-line bitmap (one bit per block, gclib-style) tracks occupancy;
-//     a lease is a contiguous run of blocks found first-fit in the maps.
+//     large SEGMENTS (mmap'd plain pages). A per-segment free-line bitmap
+//     (one bit per block, gclib-style) tracks occupancy; a lease is a
+//     contiguous run of blocks found first-fit in the maps.
 //   * Leases recycle across owners: a suspended simulation releases its
 //     blocks and a resuming one (the same or any other) reacquires
 //     possibly different blocks. Released regions are 0xAB-poisoned in
@@ -23,9 +23,10 @@
 //     counts, cache hits and cumulative lease latency — surfaced through
 //     counters.hpp (counters::pool_totals) and the step-timing report.
 //
-// Segment backing tries, in order: mmap + MAP_HUGETLB (explicit
-// hugepages), mmap + madvise(MADV_HUGEPAGE) (transparent), and finally
-// std::aligned_alloc — each fallback silent, recorded only in the stats.
+// Segments are anonymous mmap mappings of ordinary pages, falling back to
+// std::aligned_alloc where mmap is unavailable or fails. Segments do not
+// ask for huge pages: on the 32x49x16 benchmark those raised peak RSS by
+// ~10% over plain pages (DESIGN.md §12).
 #pragma once
 
 #include <cstddef>
@@ -42,8 +43,6 @@ struct block_pool_config {
   /// Blocks per segment (one mmap). A lease larger than a whole segment
   /// gets a dedicated segment sized for it.
   std::size_t segment_blocks = 64;
-  /// Try hugepage backing for segments (silent fallback to small pages).
-  bool hugepages = true;
   /// Per-thread cache capacity in blocks; 0 disables the caches.
   std::size_t thread_cache_blocks = 256;
 };
@@ -90,8 +89,10 @@ class block_pool {
     /// hole). Computed on demand from the bitmaps.
     std::size_t holes = 0;
     std::size_t segments = 0;
-    std::size_t hugepage_segments = 0;  // of those, MAP_HUGETLB-backed
-    std::uint64_t lease_ns = 0;         // cumulative wall time in acquire()
+    /// Per-thread cache slots in existence: at most the peak number of
+    /// threads caching at once, since an exited thread's slot is reused.
+    std::size_t cache_slots = 0;
+    std::uint64_t lease_ns = 0;  // cumulative wall time in acquire()
   };
 
   explicit block_pool(const block_pool_config& cfg = {});
@@ -121,7 +122,7 @@ class block_pool {
   [[nodiscard]] stats_t stats() const;
   [[nodiscard]] const block_pool_config& config() const { return cfg_; }
 
-  /// The process-wide pool every pooled field_workspace leases from.
+  /// The process-wide pool every simulation's field_workspace leases from.
   static block_pool& global();
 
  private:

@@ -80,7 +80,6 @@ struct pool_counts {
   std::uint64_t blocks_peak = 0;
   std::uint64_t holes = 0;
   std::uint64_t segments = 0;
-  std::uint64_t hugepage_segments = 0;
   std::uint64_t lease_ns = 0;
 };
 

@@ -8,15 +8,13 @@
 // 64-byte-aligned blocks; a `workspace_lane::scope` releases everything
 // allocated after it in LIFO order when it leaves scope.
 //
-// Slab backing comes in two regimes:
-//   * OWNED  — reserve_bytes(): the lane owns an aligned_buffer slab for
-//     its whole lifetime (the original, one-simulation arena).
-//   * POOLED — lease_bytes(): the slab is a lease of fixed-size blocks
-//     from a pcf::block_pool. release_slab() hands the blocks back (a
-//     suspended simulation's footprint drops to its evolved state) and
-//     reacquire_slab() leases again — possibly DIFFERENT blocks, so every
-//     pointer previously handed out is dead and permanent checkouts must
-//     be re-established in their original order (same offsets, new base).
+// Every slab is a lease of fixed-size blocks from a pcf::block_pool
+// (block_pool::global() in production, a private pool in tests).
+// release_slab() hands the blocks back (a suspended simulation's
+// footprint drops to its evolved state) and reacquire_slab() leases again
+// — possibly DIFFERENT blocks, so every pointer previously handed out is
+// dead and permanent checkouts must be re-established in their original
+// order (same offsets, new base).
 //
 // Lifetime rules:
 //   * Permanent blocks (alive for the simulation's lifetime) are allocated
@@ -47,7 +45,8 @@
 
 namespace pcf {
 
-/// One bump-allocated scratch lane over a fixed 64-byte-aligned slab.
+/// One bump-allocated scratch lane over a fixed 64-byte-aligned slab
+/// leased from a block_pool.
 class workspace_lane {
  public:
   workspace_lane() = default;
@@ -55,8 +54,8 @@ class workspace_lane {
   workspace_lane(const workspace_lane&) = delete;
   workspace_lane& operator=(const workspace_lane&) = delete;
   // Explicit moves: the source must come back empty (no stale slab
-  // pointer, no doubly released lease) and stay reusable — reserve or
-  // lease it again before the next checkout.
+  // pointer, no doubly released lease) and stay reusable — lease it again
+  // before the next checkout.
   workspace_lane(workspace_lane&& o) noexcept { move_from_(o); }
   workspace_lane& operator=(workspace_lane&& o) noexcept {
     if (this != &o) {
@@ -66,24 +65,10 @@ class workspace_lane {
     return *this;
   }
 
-  /// Size the slab (OWNED regime). Only legal while nothing is checked
-  /// out (construction time); existing contents are discarded.
-  void reserve_bytes(std::size_t bytes) {
-    PCF_REQUIRE(top_ == 0 && live_scopes_ == 0,
-                "workspace lane resized while blocks are checked out");
-    drop_backing_();
-    pool_ = nullptr;
-    wanted_ = bytes;
-    owned_.reset(bytes);
-    data_ = owned_.data();
-    size_ = bytes;
-    peak_ = 0;
-    released_ = false;
-  }
-
-  /// Back the slab by a block-pool lease (POOLED regime): capacity is
-  /// `bytes` rounded up to whole pool blocks. Same checkout-free
-  /// precondition as reserve_bytes. The pool must outlive the lane.
+  /// Back the slab by a block-pool lease: capacity is `bytes` rounded up
+  /// to whole pool blocks. Only legal while nothing is checked out
+  /// (construction time); existing contents are discarded. The pool must
+  /// outlive the lane.
   void lease_bytes(block_pool& pool, std::size_t bytes) {
     PCF_REQUIRE(top_ == 0 && live_scopes_ == 0,
                 "workspace lane re-leased while blocks are checked out");
@@ -98,40 +83,31 @@ class workspace_lane {
     poison_fresh_();
   }
 
-  /// Give the slab back (suspend). Requires every scope closed; permanent
-  /// checkouts die with the slab and must be re-established after
-  /// reacquire_slab(). Pooled lanes return their blocks to the pool;
-  /// owned lanes free the buffer. Idempotent.
+  /// Give the slab's blocks back to the pool (suspend). Requires every
+  /// scope closed; permanent checkouts die with the slab and must be
+  /// re-established after reacquire_slab(). Idempotent.
   void release_slab() {
     PCF_REQUIRE(live_scopes_ == 0,
                 "workspace lane released while scopes are open");
+    PCF_REQUIRE(pool_ != nullptr, "workspace lane released before a lease");
     if (released_) return;
-    if (pool_ != nullptr)
-      pool_->release(lease_);
-    else
-      owned_.reset(0);
+    pool_->release(lease_);
     data_ = nullptr;
     size_ = 0;
     top_ = 0;
     released_ = true;
   }
 
-  /// Re-establish the slab after release_slab() (resume): pooled lanes
-  /// lease possibly different blocks of the same byte capacity, owned
-  /// lanes reallocate. The bump pointer restarts at zero — permanent
-  /// checkouts repeated in construction order land on their original
-  /// offsets. peak_bytes() survives the cycle (it sizes future lanes).
+  /// Re-establish the slab after release_slab() (resume): leases possibly
+  /// different blocks of the same byte capacity. The bump pointer
+  /// restarts at zero — permanent checkouts repeated in construction
+  /// order land on their original offsets. peak_bytes() survives the
+  /// cycle (it sizes future lanes).
   void reacquire_slab() {
     PCF_REQUIRE(released_, "reacquire_slab on a lane that was not released");
-    if (pool_ != nullptr) {
-      lease_ = pool_->acquire(wanted_);
-      data_ = lease_.data();
-      size_ = lease_.bytes();
-    } else {
-      owned_.reset(wanted_);
-      data_ = owned_.data();
-      size_ = wanted_;
-    }
+    lease_ = pool_->acquire(wanted_);
+    data_ = lease_.data();
+    size_ = lease_.bytes();
     released_ = false;
     poison_fresh_();
   }
@@ -187,26 +163,22 @@ class workspace_lane {
 
   [[nodiscard]] std::size_t capacity_bytes() const { return size_; }
   [[nodiscard]] std::size_t used_bytes() const { return top_; }
-  /// High-water mark since reserve/lease — for sizing reports; preserved
+  /// High-water mark since the lease — for sizing reports; preserved
   /// across release/reacquire cycles.
   [[nodiscard]] std::size_t peak_bytes() const { return peak_; }
   /// Scopes currently open on this lane (zero at step boundaries).
   [[nodiscard]] int live_scopes() const { return live_scopes_; }
   /// True between release_slab() and reacquire_slab().
   [[nodiscard]] bool released() const { return released_; }
-  /// True when the slab is (or will be, after reacquire) pool-leased.
-  [[nodiscard]] bool pooled() const { return pool_ != nullptr; }
 
  private:
   void drop_backing_() {
     if (pool_ != nullptr) pool_->release(lease_);
-    owned_.reset(0);
     data_ = nullptr;
     size_ = 0;
   }
 
   void move_from_(workspace_lane& o) {
-    owned_ = std::move(o.owned_);
     pool_ = o.pool_;
     lease_ = o.lease_;
     data_ = o.data_;
@@ -234,7 +206,6 @@ class workspace_lane {
 #endif
   }
 
-  aligned_buffer<unsigned char> owned_;
   block_pool* pool_ = nullptr;
   block_pool::lease lease_;
   unsigned char* data_ = nullptr;
@@ -251,10 +222,10 @@ class workspace_lane {
 ///                    substep-lifetime fields like hU/hW);
 ///   * thread(tid)  — per-advance-pool-thread scratch (mode-loop lines);
 ///   * transform()  — the pencil kernel's ping-pong transpose/FFT buffers.
-/// Capacities are fixed at construction; see workspace_lane for the
-/// checkout rules. Pass a block_pool to lease every lane's slab from it
-/// instead of owning them — release()/reacquire() then cycle the whole
-/// arena through the pool (the simulation's suspend/resume path).
+/// Capacities are fixed at construction and every lane's slab is leased
+/// from `pool`; see workspace_lane for the checkout rules.
+/// release()/reacquire() cycle the whole arena through the pool (the
+/// simulation's suspend/resume path).
 class field_workspace {
  public:
   struct sizes {
@@ -272,19 +243,13 @@ class field_workspace {
     std::size_t peak_bytes = 0;
   };
 
-  explicit field_workspace(const sizes& s, block_pool* pool = nullptr)
-      : pool_(pool),
-        threads_(static_cast<std::size_t>(s.num_threads > 0 ? s.num_threads
+  /// Lease every lane from `pool`, which must outlive the workspace.
+  field_workspace(const sizes& s, block_pool& pool)
+      : threads_(static_cast<std::size_t>(s.num_threads > 0 ? s.num_threads
                                                             : 1)) {
-    if (pool_ != nullptr) {
-      shared_.lease_bytes(*pool_, s.shared_bytes);
-      transform_.lease_bytes(*pool_, s.transform_bytes);
-      for (auto& t : threads_) t.lease_bytes(*pool_, s.thread_bytes);
-    } else {
-      shared_.reserve_bytes(s.shared_bytes);
-      transform_.reserve_bytes(s.transform_bytes);
-      for (auto& t : threads_) t.reserve_bytes(s.thread_bytes);
-    }
+    shared_.lease_bytes(pool, s.shared_bytes);
+    transform_.lease_bytes(pool, s.transform_bytes);
+    for (auto& t : threads_) t.lease_bytes(pool, s.thread_bytes);
   }
 
   [[nodiscard]] workspace_lane& shared() { return shared_; }
@@ -296,17 +261,17 @@ class field_workspace {
     return threads_.size();
   }
 
-  /// Suspend: every lane gives its slab back (pooled lanes return their
-  /// blocks for other owners to recycle). All scopes must be closed.
+  /// Suspend: every lane returns its blocks to the pool for other owners
+  /// to recycle. All scopes must be closed.
   void release() {
     shared_.release_slab();
     transform_.release_slab();
     for (auto& t : threads_) t.release_slab();
   }
 
-  /// Resume: every lane re-establishes a slab (pooled lanes lease
-  /// possibly different blocks). Permanent checkouts must be repeated in
-  /// construction order by the owners holding them.
+  /// Resume: every lane leases a slab again (possibly different blocks).
+  /// Permanent checkouts must be repeated in construction order by the
+  /// owners holding them.
   void reacquire() {
     shared_.reacquire_slab();
     transform_.reacquire_slab();
@@ -314,7 +279,6 @@ class field_workspace {
   }
 
   [[nodiscard]] bool released() const { return shared_.released(); }
-  [[nodiscard]] bool pooled() const { return pool_ != nullptr; }
 
   [[nodiscard]] std::size_t total_bytes() const {
     std::size_t b = shared_.capacity_bytes() + transform_.capacity_bytes();
@@ -336,7 +300,6 @@ class field_workspace {
   }
 
  private:
-  block_pool* pool_ = nullptr;
   workspace_lane shared_;
   workspace_lane transform_;
   std::vector<workspace_lane> threads_;

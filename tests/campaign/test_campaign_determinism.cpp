@@ -11,8 +11,8 @@
 // identical grids (so runs share FFT plans — sharing must not leak bits
 // between tenants either).
 //
-// Labels: `determinism` (runs under the determinism-pooled and
-// determinism-tsan presets) + `campaign`. Under TSan the sweep shrinks,
+// Labels: `determinism` (runs under the determinism, determinism-tsan
+// and ubsan presets) + `campaign`. Under TSan the sweep shrinks,
 // matching the rest of the determinism suite's TSan policy.
 #include <gtest/gtest.h>
 
@@ -81,15 +81,13 @@ std::vector<campaign::job_spec> sweep_jobs() {
 }
 
 /// The reference: the same job executed alone, with the campaign's
-/// per-tenant config overrides (single-rank world, pooled workspace)
-/// mirrored, fingerprinting after every step exactly as the campaign
-/// observer does.
+/// per-tenant config override (single-rank world) mirrored,
+/// fingerprinting after every step exactly as the campaign observer does.
 determinism::trace solo_trace(const campaign::job_spec& j) {
   determinism::trace tr;
   core::channel_config cc = j.config;
   cc.pa = 1;
   cc.pb = 1;
-  cc.pooled_workspace = true;
   vmpi::run_world(1, [&](vmpi::communicator& world) {
     core::channel_dns dns(cc, world);
     dns.initialize(j.perturbation, j.seed);

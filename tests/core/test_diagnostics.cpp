@@ -1,9 +1,7 @@
-// Energy-balance diagnostics and decomposition-independent checkpoints.
+// Energy-balance diagnostics.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
 
 #include "core/simulation.hpp"
@@ -76,92 +74,6 @@ TEST(Dissipation, FluctuationsIncreaseDissipation) {
     turb.set_mean_profile(lam.mean_profile());
     EXPECT_GT(turb.dissipation(), lam.dissipation());
   });
-}
-
-TEST(GlobalCheckpoint, RestartOnDifferentDecomposition) {
-  const std::string path = ::testing::TempDir() + "/pcf_gckpt.bin";
-  auto cfg = cfg_small();
-  // Run 2 + 1 steps on a 2x2 grid, saving after step 2.
-  std::vector<double> direct;
-  cfg.pa = 2;
-  cfg.pb = 2;
-  run_world(4, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.initialize(0.1, 3);
-    dns.step();
-    dns.step();
-    dns.save_checkpoint(path);
-    dns.step();
-    auto prof = dns.mean_profile();  // collective: every rank participates
-    if (world.rank() == 0) direct = prof;
-  });
-  // Restart the saved state on a single rank and take the same third step.
-  std::vector<double> resumed;
-  cfg.pa = 1;
-  cfg.pb = 1;
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.load_checkpoint(path);
-    EXPECT_EQ(dns.step_count(), 2);
-    dns.step();
-    resumed = dns.mean_profile();
-  });
-  ASSERT_EQ(direct.size(), resumed.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_NEAR(direct[i], resumed[i], 1e-10);
-  std::remove(path.c_str());
-}
-
-TEST(ParallelCheckpoint, SingleFileRestartAcrossDecompositions) {
-  const std::string path = ::testing::TempDir() + "/pcf_pckpt.bin";
-  auto cfg = cfg_small();
-  std::vector<double> direct;
-  cfg.pa = 2;
-  cfg.pb = 2;
-  run_world(4, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.initialize(0.1, 13);
-    dns.step();
-    dns.save_checkpoint(path);
-    dns.step();
-    auto prof = dns.mean_profile();  // collective: every rank participates
-    if (world.rank() == 0) direct = prof;
-  });
-  std::vector<double> resumed;
-  cfg.pa = 1;
-  cfg.pb = 2;
-  run_world(2, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.load_checkpoint(path);
-    EXPECT_EQ(dns.step_count(), 1);
-    dns.step();
-    resumed = dns.mean_profile();
-  });
-  ASSERT_EQ(direct.size(), resumed.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    EXPECT_NEAR(direct[i], resumed[i], 1e-10);
-  std::remove(path.c_str());
-}
-
-TEST(ParallelCheckpoint, RejectsWrongMagic) {
-  const std::string path = ::testing::TempDir() + "/pcf_pckpt_bad.bin";
-  auto cfg = cfg_small();
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(cfg, world);
-    dns.initialize(0.0);
-    dns.save_checkpoint(path);
-  });
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.put('X');  // first byte of the magic
-  }
-  EXPECT_THROW(run_world(1,
-                         [&](communicator& world) {
-                           channel_dns dns(cfg, world);
-                           dns.load_checkpoint(path);
-                         }),
-               pcf::precondition_error);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -132,7 +132,7 @@ struct stage_harness {
         d(pcf::pencil::grid{c.nx, static_cast<std::size_t>(c.ny), c.nz},
           dns_kernel_config(c), cart.pa(), cart.pb(), cart.coord_a(),
           cart.coord_b()),
-        ws(dns_workspace_sizes(c, d)),
+        ws(dns_workspace_sizes(c, d), pcf::block_pool::global()),
         pf(pcf::pencil::grid{c.nx, static_cast<std::size_t>(c.ny), c.nz},
            cart, dns_kernel_config(c), ws.transform()),
         ops(c.ny, c.degree, c.stretch),
@@ -423,20 +423,6 @@ TEST(Stages, StepHotLoopDoesNotAllocateThreaded) {
   expect_zero_alloc_steps(cfg);
 }
 
-TEST(Stages, StepHotLoopDoesNotAllocatePooled) {
-  // Pool-backed lanes: leasing happens at construction (and on resume),
-  // never inside the hot loop — stepping must stay heap-silent exactly
-  // like the owned regime.
-  channel_config cfg;
-  cfg.nx = 16;
-  cfg.nz = 16;
-  cfg.ny = 33;
-  cfg.re_tau = 180.0;
-  cfg.dt = 1e-4;
-  cfg.pooled_workspace = true;
-  expect_zero_alloc_steps(cfg);
-}
-
 TEST(Stages, StepAfterResumeDoesNotAllocate) {
   // A suspend/resume cycle re-leases and rebinds, but once resumed the
   // hot loop must be as allocation-free as a never-suspended run. The
@@ -448,7 +434,6 @@ TEST(Stages, StepAfterResumeDoesNotAllocate) {
   cfg.ny = 33;
   cfg.re_tau = 180.0;
   cfg.dt = 1e-4;
-  cfg.pooled_workspace = true;
   run_world(1, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(0.1, 1);
@@ -481,7 +466,6 @@ TEST(Stages, SuspendResumeCyclesReproduceGoldenCheckpointHash) {
     cfg.ny = 33;
     cfg.re_tau = 180.0;
     cfg.dt = 1e-4;
-    cfg.pooled_workspace = true;
     channel_dns dns(cfg, world);
     dns.initialize(0.1, 1);
     for (int s = 0; s < 25; ++s) {
@@ -513,7 +497,6 @@ TEST(Stages, ObservablesResumeASuspendedSimulation) {
     cfg.ny = 33;
     cfg.re_tau = 180.0;
     cfg.dt = 1e-4;
-    cfg.pooled_workspace = true;
     channel_dns dns(cfg, world);
     dns.initialize(0.1, 1);
     for (int s = 0; s < 3; ++s) dns.step();

@@ -45,11 +45,23 @@ inline pcf::core::channel_config quickstart_config() {
     cfg.autotune = true;
     if (*cache) cfg.tuning_cache = cache;
   }
-  // The `determinism-pooled` preset: lanes lease from the block pool and
-  // analysis::record_trace cycles suspend/resume around every step.
-  if (std::getenv("PCF_DETERMINISM_POOLED") != nullptr)
-    cfg.pooled_workspace = true;
   return cfg;
+}
+
+/// record_trace with a full suspend -> release -> re-lease -> resume cycle
+/// before every step, so the workspace slabs land on possibly different
+/// pool blocks each step. Must reproduce the straight trace bit for bit.
+inline pcf::determinism::trace record_cycled_trace(
+    pcf::core::channel_dns& dns, int nsteps) {
+  pcf::determinism::trace t;
+  t.steps.push_back(pcf::determinism::fingerprint(dns));
+  for (int s = 0; s < nsteps; ++s) {
+    dns.suspend();
+    dns.resume();
+    dns.step();
+    t.steps.push_back(pcf::determinism::fingerprint(dns));
+  }
+  return t;
 }
 
 inline constexpr double kQuickstartPerturbation = 0.1;

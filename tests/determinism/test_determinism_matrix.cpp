@@ -1,9 +1,10 @@
 // Cross-configuration bit-identity: every data-movement axis — advance /
 // FFT / reorder thread counts, transform batch width F, pipeline depth,
-// and the virtual-rank decomposition — must produce ONE identical per-step
-// CRC trace at the quickstart configuration (DESIGN.md, "Determinism
-// contract"). A divergence fails with the step and state field where the
-// first differing bit appeared.
+// the virtual-rank decomposition, and suspend/resume cycles that move the
+// workspace onto different pool blocks — must produce ONE identical
+// per-step CRC trace at the quickstart configuration (DESIGN.md,
+// "Determinism contract"). A divergence fails with the step and state
+// field where the first differing bit appeared.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,8 +20,10 @@ using pcf::core::channel_config;
 using pcf::core::channel_dns;
 using pcf::determinism::compare;
 using pcf::determinism::describe;
+using pcf::determinism::read_trace_csv;
 using pcf::determinism::record_trace;
 using pcf::determinism::trace;
+using pcf::pencil::decomposition;
 using pcf::vmpi::communicator;
 using pcf::vmpi::run_world;
 using namespace pcf_determinism_test;
@@ -31,13 +34,15 @@ constexpr int kSteps = PCF_UNDER_TSAN ? 6 : 12;
 
 /// Run the quickstart campaign under `cfg` on cfg.pa * cfg.pb virtual
 /// ranks and return the per-step fingerprint trace (rank 0's copy; all
-/// ranks compute the identical trace).
-trace run_config(const channel_config& cfg, int nsteps = kSteps) {
+/// ranks compute the identical trace). `cycle` suspends and resumes the
+/// simulation before every step.
+trace run_config(const channel_config& cfg, bool cycle = false) {
   trace t;
   run_world(cfg.pa * cfg.pb, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    const trace local = record_trace(dns, nsteps);
+    const trace local = cycle ? record_cycled_trace(dns, kSteps)
+                              : record_trace(dns, kSteps);
     if (world.rank() == 0) t = local;
   });
   return t;
@@ -113,6 +118,30 @@ TEST(DeterminismMatrix, ClampWhenBatchNarrowerThanPipeline) {
   expect_matches_baseline(cfg, "f1_d2_serial");
   cfg.pa = 2;
   expect_matches_baseline(cfg, "f1_d2_p2x1");
+}
+
+// Suspend + resume before every step: each cycle hands every workspace
+// slab back to the block pool and leases it again, possibly on different
+// blocks. On a 2x2 split and on the 4-rank slab layout the cycled run
+// must reproduce the committed quickstart trace (its first kSteps steps).
+TEST(DeterminismMatrix, SuspendResumeEveryStepMatchesCommittedTrace) {
+  trace golden = read_trace_csv(
+      std::string(PCF_SOURCE_DIR) +
+      "/tests/determinism/golden_trace_quickstart.csv");
+  ASSERT_GT(golden.steps.size(), static_cast<std::size_t>(kSteps));
+  golden.steps.resize(kSteps + 1);
+  for (const auto layout : {decomposition::pencil2d, decomposition::slab}) {
+    channel_config cfg = quickstart_config();
+    cfg.pa = 2;
+    cfg.pb = 2;
+    cfg.decomposition = layout;
+    const auto divs = compare(golden, run_config(cfg, /*cycle=*/true));
+    EXPECT_TRUE(divs.empty())
+        << (layout == decomposition::slab ? "slab" : "2x2")
+        << " run with suspend/resume before every step diverged from the "
+           "committed trace:\n"
+        << describe(divs);
+  }
 }
 
 // F = 2 with depth 2 makes the *trailing* chunk of the five-field batch a

@@ -1,14 +1,12 @@
-// Pooled-workspace axis of the determinism matrix: lanes that lease their
-// slabs from the process-wide block pool must be an *addressing* change
-// only. A pooled run reproduces the owned trace bit-for-bit, a run that
-// suspends (releasing every block) and resumes (onto possibly different
-// blocks) before each step reproduces the straight run, interleaved
-// simulations recycling each other's blocks stay independent, and a
-// checkpoint restores into a suspended simulation through the implicit
-// re-lease path. The `determinism-pooled` CMake preset additionally runs
-// the whole suite with PCF_DETERMINISM_POOLED=1, which pools every
-// configuration of the matrix and cycles suspend/resume inside
-// record_trace itself.
+// Suspend/resume axis of the determinism matrix: every workspace lane
+// leases its slab from the process-wide block pool, so suspending hands
+// the blocks back and resuming leases possibly different ones — an
+// *addressing* change only. A run that suspends and resumes before each
+// step reproduces the straight run and the committed golden trace,
+// interleaved simulations recycling each other's blocks stay independent,
+// and a checkpoint restores into a suspended simulation through the
+// implicit re-lease path. test_determinism_matrix runs the same cycle on
+// multi-rank layouts.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,7 +20,6 @@
 namespace {
 
 using pcf::block_pool;
-using pcf::core::channel_config;
 using pcf::core::channel_dns;
 using pcf::determinism::compare;
 using pcf::determinism::describe;
@@ -34,46 +31,17 @@ using pcf::vmpi::communicator;
 using pcf::vmpi::run_world;
 using namespace pcf_determinism_test;
 
-channel_config pooled_config() {
-  auto cfg = quickstart_config();
-  cfg.pooled_workspace = true;
-  return cfg;
-}
-
-channel_config owned_config() {
-  auto cfg = quickstart_config();
-  cfg.pooled_workspace = false;
-  return cfg;
-}
-
 constexpr int kSteps = 12;
-
-TEST(DeterminismPooled, PooledTraceMatchesOwnedTrace) {
-  trace owned, pooled;
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(owned_config(), world);
-    dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    owned = record_trace(dns, kSteps);
-  });
-  run_world(1, [&](communicator& world) {
-    channel_dns dns(pooled_config(), world);
-    dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    pooled = record_trace(dns, kSteps);
-  });
-  const auto divs = compare(owned, pooled);
-  EXPECT_TRUE(divs.empty())
-      << "pool-leased lanes changed the physics:\n" << describe(divs);
-}
 
 TEST(DeterminismPooled, SuspendResumeCyclesMatchStraightRun) {
   trace straight, cycled;
   run_world(1, [&](communicator& world) {
-    channel_dns dns(pooled_config(), world);
+    channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     straight = record_trace(dns, kSteps);
   });
   run_world(1, [&](communicator& world) {
-    channel_dns dns(pooled_config(), world);
+    channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     cycled.steps.push_back(fingerprint(dns));
     for (int s = 0; s < kSteps; ++s) {
@@ -94,8 +62,8 @@ TEST(DeterminismPooled, SuspendResumeCyclesMatchStraightRun) {
       << describe(divs);
 }
 
-// The committed golden trace holds through pooled lanes AND a full
-// release/re-lease cycle before every one of the 25 steps, and a
+// The committed golden trace holds through a full release/re-lease cycle
+// before every one of the 25 steps, and a
 // checkpoint saved from the suspended end state restores that state.
 TEST(DeterminismPooled, CycledPooledRunMatchesCommittedGolden) {
   if (PCF_UNDER_TSAN) GTEST_SKIP() << "golden artifacts excluded from the "
@@ -104,7 +72,7 @@ TEST(DeterminismPooled, CycledPooledRunMatchesCommittedGolden) {
   constexpr int kGoldenSteps = 25;
   trace t;
   run_world(1, [&](communicator& world) {
-    channel_dns dns(pooled_config(), world);
+    channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     t.steps.push_back(fingerprint(dns));
     for (int s = 0; s < kGoldenSteps; ++s) {
@@ -118,7 +86,7 @@ TEST(DeterminismPooled, CycledPooledRunMatchesCommittedGolden) {
     dns.suspend();
     dns.save_checkpoint(ckpt);
     EXPECT_TRUE(dns.suspended());
-    channel_dns restored(pooled_config(), world);
+    channel_dns restored(quickstart_config(), world);
     restored.load_checkpoint(ckpt);
     EXPECT_EQ(fingerprint(restored), t.steps.back())
         << "checkpoint saved while suspended does not restore the state";
@@ -129,7 +97,7 @@ TEST(DeterminismPooled, CycledPooledRunMatchesCommittedGolden) {
       "/tests/determinism/golden_trace_quickstart.csv");
   const auto divs = compare(golden, t);
   EXPECT_TRUE(divs.empty())
-      << "pooled+cycled trace diverged from the committed golden trace:\n"
+      << "cycled trace diverged from the committed golden trace:\n"
       << describe(divs);
 }
 
@@ -143,7 +111,7 @@ TEST(DeterminismPooled, InterleavedSimulationsRecycleBlocksIndependently) {
   constexpr int kRounds = 6;
   trace reference;
   run_world(1, [&](communicator& world) {
-    channel_dns dns(pooled_config(), world);
+    channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     reference = record_trace(dns, kRounds);
   });
@@ -153,7 +121,7 @@ TEST(DeterminismPooled, InterleavedSimulationsRecycleBlocksIndependently) {
     std::vector<trace> traces(kSims);
     std::vector<channel_dns*> sims;
     for (int i = 0; i < kSims; ++i)
-      sims.push_back(new channel_dns(pooled_config(), world));
+      sims.push_back(new channel_dns(quickstart_config(), world));
     std::uint64_t one_resumed = 0;
     for (int i = 0; i < kSims; ++i) {
       sims[i]->initialize(kQuickstartPerturbation, kQuickstartSeed);
@@ -200,14 +168,14 @@ TEST(DeterminismPooled, CheckpointRestoresIntoSuspendedSimulation) {
   constexpr int kHead = 5, kTail = 7;
   trace straight_tail, restored_tail;
   run_world(1, [&](communicator& world) {
-    channel_dns dns(pooled_config(), world);
+    channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     for (int s = 0; s < kHead; ++s) dns.step();
     dns.save_checkpoint(ckpt);
     straight_tail = record_trace(dns, kTail);
   });
   run_world(1, [&](communicator& world) {
-    channel_dns dns(pooled_config(), world);
+    channel_dns dns(quickstart_config(), world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
     dns.suspend();
     ASSERT_TRUE(dns.suspended());

@@ -61,12 +61,14 @@ channel_config scalar_config() {
   return cfg;
 }
 
-trace run_config(const channel_config& cfg) {
+/// `cycle` suspends and resumes the simulation before every step.
+trace run_config(const channel_config& cfg, bool cycle = false) {
   trace t;
   run_world(cfg.pa * cfg.pb, [&](communicator& world) {
     channel_dns dns(cfg, world);
     dns.initialize(kQuickstartPerturbation, kQuickstartSeed);
-    const trace local = record_trace(dns, kSteps);
+    const trace local = cycle ? record_cycled_trace(dns, kSteps)
+                              : record_trace(dns, kSteps);
     if (world.rank() == 0) t = local;
   });
   return t;
@@ -121,12 +123,9 @@ TEST(DeterminismScenarios, PassiveScalarsProduceOneTrace) {
 TEST(DeterminismScenarios, PooledWorkspaceReproducesScalarTrace) {
   // Scenario state lives in the same leasable arenas as the velocity
   // fields; suspend/release/re-lease cycles must not move a bit.
-  channel_config base = scalar_config();
-  const trace owned = run_config(base);
-  channel_config pooled = base;
-  pooled.pooled_workspace = true;
-  const trace leased = run_config(pooled);
-  const auto divs = compare(owned, leased);
+  const trace straight = run_config(scalar_config());
+  const trace cycled = run_config(scalar_config(), /*cycle=*/true);
+  const auto divs = compare(straight, cycled);
   EXPECT_TRUE(divs.empty()) << describe(divs);
 }
 

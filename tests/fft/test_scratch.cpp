@@ -11,7 +11,6 @@
 
 #include "fft/fft.hpp"
 #include "fft/scratch.hpp"
-#include "util/block_pool.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -101,74 +100,6 @@ TEST(ScratchArena, IdleConsolidationHoldsBelow4xAndShrinksAbove) {
     (void)s.alloc(big / 4 - 1);
   }
   EXPECT_EQ(a.retained_elems(), big / 4 - 1);
-}
-
-TEST(ScratchArena, PooledChunksComeFromAndReturnToThePool) {
-  pcf::block_pool_config cfg;
-  cfg.block_bytes = 4096;
-  cfg.segment_blocks = 8;
-  cfg.hugepages = false;
-  cfg.thread_cache_blocks = 0;
-  pcf::block_pool pool(cfg);
-  // A local arena (not the TLS one) so this test controls its lifetime.
-  {
-    scratch_arena a;
-    scratch_arena::set_pool(&pool);
-    {
-      scratch_arena::scope s(a);
-      cplx* p = s.alloc(2 * scratch_arena::kMinChunk);
-      ASSERT_NE(p, nullptr);
-      p[0] = cplx{1.0, -1.0};
-      EXPECT_TRUE(a.any_pooled());
-      EXPECT_GT(pool.stats().blocks_leased, 0u);
-      EXPECT_EQ(p[0], (cplx{1.0, -1.0}));
-    }
-    // Consolidation may retain a pooled chunk; release_all drops it.
-    a.release_all();
-    scratch_arena::set_pool(nullptr);
-    EXPECT_EQ(pool.stats().blocks_leased, 0u);
-    EXPECT_GE(pool.stats().releases, 1u);
-  }
-}
-
-TEST(ScratchArena, HeapFallbackWhenNoPoolConfigured) {
-  ASSERT_EQ(scratch_arena::pool(), nullptr);  // default: heap chunks
-  scratch_arena a;
-  scratch_arena::scope s(a);
-  cplx* p = s.alloc(scratch_arena::kMinChunk);
-  ASSERT_NE(p, nullptr);
-  EXPECT_FALSE(a.any_pooled());
-}
-
-TEST(ScratchArena, PooledPlanExecutionMatchesHeap) {
-  // Same transform, pooled scratch vs heap scratch, on fresh threads so
-  // each run starts from an empty TLS arena: results must be identical
-  // bits (the arena only hands out addresses).
-  const std::size_t n = 74;  // Bluestein inside (nested scratch scopes)
-  pcf::rng r(740);
-  std::vector<double> x(n);
-  for (auto& v : x) v = r.uniform(-1, 1);
-  std::vector<cplx> heap_out(n / 2 + 1), pool_out(n / 2 + 1);
-  std::thread t1([&] {
-    r2c_plan p(n);
-    p.execute(x.data(), heap_out.data());
-  });
-  t1.join();
-  pcf::block_pool pool;
-  std::thread t2([&] {
-    scratch_arena::set_pool(&pool);
-    r2c_plan p(n);
-    p.execute(x.data(), pool_out.data());
-    EXPECT_TRUE(scratch_arena::tls().any_pooled());
-    scratch_arena::tls().release_all();
-    scratch_arena::set_pool(nullptr);
-  });
-  t2.join();
-  for (std::size_t k = 0; k <= n / 2; ++k) {
-    EXPECT_EQ(heap_out[k].real(), pool_out[k].real()) << "k=" << k;
-    EXPECT_EQ(heap_out[k].imag(), pool_out[k].imag()) << "k=" << k;
-  }
-  EXPECT_EQ(pool.stats().blocks_leased, 0u);
 }
 
 TEST(ScratchArena, ManyChunksMergeWhenIdle) {

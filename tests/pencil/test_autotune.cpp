@@ -1,5 +1,6 @@
 // The transform autotuner: cache round trips, key discrimination, the
-// measure-agree-persist flow, and per-communicator strategy overrides.
+// measure-agree-persist flow, and world-wide agreement on the
+// per-communicator exchange strategies.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -108,32 +109,6 @@ TEST(TuningCache, ApplyTuningMapsEveryChoiceField) {
   EXPECT_EQ(k.pipeline_depth, 2);
 }
 
-TEST(KernelConfig, PerCommStrategyOverridesSkipMeasurement) {
-  run_world(4, [](communicator& world) {
-    cart2d cart(world, 2, 2);
-    const grid g{8, 9, 8};
-    kernel_config cfg;
-    cfg.strategy = exchange_strategy::auto_plan;  // would measure...
-    cfg.strategy_a = exchange_strategy::pairwise;  // ...but overrides win
-    cfg.strategy_b = exchange_strategy::alltoall;
-    parallel_fft pf(g, cart, cfg);
-    EXPECT_EQ(pf.strategy_a(), exchange_strategy::pairwise);
-    EXPECT_EQ(pf.strategy_b(), exchange_strategy::alltoall);
-  });
-}
-
-TEST(KernelConfig, GlobalStrategyStillAppliesWithoutOverrides) {
-  run_world(4, [](communicator& world) {
-    cart2d cart(world, 2, 2);
-    const grid g{8, 9, 8};
-    kernel_config cfg;
-    cfg.strategy = exchange_strategy::pairwise;
-    parallel_fft pf(g, cart, cfg);
-    EXPECT_EQ(pf.strategy_a(), exchange_strategy::pairwise);
-    EXPECT_EQ(pf.strategy_b(), exchange_strategy::pairwise);
-  });
-}
-
 TEST(Autotune, MeasuresAgreesAndPersists) {
   const std::string path = cache_path("flow");
   run_world(4, [&](communicator& world) {
@@ -200,6 +175,32 @@ TEST(Autotune, EmptyCachePathMeasuresAndPersistsNothing) {
     // max_batch = 3 prunes the F = 5 candidates.
     EXPECT_EQ(rep.measured.size(), 3u);
     EXPECT_LE(rep.choice.batch, 3);
+  });
+}
+
+TEST(Autotune, EveryRankOfA2x2CartGetsTheSameStrategyPair) {
+  // CommA and CommB each form two independent groups on a 2x2 cart; the
+  // strategy timings are max-reduced over the whole world, so all four
+  // ranks must come back with one pair even when the groups' own
+  // timings would pick differently.
+  run_world(4, [](communicator& world) {
+    cart2d cart(world, 2, 2);
+    const grid g{8, 9, 8};
+    kernel_config base;
+    base.max_batch = 3;
+    tune_options opt;  // no cache: every call measures
+    opt.reps = 1;
+    for (int trial = 0; trial < 3; ++trial) {
+      const tune_report rep = autotune_transforms(g, world, cart, base, opt);
+      const double mine[2] = {
+          rep.choice.strat_a == exchange_strategy::pairwise ? 1.0 : 0.0,
+          rep.choice.strat_b == exchange_strategy::pairwise ? 1.0 : 0.0};
+      double mx[2], mn[2];
+      world.allreduce_max(mine, mx, 2);
+      world.allreduce_min(mine, mn, 2);
+      EXPECT_EQ(mx[0], mn[0]) << "trial " << trial;
+      EXPECT_EQ(mx[1], mn[1]) << "trial " << trial;
+    }
   });
 }
 
@@ -311,8 +312,8 @@ TEST(Autotune, TunedConfigConstructsWithoutRemeasuring) {
     const tune_report rep = autotune_transforms(g, world, cart, base, opt);
     const kernel_config tuned = apply_tuning(base, rep.choice);
     parallel_fft pf(g, cart, tuned);
-    EXPECT_EQ(pf.strategy_a(), rep.choice.strat_a);
-    EXPECT_EQ(pf.strategy_b(), rep.choice.strat_b);
+    EXPECT_EQ(pf.config().strategy_a, rep.choice.strat_a);
+    EXPECT_EQ(pf.config().strategy_b, rep.choice.strat_b);
     EXPECT_EQ(pf.config().max_batch, rep.choice.batch);
     EXPECT_EQ(pf.config().pipeline_depth, rep.choice.pipeline_depth);
   });

@@ -149,7 +149,8 @@ TEST(PfftBatch, PairwiseStrategyBatchesIdentically) {
       for (auto strat :
            {exchange_strategy::alltoall, exchange_strategy::pairwise}) {
         kernel_config cfg;
-        cfg.strategy = strat;
+        cfg.strategy_a = strat;
+        cfg.strategy_b = strat;
         cfg.max_batch = static_cast<int>(F);
         parallel_fft pf(g, cart, cfg);
         const auto& d = pf.dec();

@@ -246,10 +246,9 @@ TEST(Pfft, PairwiseStrategyMatchesAlltoall) {
     run_world(4, [&](communicator& world) {
       cart2d cart(world, 2, 2);
       kernel_config cfg;
-      cfg.strategy = strat;
+      cfg.strategy_a = strat;
+      cfg.strategy_b = strat;
       parallel_fft pf(g, cart, cfg);
-      EXPECT_EQ(pf.strategy_a(), strat);
-      EXPECT_EQ(pf.strategy_b(), strat);
       const auto& d = pf.dec();
       aligned_buffer<cplx> spec(d.y_pencil_elems());
       for (std::size_t x = 0; x < d.xs.count; ++x)
@@ -272,31 +271,6 @@ TEST(Pfft, PairwiseStrategyMatchesAlltoall) {
         EXPECT_EQ(ref[i], got[i]);
     }
   }
-}
-
-TEST(Pfft, AutoPlanPicksAValidStrategyAndWorks) {
-  const grid g{16, 8, 8};
-  run_world(4, [&](communicator& world) {
-    cart2d cart(world, 2, 2);
-    kernel_config cfg;
-    cfg.strategy = exchange_strategy::auto_plan;
-    parallel_fft pf(g, cart, cfg);
-    EXPECT_NE(pf.strategy_a(), exchange_strategy::auto_plan);
-    EXPECT_NE(pf.strategy_b(), exchange_strategy::auto_plan);
-    const auto& d = pf.dec();
-    aligned_buffer<cplx> spec(d.y_pencil_elems());
-    for (std::size_t x = 0; x < d.xs.count; ++x)
-      for (std::size_t z = 0; z < d.zs.count; ++z)
-        for (std::size_t y = 0; y < g.ny; ++y)
-          spec[(x * d.zs.count + z) * g.ny + y] = spec_value(
-              d.xs.offset + x, d.zs.offset + z, y, g, false, true);
-    aligned_buffer<double> phys(d.x_pencil_real_elems());
-    aligned_buffer<cplx> back(d.y_pencil_elems());
-    pf.to_physical(spec.data(), phys.data());
-    pf.to_spectral(phys.data(), back.data());
-    for (std::size_t i = 0; i < spec.size(); ++i)
-      EXPECT_LT(std::abs(back[i] - spec[i]), 1e-12);
-  });
 }
 
 TEST(Pfft, MoreRanksThanDataInSomeDimension) {

@@ -25,7 +25,6 @@ block_pool_config small_cfg() {
   block_pool_config c;
   c.block_bytes = 4096;
   c.segment_blocks = 8;
-  c.hugepages = false;
   c.thread_cache_blocks = 0;  // exact bitmap accounting by default
   return c;
 }
@@ -165,22 +164,6 @@ TEST(BlockPool, LeaseLatencyAccumulates) {
   EXPECT_EQ(pool.stats().leases, 1u);
 }
 
-TEST(BlockPool, HugepageRequestFallsBackSilently) {
-  // Whether or not the host has hugepages configured, acquisition must
-  // succeed and the memory must be usable; the only trace of the backing
-  // choice is the stats counter.
-  auto cfg = small_cfg();
-  cfg.hugepages = true;
-  block_pool pool(cfg);
-  auto l = pool.acquire(6 * 4096);
-  ASSERT_TRUE(l);
-  std::fill_n(l.data(), l.bytes(), static_cast<unsigned char>(0x77));
-  EXPECT_EQ(l.data()[l.bytes() - 1], 0x77);
-  const auto st = pool.stats();
-  EXPECT_LE(st.hugepage_segments, st.segments);
-  pool.release(l);
-}
-
 #ifndef NDEBUG
 TEST(BlockPool, ReleasedRunsArePoisoned) {
   block_pool pool(small_cfg());  // caches off: release poisons in place
@@ -251,6 +234,27 @@ TEST(BlockPool, ThreadExitFlushesCachedRunsBackToPool) {
   EXPECT_EQ(st.exit_flushed_blocks, 3u);
   pool.trim();
   EXPECT_EQ(pool.stats().blocks_total, 0u);
+}
+
+// Regression: every thread used to get a fresh, never-freed cache slot,
+// so running each simulation on a new thread grew the malloc heap by one
+// pinned allocation per thread. Threads that come and go one at a time
+// must share one slot.
+TEST(BlockPool, ExitedThreadsHandTheirCacheSlotOn) {
+  auto cfg = small_cfg();
+  cfg.thread_cache_blocks = 16;
+  block_pool pool(cfg);
+  for (int i = 0; i < 20; ++i) {
+    std::thread worker([&pool] {
+      auto l = pool.acquire(4096);
+      pool.release(l);  // cached on this thread's slot
+    });
+    worker.join();
+  }
+  const auto st = pool.stats();
+  EXPECT_EQ(st.cache_slots, 1u);
+  EXPECT_EQ(st.exit_flushed_blocks, 20u);
+  EXPECT_EQ(st.blocks_cached, 0u);
 }
 
 TEST(BlockPool, ThreadExitAfterPoolDestructionIsHarmless) {

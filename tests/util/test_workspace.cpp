@@ -1,6 +1,7 @@
 // Workspace arena invariants: alignment, LIFO scope release, peak
 // tracking, fixed capacity (overflow throws instead of growing), and the
-// pooled lease/release/reacquire cycle (the simulation's suspend path).
+// lease/release/reacquire cycle (the simulation's suspend path). Every
+// lane leases from a private small-block pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,18 +22,20 @@ using pcf::block_pool_config;
 using pcf::field_workspace;
 using pcf::workspace_lane;
 
-block_pool_config test_pool_cfg() {
+constexpr std::size_t kBlock = 4096;
+
+block_pool_config small_cfg() {
   block_pool_config c;
-  c.block_bytes = 4096;
+  c.block_bytes = kBlock;
   c.segment_blocks = 8;
-  c.hugepages = false;
   c.thread_cache_blocks = 0;
   return c;
 }
 
 TEST(Workspace, BlocksAre64ByteAlignedAndDisjoint) {
+  block_pool pool(small_cfg());
   workspace_lane lane;
-  lane.reserve_bytes(4096);
+  lane.lease_bytes(pool, kBlock);
   double* a = lane.alloc<double>(10);
   double* b = lane.alloc<double>(10);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % pcf::kAlignment, 0u);
@@ -41,8 +44,9 @@ TEST(Workspace, BlocksAre64ByteAlignedAndDisjoint) {
 }
 
 TEST(Workspace, ScopeReleasesLifo) {
+  block_pool pool(small_cfg());
   workspace_lane lane;
-  lane.reserve_bytes(4096);
+  lane.lease_bytes(pool, kBlock);
   double* permanent = lane.alloc<double>(8);
   const std::size_t base = lane.used_bytes();
   double* first = nullptr;
@@ -68,8 +72,9 @@ TEST(Workspace, ScopeReleasesLifo) {
 }
 
 TEST(Workspace, PeakTracksHighWaterMark) {
+  block_pool pool(small_cfg());
   workspace_lane lane;
-  lane.reserve_bytes(4096);
+  lane.lease_bytes(pool, kBlock);
   {
     workspace_lane::scope scope(lane);
     (void)lane.alloc<double>(64);
@@ -79,12 +84,13 @@ TEST(Workspace, PeakTracksHighWaterMark) {
 }
 
 TEST(Workspace, OverflowThrowsInsteadOfGrowing) {
+  block_pool pool(small_cfg());
   workspace_lane lane;
-  lane.reserve_bytes(256);
-  EXPECT_THROW((void)lane.alloc<double>(1024), pcf::precondition_error);
+  lane.lease_bytes(pool, 256);  // one whole block
+  EXPECT_THROW((void)lane.alloc<double>(kBlock), pcf::precondition_error);
   // Lane capacity is fixed once blocks are checked out.
   (void)lane.alloc<double>(4);
-  EXPECT_THROW(lane.reserve_bytes(8192), pcf::precondition_error);
+  EXPECT_THROW(lane.lease_bytes(pool, 2 * kBlock), pcf::precondition_error);
 }
 
 // Regression: the capacity check used to compute `offset + count *
@@ -92,8 +98,9 @@ TEST(Workspace, OverflowThrowsInsteadOfGrowing) {
 // comparison vacuously — handing out a pointer with ~0 usable bytes. The
 // overflow-safe check must reject every wrapping count.
 TEST(Workspace, OverflowCheckRejectsWrappingByteCount) {
+  block_pool pool(small_cfg());
   workspace_lane lane;
-  lane.reserve_bytes(4096);
+  lane.lease_bytes(pool, kBlock);
   const std::size_t huge = std::numeric_limits<std::size_t>::max() / 8 + 2;
   // huge * sizeof(double) wraps to a small number; the naive check would
   // accept it.
@@ -108,43 +115,44 @@ TEST(Workspace, OverflowCheckRejectsWrappingByteCount) {
 }
 
 TEST(Workspace, MovedFromLaneIsEmptyAndReusable) {
+  block_pool pool(small_cfg());
   workspace_lane a;
-  a.reserve_bytes(1024);
+  a.lease_bytes(pool, 2 * kBlock);
   double* p = a.alloc<double>(4);
   p[0] = 42.0;
   workspace_lane b(std::move(a));
   // The slab (and its contents) moved; the source is empty but alive.
   EXPECT_EQ(b.used_bytes(), 4 * sizeof(double));
-  EXPECT_EQ(b.capacity_bytes(), 1024u);
+  EXPECT_EQ(b.capacity_bytes(), 2 * kBlock);
   EXPECT_EQ(a.capacity_bytes(), 0u);
   EXPECT_EQ(a.used_bytes(), 0u);
-  // Re-reserving the moved-from lane brings it back into service.
-  a.reserve_bytes(512);
+  // Re-leasing the moved-from lane brings it back into service.
+  a.lease_bytes(pool, kBlock);
   double* q = a.alloc<double>(4);
   q[0] = 7.0;
   EXPECT_EQ(p[0], 42.0);  // b's storage is untouched by a's new slab
   // Move-assign over a live lane releases its old slab first.
   a = std::move(b);
-  EXPECT_EQ(a.capacity_bytes(), 1024u);
+  EXPECT_EQ(a.capacity_bytes(), 2 * kBlock);
   EXPECT_EQ(a.used_bytes(), 4 * sizeof(double));
+  EXPECT_EQ(pool.stats().blocks_leased, 2u);
 }
 
 TEST(Workspace, PooledMoveTransfersLease) {
-  block_pool pool(test_pool_cfg());
+  block_pool pool(small_cfg());
   workspace_lane a;
   a.lease_bytes(pool, 100);
-  EXPECT_TRUE(a.pooled());
   (void)a.alloc<double>(4);
   workspace_lane b(std::move(a));
-  EXPECT_TRUE(b.pooled());
-  EXPECT_FALSE(a.pooled());
+  EXPECT_EQ(b.capacity_bytes(), kBlock);
+  EXPECT_EQ(a.capacity_bytes(), 0u);
   EXPECT_EQ(pool.stats().blocks_leased, 1u);  // exactly one live lease
   b.release_slab();
   EXPECT_EQ(pool.stats().blocks_leased, 0u);
 }
 
 TEST(Workspace, PooledReacquireReproducesConstructionOffsets) {
-  block_pool pool(test_pool_cfg());
+  block_pool pool(small_cfg());
   workspace_lane lane;
   lane.lease_bytes(pool, 2 * 4096);
   EXPECT_GE(lane.capacity_bytes(), 2 * 4096u);  // whole-block round-up
@@ -184,14 +192,13 @@ TEST(Workspace, PooledReacquireReproducesConstructionOffsets) {
 }
 
 TEST(Workspace, PooledFieldWorkspaceReleaseReacquireCycle) {
-  block_pool pool(test_pool_cfg());
+  block_pool pool(small_cfg());
   field_workspace::sizes s;
   s.shared_bytes = 4096;
   s.thread_bytes = 4096;
   s.transform_bytes = 8192;
   s.num_threads = 2;
-  field_workspace ws(s, &pool);
-  EXPECT_TRUE(ws.pooled());
+  field_workspace ws(s, pool);
   EXPECT_FALSE(ws.released());
   EXPECT_GT(pool.stats().blocks_leased, 0u);
 
@@ -220,25 +227,6 @@ TEST(Workspace, PooledFieldWorkspaceReleaseReacquireCycle) {
   }
 }
 
-TEST(Workspace, OwnedLanesAlsoSupportReleaseReacquire) {
-  // The suspend path must work for owned lanes too (free + realloc), so
-  // the pooled determinism hook is safe for every configuration.
-  field_workspace::sizes s;
-  s.shared_bytes = 2048;
-  s.thread_bytes = 1024;
-  s.transform_bytes = 4096;
-  s.num_threads = 1;
-  field_workspace ws(s);
-  EXPECT_FALSE(ws.pooled());
-  (void)ws.shared().alloc<double>(16);
-  ws.release();
-  EXPECT_TRUE(ws.released());
-  ws.reacquire();
-  double* p = ws.shared().alloc<double>(16);
-  EXPECT_NE(p, nullptr);
-  EXPECT_EQ(ws.shared().capacity_bytes(), 2048u);
-}
-
 // Emulates the staged-pipeline checkout pattern with a stage that throws
 // mid-step (the CFL blow-up abort path): one shared-lane scope plus one
 // scope per pool thread, the thread scopes unwinding on their own worker
@@ -252,7 +240,8 @@ TEST(Workspace, ThrowingStageUnwindsScopesAndLanesStayUsable) {
   s.thread_bytes = 4096;
   s.transform_bytes = 0;
   s.num_threads = 2;
-  field_workspace ws(s);
+  block_pool blocks(small_cfg());
+  field_workspace ws(s, blocks);
   pcf::thread_pool pool(2);
 
   double* perm = ws.shared().alloc<double>(16);  // permanent checkout
@@ -286,17 +275,19 @@ TEST(Workspace, ThrowingStageUnwindsScopesAndLanesStayUsable) {
 
 TEST(Workspace, FieldWorkspaceExposesAllLanes) {
   field_workspace::sizes s;
-  s.shared_bytes = 1024;
-  s.thread_bytes = 512;
-  s.transform_bytes = 2048;
+  s.shared_bytes = kBlock;
+  s.thread_bytes = 512;  // rounds up to one whole block
+  s.transform_bytes = 2 * kBlock;
   s.num_threads = 3;
-  field_workspace ws(s);
+  block_pool pool(small_cfg());
+  field_workspace ws(s, pool);
   EXPECT_EQ(ws.num_thread_lanes(), 3u);
-  EXPECT_EQ(ws.shared().capacity_bytes(), 1024u);
-  EXPECT_EQ(ws.transform().capacity_bytes(), 2048u);
+  EXPECT_EQ(ws.shared().capacity_bytes(), kBlock);
+  EXPECT_EQ(ws.transform().capacity_bytes(), 2 * kBlock);
   for (std::size_t t = 0; t < 3; ++t)
-    EXPECT_EQ(ws.thread(t).capacity_bytes(), 512u);
-  EXPECT_EQ(ws.total_bytes(), 1024u + 2048u + 3u * 512u);
+    EXPECT_EQ(ws.thread(t).capacity_bytes(), kBlock);
+  EXPECT_EQ(ws.total_bytes(), 6 * kBlock);
+  EXPECT_EQ(pool.stats().blocks_leased, 6u);
 }
 
 }  // namespace
