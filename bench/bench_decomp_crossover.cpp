@@ -1,10 +1,11 @@
-// Decomposition crossover study: where do the comm-avoiding layouts
-// (1-D slab, 2.5D hybrid) beat the 2-D pencil, and out to how many ranks?
+// Decomposition crossover study: where do the comm-avoiding splits
+// (1-D slab 1 x R, 2.5D hybrid c x R/c) beat the 2-D pencil, and out to
+// how many ranks?
 //
 // Two parts, mirroring bench_table5_comm's structure:
 //   (1) *measured* — the real transform kernel on the virtual-MPI runtime,
-//       one run per runnable decomposition of a small rank count. This
-//       demonstrates the structural claim (the comm-avoiding layouts run
+//       one run per pencil::split_candidates entry at a small rank count.
+//       This demonstrates the structural claim (the comm-avoiding splits run
 //       half the counted exchange stages) and records real substage
 //       times; on the shared-memory virtual runtime every "exchange" is a
 //       memcpy, so wall-clock ordering there is bandwidth-dominated and
@@ -39,23 +40,30 @@ using pcf::netsim::job_config;
 using pcf::netsim::machine;
 using pcf::netsim::predictor;
 using pcf::pencil::cplx;
-using pcf::pencil::decomp_plan;
+using pcf::pencil::process_split;
 using pcf::pencil::grid;
 using pcf::pencil::kernel_config;
 using pcf::pencil::parallel_fft;
 
-// --- measured: one RK3 substage (3 down + 5 up) per decomposition --------
+// --- measured: one RK3 substage (3 down + 5 up) per split ----------------
+
+/// Row label derived from the split: a 1 x R grid is the slab, anything
+/// else a 2-D pencil grid (the 2.5D hybrid is the pencil c x R/c).
+std::string split_label(const process_split& s) {
+  return std::string(s.pa == 1 ? "slab " : "pencil ") + std::to_string(s.pa) +
+         " x " + std::to_string(s.pb);
+}
 
 struct measured_row {
-  decomp_plan plan;
+  process_split split;
   double seconds = 0.0;
   std::uint64_t exchanges = 0;  // counted global exchange stages/substage
 };
 
-measured_row run_plan(const decomp_plan& p, const grid& g, int trials,
-                      int reps) {
+measured_row run_split(const process_split& p, const grid& g, int trials,
+                       int reps) {
   measured_row out;
-  out.plan = p;
+  out.split = p;
   std::mutex m;
   pcf::vmpi::run_world(p.pa * p.pb, [&](pcf::vmpi::communicator& world) {
     pcf::vmpi::cart2d cart(world, p.pa, p.pb);
@@ -161,9 +169,9 @@ void write_json(const char* path, const job_config& jbase,
   for (std::size_t i = 0; i < measured.size(); ++i) {
     const auto& r = measured[i];
     std::fprintf(f,
-                 "    {\"kind\": \"%s\", \"pa\": %d, \"pb\": %d, "
+                 "    {\"split\": \"%s\", \"pa\": %d, \"pb\": %d, "
                  "\"seconds\": %.6e, \"exchanges\": %llu}%s\n",
-                 pcf::pencil::to_string(r.plan.kind), r.plan.pa, r.plan.pb,
+                 split_label(r.split).c_str(), r.split.pa, r.split.pb,
                  r.seconds, static_cast<unsigned long long>(r.exchanges),
                  i + 1 < measured.size() ? "," : "");
   }
@@ -194,16 +202,13 @@ int main(int argc, char** argv) {
               ranks, g.nx, g.ny, g.nz, trials, reps);
 
   std::vector<measured_row> measured;
-  for (const auto& p : pcf::pencil::decomposition_candidates(
-           g, ranks, ranks / 2, 2))
-    measured.push_back(run_plan(p, g, trials, reps));
+  for (const auto& p :
+       pcf::pencil::split_candidates(g, ranks, ranks / 2, 2))
+    measured.push_back(run_split(p, g, trials, reps));
 
-  pcf::text_table mt({"Layout", "Grid", "Exch/substage", "Substage",
-                      "vs pencil"});
+  pcf::text_table mt({"Split", "Exch/substage", "Substage", "vs first"});
   for (const auto& r : measured)
-    mt.add_row({pcf::pencil::to_string(r.plan.kind),
-                std::to_string(r.plan.pa) + " x " + std::to_string(r.plan.pb),
-                std::to_string(r.exchanges),
+    mt.add_row({split_label(r.split), std::to_string(r.exchanges),
                 pcf::text_table::fmt_time(r.seconds),
                 pcf::text_table::fmt(measured[0].seconds / r.seconds, 2) +
                     "x"});
@@ -279,7 +284,7 @@ int main(int argc, char** argv) {
 
   write_json("BENCH_decomp_crossover.json", j, scan, crossings, measured);
   std::printf("wrote BENCH_decomp_crossover.json (%zu scan points, %zu "
-              "measured layouts)\n",
+              "measured splits)\n",
               scan.size(), measured.size());
   return 0;
 }

@@ -152,12 +152,12 @@ tune_choice tune_and_reload(const bench_config& bc,
   std::mutex m;
   tune_choice tuned;
   pcf::vmpi::run_world(bc.pa * bc.pb, [&](pcf::vmpi::communicator& world) {
-    pcf::vmpi::cart2d cart(world, bc.pa, bc.pb);
     tune_options opt;
     opt.cache_path = cache;
     opt.reps = reps;
     opt.force_retune = true;  // a bench must measure, not replay old runs
-    const tune_report rep = autotune_transforms(bc.g, world, cart, base, opt);
+    const tune_report rep =
+        autotune_transforms(bc.g, world, bc.pa, bc.pb, base, opt);
     if (world.rank() == 0) {
       std::lock_guard<std::mutex> lk(m);
       tuned = rep.choice;
@@ -166,7 +166,8 @@ tune_choice tune_and_reload(const bench_config& bc,
   // Prove the persisted entry replays: the stored choice must round trip.
   const auto entries = load_tuning_cache(cache);
   const auto* hit =
-      find_tuning_entry(entries, make_tune_key(bc.g, base, bc.pa, bc.pb));
+      find_tuning_entry(entries, make_tune_key(bc.g, base, bc.pa * bc.pb,
+                                               bc.pa, bc.pb));
   if (hit != nullptr) tuned = hit->choice;
   return tuned;
 }

@@ -67,8 +67,12 @@ void channel_config::validate() const {
   if (advance_threads < 1)
     bad("advance_threads",
         "must be >= 1, got " + std::to_string(advance_threads));
-  if (replica_c < 0)
-    bad("replica_c", "must be >= 0, got " + std::to_string(replica_c));
+  if (pa == 0 && pb == 0) {
+    if (!autotune) bad("pa", "= pb = 0 (measure the split) needs autotune");
+  } else if (pa < 1 || pb < 1) {
+    bad("pa", "and pb must both be >= 1 (or both 0 with autotune), got " +
+                  std::to_string(pa) + " x " + std::to_string(pb));
+  }
 
   require_finite("wall_u_lo", scenario.wall_u_lo);
   require_finite("wall_u_hi", scenario.wall_u_hi);

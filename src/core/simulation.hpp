@@ -22,7 +22,6 @@
 
 #include "core/operators.hpp"
 #include "core/statistics.hpp"
-#include "pencil/decomp.hpp"
 #include "pencil/pencil.hpp"
 #include "util/counters.hpp"
 #include "vmpi/vmpi.hpp"
@@ -105,20 +104,15 @@ struct channel_config {
   double dt = 2e-4;       // fixed time step (friction units)
   double forcing = 1.0;   // mean pressure gradient -dP/dx (1 = friction units)
 
-  // Decomposition layout (pencil::decomposition): the configured pencil
-  // grid, a 1-D slab, a 2.5D slab-pencil hybrid, or `tuned` (measure the
-  // valid candidates at construction and keep the fastest — implies the
-  // transform autotuner). Slab and 2.5D resolve to a concrete pa/pb before
-  // the Cartesian split, overriding the values below; all layouts are
-  // bit-identical (the determinism suite pins all three to one CRC trace).
-  pencil::decomposition decomposition = pencil::decomposition::pencil2d;
-  // 2.5D replica-group size c (pa = c, pb = ranks / c); 0 picks the
-  // smallest valid c >= 2.
-  int replica_c = 0;
-
-  // Process grid and on-node threading.
+  // Process grid pa x pb (paper Section 2.2). Every layout is a split:
+  // the slab is 1 x R, the 2.5D slab-pencil hybrid is c x R/c, and all
+  // splits are bit-identical (the determinism suite pins them to one CRC
+  // trace). pa = pb = 0 asks the autotuner to measure the split, so
+  // validate() accepts it only with `autotune` set.
   int pa = 1;
   int pb = 1;
+
+  // On-node threading.
   int fft_threads = 1;
   int reorder_threads = 1;
   int advance_threads = 1;
@@ -140,15 +134,16 @@ struct channel_config {
   // repeated factorizations (ablation: bench_ablation_solver_cache).
   bool cache_solvers = true;
 
-  // Measure-and-pick autotuning of the transform kernel at construction
-  // (pencil::autotune_transforms): {exchange strategy per communicator,
-  // batch width <= max_batch, pipeline depth} are timed on this grid and
-  // rank split, and the winner is written back into max_batch /
-  // pipeline_depth / strategy_a / strategy_b before any workspace is
-  // sized. Bit-identical physics for every choice (the determinism suite
-  // pins this). `tuning_cache` persists winners across runs; empty
-  // re-measures at every construction. A damaged or version-skewed cache
-  // file falls back to measurement — it never aborts a run.
+  // Measure-and-pick autotuning at construction (pencil::
+  // autotune_transforms): the split when pa = pb = 0, then {exchange
+  // strategy per communicator, batch width <= max_batch, pipeline depth}
+  // are timed on this grid and split, and the winners are written back
+  // into pa / pb / max_batch / pipeline_depth / strategy_a / strategy_b
+  // before any communicator is split or workspace sized. Bit-identical
+  // physics for every choice (the determinism suite pins this).
+  // `tuning_cache` persists winners across runs; empty re-measures at
+  // every construction. A damaged or version-skewed cache file falls back
+  // to measurement — it never aborts a run.
   bool autotune = false;
   std::string tuning_cache;
 

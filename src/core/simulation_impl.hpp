@@ -54,14 +54,16 @@ struct channel_dns::impl {
   long steps = 0;
   bool suspended_ = false;
 
-  /// The Cartesian split of the *resolved* decomposition: slab / 2.5D /
-  /// tuned layouts rewrite cfg.pa/cfg.pb (collective measurement for
-  /// `tuned`) before any communicator is split, so the one cart below is
-  /// already the production layout. A plain init-list call would read
-  /// cfg.pa/cfg.pb at unspecified times relative to the resolution; the
-  /// helper sequences it.
+  /// The Cartesian split of the *resolved* configuration: resolve_tuning
+  /// rewrites cfg's split and transform knobs (collective measurement when
+  /// cfg.autotune is set) before any communicator is split, so the one cart
+  /// below is already the production layout and every member after it is
+  /// sized from the resolved cfg — in particular the workspace's transform
+  /// lane, which pf permanently checks its buffers out of. A plain
+  /// init-list call would read cfg.pa/cfg.pb at unspecified times relative
+  /// to the resolution; the helper sequences it.
   static vmpi::cart2d make_cart(channel_config& c, vmpi::communicator& w) {
-    resolve_parallel_plan(c, w);
+    resolve_tuning(c, w);
     return {w, c.pa, c.pb};
   }
 
@@ -69,14 +71,9 @@ struct channel_dns::impl {
       : cfg(c),
         world(w),
         cart(make_cart(cfg, w)),
-        // resolve_tuning may rewrite cfg's batch/pipeline/strategy fields
-        // (collective measurement when c.autotune is set), so every member
-        // below is sized from the *resolved* cfg, not from c — in
-        // particular the workspace's transform lane, which pf permanently
-        // checks its buffers out of.
         d(pencil::grid{cfg.nx, static_cast<std::size_t>(cfg.ny), cfg.nz},
-          dns_kernel_config(resolve_tuning(cfg, world, cart)), cart.pa(),
-          cart.pb(), cart.coord_a(), cart.coord_b()),
+          dns_kernel_config(cfg), cart.pa(), cart.pb(), cart.coord_a(),
+          cart.coord_b()),
         ws(dns_workspace_sizes(cfg, d), block_pool::global()),
         pf(pencil::grid{cfg.nx, static_cast<std::size_t>(cfg.ny), cfg.nz},
            cart, dns_kernel_config(cfg), ws.transform()),

@@ -14,35 +14,20 @@ pencil::kernel_config dns_kernel_config(const channel_config& c) {
   return k;
 }
 
-pencil::tune_key dns_tune_key(const channel_config& c) {
+pencil::tune_key dns_tune_key(const channel_config& c, int ranks) {
   const pencil::grid g{c.nx, static_cast<std::size_t>(c.ny), c.nz};
-  return pencil::make_tune_key(g, dns_kernel_config(c), c.pa, c.pb);
+  return pencil::make_tune_key(g, dns_kernel_config(c), ranks, c.pa, c.pb);
 }
 
-channel_config& resolve_parallel_plan(channel_config& c,
-                                      vmpi::communicator& world) {
-  const pencil::grid g{c.nx, static_cast<std::size_t>(c.ny), c.nz};
-  pencil::tune_options opt;
-  opt.cache_path = c.tuning_cache;
-  const pencil::decomp_tune_report rep = pencil::autotune_decomposition(
-      g, world, c.decomposition, c.pa, c.pb, c.replica_c,
-      dns_kernel_config(c), opt);
-  c.decomposition = rep.plan.kind;
-  c.pa = rep.plan.pa;
-  c.pb = rep.plan.pb;
-  c.replica_c = rep.plan.replica_c;
-  return c;
-}
-
-const channel_config& resolve_tuning(channel_config& c,
-                                     vmpi::communicator& world,
-                                     vmpi::cart2d& cart) {
+channel_config& resolve_tuning(channel_config& c, vmpi::communicator& world) {
   if (!c.autotune) return c;
   const pencil::grid g{c.nx, static_cast<std::size_t>(c.ny), c.nz};
   pencil::tune_options opt;
   opt.cache_path = c.tuning_cache;
-  const pencil::tune_report rep =
-      pencil::autotune_transforms(g, world, cart, dns_kernel_config(c), opt);
+  const pencil::tune_report rep = pencil::autotune_transforms(
+      g, world, c.pa, c.pb, dns_kernel_config(c), opt);
+  c.pa = rep.choice.pa;
+  c.pb = rep.choice.pb;
   c.max_batch = rep.choice.batch;
   c.pipeline_depth = rep.choice.pipeline_depth;
   c.strategy_a = rep.choice.strat_a;

@@ -48,29 +48,18 @@ inline constexpr double kZeta[3] = {0.0, -17.0 / 60.0, -5.0 / 12.0};
 [[nodiscard]] pencil::kernel_config dns_kernel_config(
     const channel_config& c);
 
-/// The tuning-cache key a DNS of configuration `c` measures under — what
-/// tests pre-seed and tools inspect. Derived from the *configured* batch
-/// ceiling, not a tuner-resolved one.
-[[nodiscard]] pencil::tune_key dns_tune_key(const channel_config& c);
+/// The tuning-cache key a DNS of configuration `c` measures under on
+/// `ranks` ranks — what tests pre-seed and tools inspect. Derived from the
+/// *configured* split and batch ceiling, not tuner-resolved ones.
+[[nodiscard]] pencil::tune_key dns_tune_key(const channel_config& c,
+                                            int ranks);
 
-/// If c.autotune is set, run pencil::autotune_transforms for this grid and
-/// rank split (collective over `world`) and write the chosen batch width,
-/// pipeline depth and exchange strategies back into `c`; otherwise a
-/// no-op. Returns `c` for use in a constructor init list — the resolution
-/// must happen before dns_workspace_sizes() sizes the transform lane.
-const channel_config& resolve_tuning(channel_config& c,
-                                     vmpi::communicator& world,
-                                     vmpi::cart2d& cart);
-
-/// Resolve c.decomposition into a concrete process grid *before* the
-/// Cartesian split exists: slab and 2.5D layouts override c.pa/c.pb,
-/// `tuned` measures the runnable candidates (pencil::
-/// autotune_decomposition, collective over `world`, persisted in
-/// c.tuning_cache) and writes the winner back. After this call
-/// c.decomposition names a concrete layout and c.pa x c.pb covers the
-/// ranks, ready for cart2d construction.
-channel_config& resolve_parallel_plan(channel_config& c,
-                                      vmpi::communicator& world);
+/// If c.autotune is set, run pencil::autotune_transforms over `world`
+/// (collective) and write the chosen split (c.pa x c.pb; measured when
+/// both are 0), batch width, pipeline depth and exchange strategies back
+/// into `c`; otherwise a no-op. Must run before the Cartesian split is
+/// made and before dns_workspace_sizes() sizes the transform lane.
+channel_config& resolve_tuning(channel_config& c, vmpi::communicator& world);
 
 /// Per-rank wavenumber tables, fixed for the simulation's lifetime.
 struct mode_tables {

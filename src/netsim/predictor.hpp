@@ -42,9 +42,10 @@ struct section_times {
   [[nodiscard]] double total() const { return comm + reorder + fft + advance; }
 };
 
-/// Decompositions the predictor can cost. Mirrors pcf::pencil::
-/// decomposition (netsim links only pcf_util, so it cannot include the
-/// pencil header); bench_decomp_crossover keeps the two aligned.
+/// Layouts the predictor can cost. The pencil kernel knows only process
+/// splits (pencil/decomp.hpp: slab = 1 x R, 2.5D = c x R/c); the modelled
+/// scan keeps its own kind so it can resolve each layout's split per rank
+/// count (netsim links only pcf_util, so it cannot include pencil).
 enum class decomp_kind { pencil2d, slab, hybrid_25d };
 
 [[nodiscard]] const char* to_string(decomp_kind k);

@@ -10,6 +10,8 @@
 #include <mutex>
 
 #include "io/atomic_file.hpp"
+#include "pencil/decomp.hpp"
+#include "util/check.hpp"
 #include "util/crc.hpp"
 #include "util/timer.hpp"
 
@@ -18,16 +20,19 @@ namespace pcf::pencil {
 namespace {
 
 // On-disk layout: header {magic, version, entry count} then fixed-size
-// entries, each 18 payload words (11 key + 7 choice) followed by a CRC-32
+// entries, each 16 payload words (10 key + 6 choice) followed by a CRC-32
 // of those payload bytes. All words are native u32 — the cache is a local
 // per-machine artifact, not an interchange format.
 //
-// v2 (the decomposition layer): key grew {decomp_kind, replica_c}, choice
-// grew {decomp, pa, pb}. v1 files fail the version check and fall back to
-// re-measurement — exactly the invalidation the format bump is for.
+// v3 (a layout is a split): the key is {grid, ranks, requested split,
+// threads, batch ceiling, flags} and the choice {pa, pb, strategies,
+// batch, depth}. v2 files (separate decomposition entries) fail the
+// version check and fall back to re-measurement.
 constexpr std::uint32_t kMagic = 0x50465443;  // "PFTC"
-constexpr std::uint32_t kVersion = 2;
-constexpr std::size_t kPayloadWords = 18;
+constexpr std::uint32_t kVersion = 3;
+constexpr std::size_t kKeyWords = 10;
+constexpr std::size_t kChoiceWords = 6;
+constexpr std::size_t kPayloadWords = kKeyWords + kChoiceWords;
 constexpr std::size_t kEntryBytes = (kPayloadWords + 1) * sizeof(std::uint32_t);
 constexpr std::size_t kHeaderBytes = 3 * sizeof(std::uint32_t);
 
@@ -42,44 +47,50 @@ bool decode_strategy(std::uint32_t v, exchange_strategy& out) {
   return true;
 }
 
-std::uint32_t encode_decomp(decomposition d) {
-  switch (d) {
-    case decomposition::pencil2d: return 0;
-    case decomposition::slab: return 1;
-    case decomposition::hybrid_25d: return 2;
-    case decomposition::tuned: return 3;
-  }
-  return 0;
+// The choice words, shared by the file entry and the rank-0 broadcast.
+void pack_choice(const tune_choice& c, std::uint32_t w[kChoiceWords]) {
+  w[0] = static_cast<std::uint32_t>(c.pa);
+  w[1] = static_cast<std::uint32_t>(c.pb);
+  w[2] = encode_strategy(c.strat_a);
+  w[3] = encode_strategy(c.strat_b);
+  w[4] = static_cast<std::uint32_t>(c.batch);
+  w[5] = static_cast<std::uint32_t>(c.pipeline_depth);
 }
 
-bool decode_decomp(std::uint32_t v, decomposition& out) {
-  if (v == 0) out = decomposition::pencil2d;
-  else if (v == 1) out = decomposition::slab;
-  else if (v == 2) out = decomposition::hybrid_25d;
-  else if (v == 3) out = decomposition::tuned;
-  else return false;
+// Decode the choice words and check them against the key they were stored
+// under: a choice the key's own measurement could never have produced is
+// rejected, so a hostile entry cannot size a run past its configured
+// batch ceiling or onto a split that does not cover its ranks.
+bool unpack_choice(const std::uint32_t w[kChoiceWords], const tune_key& key,
+                   tune_choice& c, std::string& why) {
+  if (!decode_strategy(w[2], c.strat_a) || !decode_strategy(w[3], c.strat_b)) {
+    why = "unknown exchange strategy code";
+    return false;
+  }
+  if (w[4] < 1 || w[4] > key.max_batch || w[5] < 1 || w[5] > w[4]) {
+    why = "batch/depth outside the key's ceiling";
+    return false;
+  }
+  const bool measured = key.pa == 0 && key.pb == 0;
+  if (std::uint64_t{w[0]} * w[1] != key.ranks ||
+      (!measured && (w[0] != key.pa || w[1] != key.pb))) {
+    why = "split does not match the key's ranks";
+    return false;
+  }
+  c.pa = static_cast<int>(w[0]);
+  c.pb = static_cast<int>(w[1]);
+  c.batch = static_cast<int>(w[4]);
+  c.pipeline_depth = static_cast<int>(w[5]);
   return true;
 }
 
 void pack_entry(const tune_entry& e, std::uint32_t w[kPayloadWords + 1]) {
-  w[0] = e.key.nx;
-  w[1] = e.key.ny;
-  w[2] = e.key.nz;
-  w[3] = e.key.pa;
-  w[4] = e.key.pb;
-  w[5] = e.key.fft_threads;
-  w[6] = e.key.reorder_threads;
-  w[7] = e.key.max_batch;
-  w[8] = e.key.flags;
-  w[9] = e.key.decomp_kind;
-  w[10] = e.key.replica_c;
-  w[11] = encode_strategy(e.choice.strat_a);
-  w[12] = encode_strategy(e.choice.strat_b);
-  w[13] = static_cast<std::uint32_t>(e.choice.batch);
-  w[14] = static_cast<std::uint32_t>(e.choice.pipeline_depth);
-  w[15] = encode_decomp(e.choice.decomp);
-  w[16] = static_cast<std::uint32_t>(e.choice.pa);
-  w[17] = static_cast<std::uint32_t>(e.choice.pb);
+  const tune_key& k = e.key;
+  const std::uint32_t key[kKeyWords] = {
+      k.nx, k.ny, k.nz, k.ranks, k.pa, k.pb, k.fft_threads,
+      k.reorder_threads, k.max_batch, k.flags};
+  std::memcpy(w, key, sizeof(key));
+  pack_choice(e.choice, w + kKeyWords);
   w[kPayloadWords] = crc32(w, kPayloadWords * sizeof(std::uint32_t));
 }
 
@@ -89,33 +100,9 @@ bool unpack_entry(const std::uint32_t w[kPayloadWords + 1], tune_entry& e,
     why = "entry CRC mismatch";
     return false;
   }
-  e.key = tune_key{w[0], w[1], w[2], w[3], w[4], w[5],
-                   w[6], w[7], w[8], w[9], w[10]};
-  if (!decode_strategy(w[11], e.choice.strat_a) ||
-      !decode_strategy(w[12], e.choice.strat_b)) {
-    why = "unknown exchange strategy code";
-    return false;
-  }
-  e.choice.batch = static_cast<int>(w[13]);
-  e.choice.pipeline_depth = static_cast<int>(w[14]);
-  if (e.choice.batch < 1 || e.choice.batch > 1024 ||
-      e.choice.pipeline_depth < 1 ||
-      e.choice.pipeline_depth > e.choice.batch) {
-    why = "implausible tuning choice";
-    return false;
-  }
-  if (!decode_decomp(w[15], e.choice.decomp) ||
-      e.choice.decomp == decomposition::tuned) {
-    why = "unknown or unresolved decomposition code";
-    return false;
-  }
-  e.choice.pa = static_cast<int>(w[16]);
-  e.choice.pb = static_cast<int>(w[17]);
-  if (w[16] > (1u << 20) || w[17] > (1u << 20)) {
-    why = "implausible decomposition grid";
-    return false;
-  }
-  return true;
+  e.key = tune_key{w[0], w[1], w[2], w[3], w[4],
+                   w[5], w[6], w[7], w[8], w[9]};
+  return unpack_choice(w + kKeyWords, e.key, e.choice, why);
 }
 
 void warn(std::vector<std::string>* sink, std::string msg) {
@@ -298,6 +285,84 @@ std::vector<exchange_strategy> strategy_candidates(int size) {
   return {exchange_strategy::alltoall, exchange_strategy::pairwise};
 }
 
+// The measurement behind a cache miss (collective over `world`): the split
+// first when it was not given, then the exchange-strategy pair and the
+// batch/depth sweep on the winning split. Every argmin is strict < over a
+// fixed candidate order, so ties keep the earlier candidate and every rank
+// (comparing identical agreed times) picks the same one.
+tune_choice measure(const grid& g, vmpi::communicator& world, int pa, int pb,
+                    const kernel_config& base, const tune_options& opt,
+                    tune_report& rep) {
+  tune_choice chosen;
+  chosen.pa = pa;
+  chosen.pb = pb;
+  if (pa == 0 && pb == 0) {
+    const std::vector<process_split> splits =
+        split_candidates(g, world.size(), 0, 0);
+    chosen.pa = splits[0].pa;
+    chosen.pb = splits[0].pb;
+    double best = std::numeric_limits<double>::infinity();
+    if (splits.size() > 1) {
+      for (const process_split& s : splits) {
+        vmpi::cart2d cart(world, s.pa, s.pb);
+        parallel_fft pf(g, cart, base);
+        const double agreed = time_substage(pf, world, opt.reps);
+        rep.measured.push_back(
+            {s.pa, s.pb, base.max_batch, base.pipeline_depth, agreed});
+        if (agreed < best) {
+          best = agreed;
+          chosen.pa = s.pa;
+          chosen.pb = s.pb;
+        }
+      }
+    }
+  }
+  vmpi::cart2d cart(world, chosen.pa, chosen.pb);
+
+  // The exchange-strategy pair on the widest batch without pipelining; a
+  // lone candidate pair (every communicator of size 1) is not timed.
+  const int max_batch = std::max(1, base.max_batch);
+  const std::vector<exchange_strategy> cand_a = strategy_candidates(cart.pa());
+  const std::vector<exchange_strategy> cand_b = strategy_candidates(cart.pb());
+  double best = std::numeric_limits<double>::infinity();
+  if (cand_a.size() * cand_b.size() > 1) {
+    for (exchange_strategy sa : cand_a) {
+      for (exchange_strategy sb : cand_b) {
+        parallel_fft pf(g, cart, apply_tuning(base, {sa, sb, max_batch, 1}));
+        const double agreed = time_substage(pf, world, opt.reps);
+        if (agreed < best) {
+          best = agreed;
+          chosen.strat_a = sa;
+          chosen.strat_b = sb;
+        }
+      }
+    }
+  }
+
+  // The batch/depth sweep, ascending (F, depth): ties go to the smaller
+  // batch, then the shallower pipeline.
+  best = std::numeric_limits<double>::infinity();
+  for (int F : {1, 3, 5}) {
+    if (F > max_batch) continue;
+    for (int depth = 1; depth <= 2 && depth <= F; ++depth) {
+      tune_choice c = chosen;
+      c.batch = F;
+      c.pipeline_depth = depth;
+      parallel_fft pf(g, cart, apply_tuning(base, c));
+      const double agreed = time_substage(pf, world, opt.reps);
+      rep.measured.push_back({chosen.pa, chosen.pb, F, depth, agreed});
+      if (F == 1 && depth == 1) rep.per_field_s = agreed;
+      if (agreed < best) {
+        best = agreed;
+        chosen.batch = F;
+        chosen.pipeline_depth = depth;
+      }
+    }
+  }
+  rep.chosen_s = best;
+  return chosen;
+}
+
 }  // namespace
 
 tuning_memo_stats tuning_memo_statistics() {
@@ -319,14 +384,13 @@ void tuning_memo_reset() {
   m.misses = 0;
 }
 
-tune_key make_tune_key(const grid& g, const kernel_config& base, int pa,
-                       int pb, decomposition dk, int replica_c) {
+tune_key make_tune_key(const grid& g, const kernel_config& base, int ranks,
+                       int pa, int pb) {
   tune_key k;
-  k.decomp_kind = encode_decomp(dk);
-  k.replica_c = static_cast<std::uint32_t>(std::max(0, replica_c));
   k.nx = static_cast<std::uint32_t>(g.nx);
   k.ny = static_cast<std::uint32_t>(g.ny);
   k.nz = static_cast<std::uint32_t>(g.nz);
+  k.ranks = static_cast<std::uint32_t>(ranks);
   k.pa = static_cast<std::uint32_t>(pa);
   k.pb = static_cast<std::uint32_t>(pb);
   k.fft_threads = static_cast<std::uint32_t>(std::max(1, base.fft_threads));
@@ -413,18 +477,21 @@ const tune_entry* find_tuning_entry(const std::vector<tune_entry>& entries,
 }
 
 tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
-                                vmpi::cart2d& cart, const kernel_config& base,
+                                int pa, int pb, const kernel_config& base,
                                 const tune_options& opt) {
+  PCF_REQUIRE((pa == 0 && pb == 0) ||
+                  (pa >= 1 && pb >= 1 && pa * pb == world.size()),
+              "autotune split must cover the ranks, or be 0 x 0 to measure");
   tune_report rep;
-  rep.key = make_tune_key(g, base, cart.pa(), cart.pb());
+  rep.key = make_tune_key(g, base, world.size(), pa, pb);
   const bool root = world.rank() == 0;
 
   // Consult the caches on rank 0 and broadcast the verdict so every rank
   // takes the same branch (measurement is collective). Memo first — a
   // published hit costs no file I/O, and a miss makes this call the key's
   // owner (concurrent callers of the same key block until we publish).
-  std::uint32_t hit[5] = {0, 0, 0, 0, 0};  // hit[0]: 0 miss, 1 file, 2 memo
-  std::vector<tune_entry> entries;
+  // hit[0]: 0 miss, 1 file, 2 memo; then the choice words.
+  std::uint32_t hit[1 + kChoiceWords] = {};
   memo_ownership own;
   if (!opt.cache_path.empty()) {
     if (root) {
@@ -432,101 +499,46 @@ tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
       if (memo_lookup_or_begin(opt.cache_path, rep.key, opt.force_retune,
                                mc)) {
         hit[0] = 2;
-        hit[1] = encode_strategy(mc.strat_a);
-        hit[2] = encode_strategy(mc.strat_b);
-        hit[3] = static_cast<std::uint32_t>(mc.batch);
-        hit[4] = static_cast<std::uint32_t>(mc.pipeline_depth);
+        pack_choice(mc, hit + 1);
       } else {
         own.arm(opt.cache_path, rep.key);
         std::lock_guard<std::mutex> flk(cache_file_mutex(opt.cache_path));
-        entries = load_tuning_cache(opt.cache_path, &rep.warnings);
+        const std::vector<tune_entry> entries =
+            load_tuning_cache(opt.cache_path, &rep.warnings);
         const tune_entry* e = find_tuning_entry(entries, rep.key);
         if (e != nullptr && !opt.force_retune) {
           hit[0] = 1;
-          hit[1] = encode_strategy(e->choice.strat_a);
-          hit[2] = encode_strategy(e->choice.strat_b);
-          hit[3] = static_cast<std::uint32_t>(e->choice.batch);
-          hit[4] = static_cast<std::uint32_t>(e->choice.pipeline_depth);
+          pack_choice(e->choice, hit + 1);
         }
       }
     }
-    world.bcast(hit, 5, 0);
+    world.bcast(hit, 1 + kChoiceWords, 0);
   }
   if (hit[0] != 0) {
+    std::string why;
+    (void)unpack_choice(hit + 1, rep.key, rep.choice, why);  // checked
     rep.from_cache = true;
     rep.from_memo = hit[0] == 2;
-    decode_strategy(hit[1], rep.choice.strat_a);
-    decode_strategy(hit[2], rep.choice.strat_b);
-    rep.choice.batch = static_cast<int>(hit[3]);
-    rep.choice.pipeline_depth = static_cast<int>(hit[4]);
     if (root && own.armed) own.publish(rep.choice);  // seed memo from file
     return rep;
   }
 
-  // The exchange-strategy pair first, on the widest batch without
-  // pipelining; ties keep the earlier candidate (alltoall), and a lone
-  // candidate pair (every communicator of size 1) is not timed. The batch
-  // and depth sweep then runs with the winning pair.
-  tune_choice chosen;
-  const std::vector<exchange_strategy> cand_a =
-      strategy_candidates(cart.pa());
-  const std::vector<exchange_strategy> cand_b =
-      strategy_candidates(cart.pb());
-  double best_time = std::numeric_limits<double>::infinity();
-  if (cand_a.size() * cand_b.size() > 1) {
-    for (exchange_strategy sa : cand_a) {
-      for (exchange_strategy sb : cand_b) {
-        parallel_fft pf(g, cart,
-                        apply_tuning(base, {sa, sb,
-                                            std::max(1, base.max_batch), 1}));
-        const double agreed = time_substage(pf, world, opt.reps);
-        if (agreed < best_time) {
-          best_time = agreed;
-          chosen.strat_a = sa;
-          chosen.strat_b = sb;
-        }
-      }
-    }
-  }
-
-  best_time = std::numeric_limits<double>::infinity();
-  const int fcand[3] = {1, 3, 5};
-  for (int F : fcand) {
-    if (F > std::max(1, base.max_batch)) continue;
-    for (int depth = 1; depth <= 2; ++depth) {
-      if (depth > F) continue;  // a group per field at most
-      parallel_fft pf(g, cart,
-                      apply_tuning(base, {chosen.strat_a, chosen.strat_b, F,
-                                          depth}));
-      const double agreed = time_substage(pf, world, opt.reps);
-      rep.measured.push_back({F, depth, agreed});
-      if (F == 1 && depth == 1) rep.per_field_s = agreed;
-      // Strict < with the ascending (F, depth) sweep: ties go to the
-      // smaller batch, then the shallower pipeline — deterministic, and
-      // identical on every rank because `agreed` is.
-      if (agreed < best_time) {
-        best_time = agreed;
-        chosen.batch = F;
-        chosen.pipeline_depth = depth;
-      }
-    }
-  }
-  rep.choice = chosen;
-  rep.chosen_s = best_time;
+  rep.choice = measure(g, world, pa, pb, base, opt, rep);
 
   if (!opt.cache_path.empty()) {
     if (root) {
       // Load-merge-store so concurrent keys (other grids/splits) survive;
       // the per-path mutex keeps a concurrent merger from dropping ours.
       std::lock_guard<std::mutex> flk(cache_file_mutex(opt.cache_path));
-      entries = load_tuning_cache(opt.cache_path, nullptr);
+      std::vector<tune_entry> entries =
+          load_tuning_cache(opt.cache_path, nullptr);
       bool replaced = false;
       for (tune_entry& e : entries)
         if (e.key == rep.key) {
-          e.choice = chosen;
+          e.choice = rep.choice;
           replaced = true;
         }
-      if (!replaced) entries.push_back({rep.key, chosen});
+      if (!replaced) entries.push_back({rep.key, rep.choice});
       try {
         save_tuning_cache(opt.cache_path, entries);
         rep.stored = true;
@@ -541,129 +553,7 @@ tune_report autotune_transforms(const grid& g, vmpi::communicator& world,
     // Publish after the file settles: waiters blocked on this key resume
     // with the measured choice (a failed store still publishes — the
     // choice is valid either way).
-    if (root && own.armed) own.publish(chosen);
-  }
-  return rep;
-}
-
-decomp_tune_report autotune_decomposition(const grid& g,
-                                          vmpi::communicator& world,
-                                          decomposition requested, int pa,
-                                          int pb, int replica_c,
-                                          const kernel_config& base,
-                                          const tune_options& opt) {
-  decomp_tune_report rep;
-  const int ranks = world.size();
-  if (requested != decomposition::tuned) {
-    rep.plan = plan_decomposition(requested, g, ranks, pa, pb, replica_c);
-    return rep;
-  }
-  // Tuned runs need no configured pencil grid (the config default is
-  // 1 x 1): normalize to the near-square split so the candidate set and
-  // the cache key agree across launches.
-  if (pa < 1 || pb < 1 || pa * pb != ranks)
-    default_pencil_grid(ranks, pa, pb);
-  rep.key = make_tune_key(g, base, pa, pb, decomposition::tuned, replica_c);
-  const bool root = world.rank() == 0;
-
-  // Cache consult on rank 0 (memo tier first, exactly as in
-  // autotune_transforms), verdict broadcast (measurement is collective).
-  std::uint32_t hit[4] = {0, 0, 0, 0};  // hit[0]: 0 miss, 1 file, 2 memo
-  std::vector<tune_entry> entries;
-  memo_ownership own;
-  if (!opt.cache_path.empty()) {
-    if (root) {
-      tune_choice mc;
-      if (memo_lookup_or_begin(opt.cache_path, rep.key, opt.force_retune,
-                               mc)) {
-        hit[0] = 2;
-        hit[1] = encode_decomp(mc.decomp);
-        hit[2] = static_cast<std::uint32_t>(mc.pa);
-        hit[3] = static_cast<std::uint32_t>(mc.pb);
-      } else {
-        own.arm(opt.cache_path, rep.key);
-        std::lock_guard<std::mutex> flk(cache_file_mutex(opt.cache_path));
-        entries = load_tuning_cache(opt.cache_path, &rep.warnings);
-        const tune_entry* e = find_tuning_entry(entries, rep.key);
-        if (e != nullptr && !opt.force_retune) {
-          hit[0] = 1;
-          hit[1] = encode_decomp(e->choice.decomp);
-          hit[2] = static_cast<std::uint32_t>(e->choice.pa);
-          hit[3] = static_cast<std::uint32_t>(e->choice.pb);
-        }
-      }
-    }
-    world.bcast(hit, 4, 0);
-  }
-  if (hit[0] != 0) {
-    decomposition dk = decomposition::pencil2d;
-    decode_decomp(hit[1], dk);
-    const int cpa = static_cast<int>(hit[2]);
-    const int cpb = static_cast<int>(hit[3]);
-    if (cpa >= 1 && cpb >= 1 && cpa * cpb == ranks) {
-      rep.from_cache = true;
-      rep.from_memo = hit[0] == 2;
-      rep.plan = {dk, cpa, cpb,
-                  dk == decomposition::hybrid_25d ? cpa : 1};
-      if (root && own.armed) {
-        tune_choice c;
-        c.decomp = dk;
-        c.pa = cpa;
-        c.pb = cpb;
-        own.publish(c);  // seed the memo from the validated file hit
-      }
-      return rep;
-    }
-    if (root)
-      warn(&rep.warnings,
-           "cached decomposition does not cover this rank count; "
-           "re-measuring");
-  }
-
-  // Measure each runnable layout on its own temporary Cartesian split,
-  // running the 3-down + 5-up RK3 substage workload. pencil2d (with the
-  // configured pa x pb) is always candidate 0 and ties break toward it,
-  // so the tuned choice is never slower than pencil as measured.
-  const std::vector<decomp_plan> cands =
-      decomposition_candidates(g, ranks, pa, pb);
-  double best_time = std::numeric_limits<double>::infinity();
-  for (const decomp_plan& p : cands) {
-    vmpi::cart2d cart(world, p.pa, p.pb);
-    parallel_fft pf(g, cart, base);
-    const double agreed = time_substage(pf, world, opt.reps);
-    rep.measured.push_back({p, agreed});
-    if (agreed < best_time) {
-      best_time = agreed;
-      rep.plan = p;
-    }
-  }
-
-  if (!opt.cache_path.empty()) {
-    tune_choice choice;
-    choice.decomp = rep.plan.kind;
-    choice.pa = rep.plan.pa;
-    choice.pb = rep.plan.pb;
-    if (root) {
-      std::lock_guard<std::mutex> flk(cache_file_mutex(opt.cache_path));
-      entries = load_tuning_cache(opt.cache_path, nullptr);
-      bool replaced = false;
-      for (tune_entry& e : entries)
-        if (e.key == rep.key) {
-          e.choice = choice;
-          replaced = true;
-        }
-      if (!replaced) entries.push_back({rep.key, choice});
-      try {
-        save_tuning_cache(opt.cache_path, entries);
-        rep.stored = true;
-      } catch (const std::exception& ex) {
-        warn(&rep.warnings,
-             std::string("failed to store tuning cache '") + opt.cache_path +
-                 "': " + ex.what());
-      }
-    }
-    world.barrier();
-    if (root && own.armed) own.publish(choice);
+    if (root && own.armed) own.publish(rep.choice);
   }
   return rep;
 }

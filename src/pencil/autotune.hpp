@@ -3,14 +3,15 @@
 // The paper's kernel leans on FFTW 3.3's transpose planner, which times
 // candidate exchange implementations at plan time and keeps the fastest
 // (Section 4.3). This module is that planner, extended to the whole knob
-// set the batched kernel exposes: {exchange strategy per communicator,
-// batch width F, pipeline depth}, each measured on the 3-down + 5-up field
-// workload an RK3 substage actually runs. Timings are max-reduced across
-// all ranks before the (deterministic) argmin, so every rank picks the
-// same configuration.
+// set the batched kernel exposes: {process split, exchange strategy per
+// communicator, batch width F, pipeline depth}, each measured on the
+// 3-down + 5-up field workload an RK3 substage actually runs. Timings are
+// max-reduced across all ranks before the (deterministic) argmin, so every
+// rank picks the same configuration.
 //
-// Winners persist in a small versioned on-disk cache keyed by (grid,
-// rank split, thread counts, batch ceiling, kernel flags). The cache is
+// Winners persist in a small versioned on-disk cache keyed by (grid, rank
+// count, requested split, thread counts, batch ceiling, kernel flags).
+// One entry holds the whole choice, split included. The cache is
 // strictly advisory: a missing, truncated, CRC-mismatched or
 // version-skewed file falls back to re-measurement with a warning — it
 // can never abort a run. Writes go through io::atomic_file_writer, so a
@@ -22,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "pencil/decomp.hpp"
 #include "pencil/pencil.hpp"
 #include "vmpi/vmpi.hpp"
 
@@ -33,17 +33,12 @@ namespace pcf::pencil {
 /// therefore *invalidates* by missing, never by staleness.
 struct tune_key {
   std::uint32_t nx = 0, ny = 0, nz = 0;  // spectral grid
-  std::uint32_t pa = 0, pb = 0;          // process grid
+  std::uint32_t ranks = 0;               // world size
+  std::uint32_t pa = 0, pb = 0;  // requested split; 0 x 0: measure it
   std::uint32_t fft_threads = 1;
   std::uint32_t reorder_threads = 1;
   std::uint32_t max_batch = 1;  // ceiling the tuner searches under
   std::uint32_t flags = 0;      // bit 0: drop_nyquist, bit 1: dealias
-  // Requested decomposition layout (cache format v2): the decomposition
-  // enum's value, and the configured 2.5D replica count (0 = automatic).
-  // Transform-tuning entries use the defaults; decomposition-tuning
-  // entries key under decomposition::tuned.
-  std::uint32_t decomp_kind = 0;
-  std::uint32_t replica_c = 0;
 
   friend bool operator==(const tune_key&, const tune_key&) = default;
 };
@@ -54,12 +49,8 @@ struct tune_choice {
   exchange_strategy strat_b = exchange_strategy::alltoall;  // CommB (y<->z)
   int batch = 1;           // aggregated-exchange width F
   int pipeline_depth = 1;  // comm/compute overlap groups
-  // Resolved decomposition (cache format v2). Transform-tuning entries
-  // leave pa = pb = 0; decomposition-tuning entries record the winning
-  // layout and its concrete process grid here.
-  decomposition decomp = decomposition::pencil2d;
-  int pa = 0;
-  int pb = 0;
+  int pa = 1;              // process split (the requested one when given)
+  int pb = 1;
 
   friend bool operator==(const tune_choice&, const tune_choice&) = default;
 };
@@ -86,70 +77,56 @@ struct tune_report {
   double per_field_s = 0.0;  // agreed time of the F=1/depth=1 baseline
   double chosen_s = 0.0;     // agreed time of the winning candidate
   struct candidate {
+    int pa = 1;
+    int pb = 1;
     int batch = 1;
     int pipeline_depth = 1;
     double seconds = 0.0;
   };
-  std::vector<candidate> measured;  // empty on a cache hit
+  // Every timed candidate in order, empty on a cache hit: the split
+  // candidates first (only when the split is measured; timed at the base
+  // batch and depth), then the batch/depth sweep on the winning split.
+  std::vector<candidate> measured;
   std::vector<std::string> warnings;
 };
 
-/// The cache key for running `base` on this grid and process split.
-/// `dk`/`replica_c` identify the *requested* decomposition (only
-/// decomposition-tuning entries pass non-defaults).
+/// The cache key for running `base` on this grid over `ranks` ranks with
+/// the requested split pa x pb (0 x 0: the tuner measures the split).
 [[nodiscard]] tune_key make_tune_key(const grid& g, const kernel_config& base,
-                                     int pa, int pb,
-                                     decomposition dk = decomposition::pencil2d,
-                                     int replica_c = 0);
+                                     int ranks, int pa, int pb);
 
 /// `base` with the tuner's decision applied (per-communicator strategies,
-/// batch width and pipeline depth).
+/// batch width and pipeline depth; the split is the caller's to use).
 [[nodiscard]] kernel_config apply_tuning(kernel_config base,
                                          const tune_choice& choice);
 
-/// Tune the transform configuration for (g, cart, base): consult the
-/// cache, measure candidates on a cache miss, agree across ranks, persist
-/// the winner. Collective over `world` (which must span cart's ranks).
+/// Tune the process split and the transform configuration for (g, base)
+/// over `world`. pa x pb is the requested split; pa = pb = 0 measures it:
+/// every split_candidates() entry runs the 3-down + 5-up RK3 substage
+/// workload at `base`, and the strict-< argmin over the fixed candidate
+/// order keeps candidate 0 on a tie, so the pick is never slower than
+/// candidate 0 as measured. The exchange-strategy pair and the batch/depth
+/// sweep are then timed on the winning split. Timings are max-reduced over
+/// `world`, so every rank picks the same choice.
+///
+/// One transaction per call: in-process memo, then the cache file (rank
+/// 0), verdict broadcast, measure on a miss, merge-store, barrier, memo
+/// publish. Collective over `world`.
 [[nodiscard]] tune_report autotune_transforms(const grid& g,
                                               vmpi::communicator& world,
-                                              vmpi::cart2d& cart,
+                                              int pa, int pb,
                                               const kernel_config& base,
                                               const tune_options& opt);
-
-/// What one decomposition-tuning call decided.
-struct decomp_tune_report {
-  tune_key key;
-  decomp_plan plan;  // the layout to run production with
-  bool from_cache = false;  // served without measuring (either cache tier)
-  bool from_memo = false;   // ...specifically by the in-process memo
-  bool stored = false;
-  struct candidate {
-    decomp_plan plan;
-    double seconds = 0.0;  // agreed (max-over-ranks) substage time
-  };
-  std::vector<candidate> measured;  // empty on a cache hit
-  std::vector<std::string> warnings;
-};
-
-/// Resolve `requested` into a concrete decomposition plan, measuring when
-/// requested == tuned: every runnable candidate (pencil2d with the
-/// configured pa x pb always included, so the tuned pick is never slower
-/// than pencil *as measured*) runs the 3-down + 5-up RK3 substage workload
-/// on its own temporary Cartesian split, timings are max-reduced, and the
-/// strict-< argmin over the fixed candidate order picks identically on
-/// every rank. The winner persists in the v2 tuning cache under a
-/// decomposition::tuned key. Non-tuned requests validate and return
-/// without measuring. Collective over `world`.
-[[nodiscard]] decomp_tune_report autotune_decomposition(
-    const grid& g, vmpi::communicator& world, decomposition requested, int pa,
-    int pb, int replica_c, const kernel_config& base, const tune_options& opt);
 
 // --- cache file access (exposed for tests and pre-seeding) -----------------
 
 /// Parse the cache at `path`. Structural damage (truncation, bad magic,
 /// version skew, CRC mismatch) appends a human-readable warning and
 /// degrades to the valid prefix — a missing file is simply empty, and no
-/// failure mode throws.
+/// failure mode throws. An entry whose choice does not fit its own key
+/// (batch over the key's ceiling, depth over the batch, a split that does
+/// not cover the key's ranks or differs from the requested one) is
+/// skipped with a warning, so its key re-measures.
 [[nodiscard]] std::vector<tune_entry> load_tuning_cache(
     const std::string& path, std::vector<std::string>* warnings = nullptr);
 

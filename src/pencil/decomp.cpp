@@ -2,38 +2,13 @@
 
 #include <algorithm>
 
-#include "util/check.hpp"
-
 namespace pcf::pencil {
 
-const char* to_string(decomposition d) {
-  switch (d) {
-    case decomposition::pencil2d: return "pencil2d";
-    case decomposition::slab: return "slab";
-    case decomposition::hybrid_25d: return "hybrid_25d";
-    case decomposition::tuned: return "tuned";
-  }
-  return "?";
-}
-
-bool slab_ranks_valid(const grid& g, int ranks) {
-  if (ranks < 1) return false;
-  const auto r = static_cast<std::size_t>(ranks);
-  return r <= g.ny && r <= g.nz;
-}
-
-bool hybrid_ranks_valid(const grid& g, int ranks, int c) {
-  if (ranks < 1 || c < 2 || ranks % c != 0) return false;
-  const auto uc = static_cast<std::size_t>(c);
-  if (uc > g.nxh() || uc > g.nz) return false;  // xs / zp blocks over P_A
-  const auto s = static_cast<std::size_t>(ranks / c);
-  return s <= g.ny && s <= g.nz;  // yb / zs blocks over P_B
-}
-
-int default_replica_c(const grid& g, int ranks) {
-  for (int c = 2; c <= ranks; ++c)
-    if (hybrid_ranks_valid(g, ranks, c)) return c;
-  return 0;
+bool split_valid(const grid& g, int pa, int pb) {
+  if (pa < 1 || pb < 1) return false;
+  const auto a = static_cast<std::size_t>(pa);
+  const auto b = static_cast<std::size_t>(pb);
+  return a <= std::min(g.nxh(), g.nz) && b <= std::min(g.ny, g.nz);
 }
 
 void default_pencil_grid(int ranks, int& pa, int& pb) {
@@ -43,55 +18,27 @@ void default_pencil_grid(int ranks, int& pa, int& pb) {
   pb = ranks / pa;
 }
 
-decomp_plan plan_decomposition(decomposition kind, const grid& g, int ranks,
-                               int pa, int pb, int replica_c) {
-  PCF_REQUIRE(ranks >= 1, "decomposition needs at least one rank");
-  switch (kind) {
-    case decomposition::pencil2d:
-      PCF_REQUIRE(pa >= 1 && pb >= 1 && pa * pb == ranks,
-                  "pencil2d process grid must cover the ranks exactly");
-      return {decomposition::pencil2d, pa, pb, 1};
-    case decomposition::slab:
-      PCF_REQUIRE(slab_ranks_valid(g, ranks),
-                  "slab decomposition needs ranks <= min(ny, nz)");
-      return {decomposition::slab, 1, ranks, 1};
-    case decomposition::hybrid_25d: {
-      const int c = replica_c > 0 ? replica_c : default_replica_c(g, ranks);
-      PCF_REQUIRE(c > 0 && hybrid_ranks_valid(g, ranks, c),
-                  "no valid 2.5D replica count for this grid / rank count");
-      return {decomposition::hybrid_25d, c, ranks / c, c};
-    }
-    case decomposition::tuned:
-      break;
-  }
-  PCF_REQUIRE(false, "tuned decomposition must be resolved by the autotuner");
-  return {};
-}
-
-std::vector<decomp_plan> decomposition_candidates(const grid& g, int ranks,
-                                                  int pa, int pb) {
-  // A tuned run needs no configured pencil grid; fall back to the
-  // near-square split when the configured one doesn't cover the ranks.
+std::vector<process_split> split_candidates(const grid& g, int ranks, int pa,
+                                            int pb) {
   if (pa < 1 || pb < 1 || pa * pb != ranks) default_pencil_grid(ranks, pa, pb);
-  std::vector<decomp_plan> out;
-  out.push_back(plan_decomposition(decomposition::pencil2d, g, ranks, pa, pb,
-                                   0));
-  if (slab_ranks_valid(g, ranks) && ranks > 1)
-    out.push_back({decomposition::slab, 1, ranks, 1});
-  const int c0 = default_replica_c(g, ranks);
-  if (c0 > 0) {
-    out.push_back({decomposition::hybrid_25d, c0, ranks / c0, c0});
-    const int c1 = 2 * c0;
-    if (hybrid_ranks_valid(g, ranks, c1))
-      out.push_back({decomposition::hybrid_25d, c1, ranks / c1, c1});
+  std::vector<process_split> out{{pa, pb}};
+  // Append a x (ranks / a) when it divides the ranks, leaves every block
+  // nonempty and is not already listed.
+  auto add = [&](int a) {
+    if (a > ranks || ranks % a != 0) return;
+    const process_split s{a, ranks / a};
+    if (split_valid(g, s.pa, s.pb) &&
+        std::find(out.begin(), out.end(), s) == out.end())
+      out.push_back(s);
+  };
+  if (ranks > 1) add(1);
+  for (int c = 2; c <= ranks; ++c) {
+    if (ranks % c == 0 && split_valid(g, c, ranks / c)) {
+      add(c);
+      add(2 * c);
+      break;
+    }
   }
-  // A candidate that degenerates to the configured pencil grid measures
-  // nothing new; drop duplicates of the (pa, pb) split.
-  out.erase(std::remove_if(out.begin() + 1, out.end(),
-                           [&](const decomp_plan& p) {
-                             return p.pa == out[0].pa && p.pb == out[0].pb;
-                           }),
-            out.end());
   return out;
 }
 

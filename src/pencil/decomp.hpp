@@ -1,28 +1,26 @@
-// Comm-avoiding decomposition planning (ROADMAP item 4).
+// Process-grid splits: every layout of the transpose kernel is a split.
 //
-// The transpose kernel runs on a P_A x P_B process grid and pays one
-// global exchange per grid dimension of size > 1. Three runnable layouts
-// fall out of choosing that grid (Diez-Peeters-Costa, arXiv:2502.06296):
+// The kernel runs on a P_A x P_B process grid and pays one global
+// exchange per grid dimension of size > 1 (paper Section 2.2). The
+// comm-avoiding layouts of Diez-Peeters-Costa (arXiv:2502.06296) are
+// shapes of that grid, not separate code paths:
 //
-//   pencil2d    P_A x P_B as configured. Two global exchange stages per
-//               transform direction (y<->z over CommB, z<->x over CommA).
-//               Valid at any rank count; the only choice beyond
-//               R > min(ny, nz) * min(nx/2, nz) ranks.
-//   slab        1 x R. CommA has one rank, so the z<->x stage needs no
-//               communication at all — the kernel forwards the packed
-//               buffer straight into the unpack. One global exchange per
-//               transform direction, valid while R <= min(ny, nz).
-//   hybrid_25d  c x (R/c) with a small replica count c: R/c slabs
-//               replicated into c groups. The y<->z exchange shrinks to
-//               radix R/c inside each of the c slab groups (CommB), and
-//               the second global exchange is replaced by one small
-//               radix-c intra-group exchange (CommA — on a modern GPU
-//               node, an NVLink-island exchange). Extends the slab regime
-//               to R <= c * min(ny, nz).
+//   pencil  P_A x P_B. Two global exchange stages per transform direction
+//           (y<->z over CommB, z<->x over CommA).
+//   slab    1 x R. CommA has one rank, so the z<->x stage needs no
+//           communication at all — the kernel forwards the packed buffer
+//           straight into the unpack. One global exchange per direction.
+//   2.5D    c x (R/c) with a small replica count c: the y<->z exchange
+//           shrinks to radix R/c inside each of the c slab groups (CommB)
+//           and the second global exchange becomes one small radix-c
+//           intra-group exchange (CommA — on a GPU node, an NVLink-island
+//           exchange).
 //
-// Every path reuses the identical pack/exchange/unpack/FFT machinery of
-// parallel_fft and is bit-identical to pencil2d (the skipped exchanges are
-// pure copies); only the rank layout and exchange structure change.
+// Every split reuses the identical pack/exchange/unpack/FFT machinery of
+// parallel_fft and is bit-identical to every other (the skipped exchanges
+// are pure copies). A split whose blocks come out empty on some rank is
+// legal and still bit-identical; split_valid only keeps such splits out
+// of the tuner's candidate set.
 #pragma once
 
 #include <vector>
@@ -31,66 +29,35 @@
 
 namespace pcf::pencil {
 
-/// Which process-grid layout carries the global transposes.
-enum class decomposition {
-  pencil2d,    // P_A x P_B as configured (the seed path)
-  slab,        // 1 x R: one global exchange stage per transform direction
-  hybrid_25d,  // c x (R/c): global slab exchange + small replica exchange
-  tuned,       // measure the valid candidates and keep the fastest
-};
-
-[[nodiscard]] const char* to_string(decomposition d);
-
-/// A runnable decomposition: the process-grid split a layout maps to.
-struct decomp_plan {
-  decomposition kind = decomposition::pencil2d;
+/// A P_A x P_B process grid.
+struct process_split {
   int pa = 1;
   int pb = 1;
-  int replica_c = 1;  // 2.5D replica-group size (== pa there), 1 otherwise
 
-  /// Global exchange stages with more than one rank per transform
-  /// direction (the count the comm-avoiding paths exist to reduce).
-  [[nodiscard]] int exchange_stages() const {
-    return (pa > 1 ? 1 : 0) + (pb > 1 ? 1 : 0);
-  }
-
-  friend bool operator==(const decomp_plan&, const decomp_plan&) = default;
+  friend bool operator==(const process_split&, const process_split&) =
+      default;
 };
 
-/// True when the 1-D slab layout leaves every rank a nonempty slab:
-/// ranks <= min(ny, nz) (the y and z extents are both split over P_B = R).
-[[nodiscard]] bool slab_ranks_valid(const grid& g, int ranks);
-
-/// True when c x (ranks/c) leaves every block nonempty: c divides ranks,
-/// c >= 2, ranks/c <= min(ny, nz) and c <= min(nx/2, nz) (the x-mode and
-/// padded-z extents are split over P_A = c).
-[[nodiscard]] bool hybrid_ranks_valid(const grid& g, int ranks, int c);
-
-/// Smallest valid 2.5D replica count (>= 2) for this grid and rank count;
-/// 0 when none exists. Smaller c means a smaller intra-group exchange, so
-/// the minimum is the most comm-avoiding choice.
-[[nodiscard]] int default_replica_c(const grid& g, int ranks);
+/// True when pa x pb leaves every rank a nonempty block: pa <= min(nx/2,
+/// nz) (the x-mode and padded-z extents are split over P_A) and pb <=
+/// min(ny, nz) (the y and z extents are split over P_B).
+[[nodiscard]] bool split_valid(const grid& g, int pa, int pb);
 
 /// Near-square default pencil split: pa is the largest divisor of `ranks`
-/// with pa <= pb. Used when a tuned/automatic run has no configured
-/// process grid (the config default 1 x 1 only covers a serial world).
+/// with pa <= pb. Used when a run asks the tuner to measure the split (the
+/// config then carries pa = pb = 0).
 void default_pencil_grid(int ranks, int& pa, int& pb);
 
-/// Resolve a requested layout into a runnable plan. pa/pb are the
-/// configured 2-D split (used by pencil2d and validated against `ranks`);
-/// replica_c is the configured 2.5D group size, 0 for automatic. Throws
-/// precondition_error when the layout is not runnable on this grid at
-/// this rank count. `tuned` cannot be resolved here — the autotuner
-/// measures the candidates below and picks.
-[[nodiscard]] decomp_plan plan_decomposition(decomposition kind,
-                                             const grid& g, int ranks, int pa,
-                                             int pb, int replica_c);
-
-/// Every runnable plan at this rank count, pencil2d (with the configured
-/// pa x pb) always first — the autotuner's candidate set. Slab appears
-/// when valid; 2.5D contributes the minimal replica count and, when
-/// distinct and valid, its double (a NUMA/NVLink-island-sized group).
-[[nodiscard]] std::vector<decomp_plan> decomposition_candidates(
-    const grid& g, int ranks, int pa, int pb);
+/// The splits the tuner times at this rank count, in a fixed order:
+///   0. pa x pb, or the near-square default when it does not cover the
+///      ranks (always present, never filtered);
+///   1. the slab 1 x R;
+///   2. the 2.5D c x R/c with the smallest valid c >= 2 (the smallest
+///      intra-group exchange);
+///   3. its double 2c x R/2c (a NUMA/NVLink-island-sized group).
+/// Splits 1-3 appear only when split_valid and distinct from split 0.
+[[nodiscard]] std::vector<process_split> split_candidates(const grid& g,
+                                                          int ranks, int pa,
+                                                          int pb);
 
 }  // namespace pcf::pencil

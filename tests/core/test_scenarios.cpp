@@ -235,7 +235,13 @@ TEST(Scenarios, ValidateRejectsBadConfigsNamingTheKey) {
       {"fft_threads", [](channel_config& c) { c.fft_threads = 0; }},
       {"reorder_threads", [](channel_config& c) { c.reorder_threads = -1; }},
       {"advance_threads", [](channel_config& c) { c.advance_threads = 0; }},
-      {"replica_c", [](channel_config& c) { c.replica_c = -1; }},
+      {"pa", [](channel_config& c) { c.pa = -1; }},
+      // pa = pb = 0 (measure the split) without the autotuner to measure
+      {"autotune",
+       [](channel_config& c) {
+         c.pa = 0;
+         c.pb = 0;
+       }},
       {"wall_u_lo",
        [](channel_config& c) { c.scenario.wall_u_lo = std::nan(""); }},
       {"wall_w_hi",

@@ -59,13 +59,17 @@ void expect_matches_baseline(const channel_config& cfg,
                             << describe(divs);
 }
 
-/// Write a cache holding exactly `choice` for `cfg`'s tuning key, so the
-/// autotuner "measures" nothing and is forced into that decision.
-std::string seed_cache(const channel_config& cfg, const tune_choice& choice,
+/// Write a cache holding exactly `choice` (on cfg's split) for `cfg`'s
+/// tuning key, so the autotuner "measures" nothing and is forced into that
+/// decision.
+std::string seed_cache(const channel_config& cfg, tune_choice choice,
                        const std::string& tag) {
   const std::string path = scratch_path(tag + "_cache");
   std::remove(path.c_str());
-  save_tuning_cache(path, {tune_entry{dns_tune_key(cfg), choice}});
+  choice.pa = cfg.pa;
+  choice.pb = cfg.pb;
+  const int ranks = cfg.pa * cfg.pb;
+  save_tuning_cache(path, {tune_entry{dns_tune_key(cfg, ranks), choice}});
   return path;
 }
 

@@ -1,6 +1,6 @@
-// The transform autotuner: cache round trips, key discrimination, the
-// measure-agree-persist flow, and world-wide agreement on the
-// per-communicator exchange strategies.
+// The autotuner: cache round trips, key discrimination, the
+// measure-agree-persist flow, world-wide agreement on the per-communicator
+// exchange strategies, and the measured process split.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,10 +13,7 @@
 namespace {
 
 using pcf::pencil::apply_tuning;
-using pcf::pencil::autotune_decomposition;
 using pcf::pencil::autotune_transforms;
-using pcf::pencil::decomp_tune_report;
-using pcf::pencil::decomposition;
 using pcf::pencil::exchange_strategy;
 using pcf::pencil::find_tuning_entry;
 using pcf::pencil::grid;
@@ -45,11 +42,18 @@ tune_key key_for(std::uint32_t nx) {
   k.nx = nx;
   k.ny = 17;
   k.nz = 8;
+  k.ranks = 4;
   k.pa = 2;
   k.pb = 2;
   k.max_batch = 5;
   k.flags = 3;
   return k;
+}
+
+/// A choice on the 2 x 2 split key_for() requests.
+tune_choice choice_for(exchange_strategy sa, exchange_strategy sb, int batch,
+                       int depth) {
+  return {sa, sb, batch, depth, 2, 2};
 }
 
 TEST(TuningCache, MissingFileIsASilentMiss) {
@@ -63,12 +67,10 @@ TEST(TuningCache, MissingFileIsASilentMiss) {
 TEST(TuningCache, RoundTripsEntries) {
   const std::string path = cache_path("roundtrip");
   std::vector<tune_entry> in;
-  in.push_back({key_for(16),
-                {exchange_strategy::pairwise, exchange_strategy::alltoall, 5,
-                 2}});
-  in.push_back({key_for(32),
-                {exchange_strategy::alltoall, exchange_strategy::pairwise, 3,
-                 1}});
+  in.push_back({key_for(16), choice_for(exchange_strategy::pairwise,
+                                        exchange_strategy::alltoall, 5, 2)});
+  in.push_back({key_for(32), choice_for(exchange_strategy::alltoall,
+                                        exchange_strategy::pairwise, 3, 1)});
   save_tuning_cache(path, in);
 
   std::vector<std::string> warnings;
@@ -95,6 +97,9 @@ TEST(TuningCache, LookupDiscriminatesEveryKeyField) {
   k = key_for(16);
   k.max_batch = 3;
   EXPECT_EQ(find_tuning_entry(entries, k), nullptr);
+  k = key_for(16);
+  k.ranks = 8;
+  EXPECT_EQ(find_tuning_entry(entries, k), nullptr);
 }
 
 TEST(TuningCache, ApplyTuningMapsEveryChoiceField) {
@@ -112,7 +117,6 @@ TEST(TuningCache, ApplyTuningMapsEveryChoiceField) {
 TEST(Autotune, MeasuresAgreesAndPersists) {
   const std::string path = cache_path("flow");
   run_world(4, [&](communicator& world) {
-    cart2d cart(world, 2, 2);
     const grid g{8, 9, 8};
     kernel_config base;
     base.max_batch = 5;
@@ -120,7 +124,7 @@ TEST(Autotune, MeasuresAgreesAndPersists) {
     opt.cache_path = path;
     opt.reps = 1;
 
-    const tune_report cold = autotune_transforms(g, world, cart, base, opt);
+    const tune_report cold = autotune_transforms(g, world, 2, 2, base, opt);
     EXPECT_FALSE(cold.from_cache);
     // F in {1, 3, 5} x depth in {1, 2} with depth <= F.
     EXPECT_EQ(cold.measured.size(), 5u);
@@ -145,7 +149,7 @@ TEST(Autotune, MeasuresAgreesAndPersists) {
 
     // Second call hits the cache and returns the identical choice without
     // measuring.
-    const tune_report warm = autotune_transforms(g, world, cart, base, opt);
+    const tune_report warm = autotune_transforms(g, world, 2, 2, base, opt);
     EXPECT_TRUE(warm.from_cache);
     EXPECT_TRUE(warm.measured.empty());
     EXPECT_EQ(warm.choice, cold.choice);
@@ -154,7 +158,7 @@ TEST(Autotune, MeasuresAgreesAndPersists) {
     tune_options forced = opt;
     forced.force_retune = true;
     const tune_report again =
-        autotune_transforms(g, world, cart, base, forced);
+        autotune_transforms(g, world, 2, 2, base, forced);
     EXPECT_FALSE(again.from_cache);
     EXPECT_EQ(again.measured.size(), 5u);
   });
@@ -163,13 +167,12 @@ TEST(Autotune, MeasuresAgreesAndPersists) {
 
 TEST(Autotune, EmptyCachePathMeasuresAndPersistsNothing) {
   run_world(4, [](communicator& world) {
-    cart2d cart(world, 2, 2);
     const grid g{8, 9, 8};
     kernel_config base;
     base.max_batch = 3;
     tune_options opt;  // no cache_path
     opt.reps = 1;
-    const tune_report rep = autotune_transforms(g, world, cart, base, opt);
+    const tune_report rep = autotune_transforms(g, world, 2, 2, base, opt);
     EXPECT_FALSE(rep.from_cache);
     EXPECT_FALSE(rep.stored);
     // max_batch = 3 prunes the F = 5 candidates.
@@ -184,14 +187,13 @@ TEST(Autotune, EveryRankOfA2x2CartGetsTheSameStrategyPair) {
   // ranks must come back with one pair even when the groups' own
   // timings would pick differently.
   run_world(4, [](communicator& world) {
-    cart2d cart(world, 2, 2);
     const grid g{8, 9, 8};
     kernel_config base;
     base.max_batch = 3;
     tune_options opt;  // no cache: every call measures
     opt.reps = 1;
     for (int trial = 0; trial < 3; ++trial) {
-      const tune_report rep = autotune_transforms(g, world, cart, base, opt);
+      const tune_report rep = autotune_transforms(g, world, 2, 2, base, opt);
       const double mine[2] = {
           rep.choice.strat_a == exchange_strategy::pairwise ? 1.0 : 0.0,
           rep.choice.strat_b == exchange_strategy::pairwise ? 1.0 : 0.0};
@@ -205,16 +207,15 @@ TEST(Autotune, EveryRankOfA2x2CartGetsTheSameStrategyPair) {
 }
 
 TEST(TuningCache, RoundTripsDecompositionEntries) {
-  // v2 payload: decomposition entries carry the layout kind and the
-  // resolved process grid alongside the transform fields.
+  // A measured-split entry keys under the requested 0 x 0 split and
+  // carries the winning split in its choice, next to the transform knobs.
   const std::string path = cache_path("decomp_roundtrip");
   tune_entry e;
   e.key = key_for(16);
-  e.key.decomp_kind = static_cast<std::uint32_t>(decomposition::tuned);
-  e.key.replica_c = 2;
-  e.choice.decomp = decomposition::hybrid_25d;
-  e.choice.pa = 2;
-  e.choice.pb = 2;
+  e.key.pa = 0;
+  e.key.pb = 0;
+  e.choice = {exchange_strategy::alltoall, exchange_strategy::pairwise, 3, 2,
+              1, 4};
   save_tuning_cache(path, {e});
 
   std::vector<std::string> warnings;
@@ -222,28 +223,32 @@ TEST(TuningCache, RoundTripsDecompositionEntries) {
   EXPECT_TRUE(warnings.empty());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].key, e.key);
-  EXPECT_EQ(out[0].choice.decomp, decomposition::hybrid_25d);
-  EXPECT_EQ(out[0].choice.pa, 2);
-  EXPECT_EQ(out[0].choice.pb, 2);
+  EXPECT_EQ(out[0].choice, e.choice);
 
-  // The kind is part of the key: a transform entry and a decomposition
-  // entry at the same grid never collide.
+  // The requested split is part of the key: a fixed 2 x 2 entry and a
+  // measured-split entry at the same grid never collide.
   EXPECT_EQ(find_tuning_entry(out, key_for(16)), nullptr);
   EXPECT_NE(find_tuning_entry(out, e.key), nullptr);
   std::remove(path.c_str());
 }
 
 TEST(AutotuneDecomp, ExplicitLayoutIsPlannedNotMeasured) {
+  // A given split is the choice's split: only the transform knobs are
+  // timed, with no split rows in the report.
   run_world(4, [](communicator& world) {
     const grid g{8, 9, 8};
+    kernel_config base;
+    base.max_batch = 3;
     tune_options opt;
     opt.reps = 1;
-    const decomp_tune_report rep = autotune_decomposition(
-        g, world, decomposition::slab, 0, 0, 0, kernel_config{}, opt);
-    EXPECT_EQ(rep.plan.kind, decomposition::slab);
-    EXPECT_EQ(rep.plan.pa, 1);
-    EXPECT_EQ(rep.plan.pb, 4);
-    EXPECT_TRUE(rep.measured.empty());
+    const tune_report rep = autotune_transforms(g, world, 1, 4, base, opt);
+    EXPECT_EQ(rep.choice.pa, 1);
+    EXPECT_EQ(rep.choice.pb, 4);
+    EXPECT_EQ(rep.measured.size(), 3u);  // F in {1, 3} x depth, depth <= F
+    for (const auto& m : rep.measured) {
+      EXPECT_EQ(m.pa, 1);
+      EXPECT_EQ(m.pb, 4);
+    }
     EXPECT_FALSE(rep.from_cache);
     EXPECT_FALSE(rep.stored);
   });
@@ -259,42 +264,53 @@ TEST(AutotuneDecomp, TunedMeasuresPersistsAndReplays) {
     opt.cache_path = path;
     opt.reps = 1;
 
-    const decomp_tune_report cold = autotune_decomposition(
-        g, world, decomposition::tuned, 2, 2, 0, base, opt);
+    const tune_report cold = autotune_transforms(g, world, 0, 0, base, opt);
     EXPECT_FALSE(cold.from_cache);
-    // Candidates at 4 ranks on this grid: pencil 2x2, slab 1x4, hybrid
-    // 4x1 (the minimal hybrid 2x2 duplicates the configured pencil grid).
-    ASSERT_GE(cold.measured.size(), 2u);
-    EXPECT_EQ(cold.measured[0].plan.kind, decomposition::pencil2d);
-    EXPECT_EQ(cold.plan.pa * cold.plan.pb, 4);
-    // Strict-< argmin with pencil first: the chosen layout is never
-    // slower than the measured pencil baseline.
-    double chosen_s = 0.0, pencil_s = 0.0;
-    for (const auto& m : cold.measured) {
-      if (m.plan == cold.plan) chosen_s = m.seconds;
-      if (m.plan.kind == decomposition::pencil2d) pencil_s = m.seconds;
+    // Split rows first: 2 x 2, 1 x 4, 4 x 1 at 4 ranks on this grid, timed
+    // at the base config; then the 5-row batch/depth sweep on the winner.
+    ASSERT_EQ(cold.measured.size(), 3u + 5u);
+    EXPECT_EQ(cold.measured[0].pa, 2);
+    EXPECT_EQ(cold.measured[0].pb, 2);
+    EXPECT_EQ(cold.choice.pa * cold.choice.pb, 4);
+    // Strict-< argmin with candidate 0 first: the chosen split is never
+    // slower than candidate 0 as measured.
+    double chosen_s = -1.0;
+    for (std::size_t i = 0; i < 3; ++i)
+      if (cold.measured[i].pa == cold.choice.pa &&
+          cold.measured[i].pb == cold.choice.pb)
+        chosen_s = cold.measured[i].seconds;
+    EXPECT_GT(cold.measured[0].seconds, 0.0);
+    EXPECT_GE(chosen_s, 0.0);
+    EXPECT_LE(chosen_s, cold.measured[0].seconds);
+    for (std::size_t i = 3; i < cold.measured.size(); ++i) {
+      EXPECT_EQ(cold.measured[i].pa, cold.choice.pa);
+      EXPECT_EQ(cold.measured[i].pb, cold.choice.pb);
     }
-    EXPECT_GT(pencil_s, 0.0);
-    EXPECT_LE(chosen_s, pencil_s);
     if (world.rank() == 0) {
       EXPECT_TRUE(cold.stored);
+      // One entry holds both the split and the transform knobs.
+      const auto entries = load_tuning_cache(path);
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_EQ(entries[0].key, cold.key);
+      EXPECT_EQ(entries[0].key.pa, 0u);
+      EXPECT_EQ(entries[0].choice, cold.choice);
     }
 
-    // Every rank agreed on the same resolved grid.
-    double mine[2] = {static_cast<double>(cold.plan.pa),
-                      static_cast<double>(cold.plan.pb)};
-    double mx[2], mn[2];
-    world.allreduce_max(mine, mx, 2);
-    world.allreduce_min(mine, mn, 2);
-    EXPECT_EQ(mx[0], mn[0]);
-    EXPECT_EQ(mx[1], mn[1]);
+    // Every rank agreed on the same choice.
+    const double mine[4] = {static_cast<double>(cold.choice.pa),
+                            static_cast<double>(cold.choice.pb),
+                            static_cast<double>(cold.choice.batch),
+                            static_cast<double>(cold.choice.pipeline_depth)};
+    double mx[4], mn[4];
+    world.allreduce_max(mine, mx, 4);
+    world.allreduce_min(mine, mn, 4);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(mx[i], mn[i]) << i;
 
     // Warm call replays the persisted winner without re-measuring.
-    const decomp_tune_report warm = autotune_decomposition(
-        g, world, decomposition::tuned, 2, 2, 0, base, opt);
+    const tune_report warm = autotune_transforms(g, world, 0, 0, base, opt);
     EXPECT_TRUE(warm.from_cache);
     EXPECT_TRUE(warm.measured.empty());
-    EXPECT_EQ(warm.plan, cold.plan);
+    EXPECT_EQ(warm.choice, cold.choice);
   });
   std::remove(path.c_str());
 }
@@ -309,7 +325,7 @@ TEST(Autotune, TunedConfigConstructsWithoutRemeasuring) {
     tune_options opt;
     opt.cache_path = path;
     opt.reps = 1;
-    const tune_report rep = autotune_transforms(g, world, cart, base, opt);
+    const tune_report rep = autotune_transforms(g, world, 2, 2, base, opt);
     const kernel_config tuned = apply_tuning(base, rep.choice);
     parallel_fft pf(g, cart, tuned);
     EXPECT_EQ(pf.config().strategy_a, rep.choice.strat_a);

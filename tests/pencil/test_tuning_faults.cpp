@@ -36,7 +36,6 @@ using pcf::pencil::tune_entry;
 using pcf::pencil::tune_key;
 using pcf::pencil::tune_options;
 using pcf::pencil::tune_report;
-using pcf::vmpi::cart2d;
 using pcf::vmpi::communicator;
 using pcf::vmpi::run_world;
 
@@ -52,6 +51,7 @@ tune_key some_key(std::uint32_t nx = 16) {
   k.nx = nx;
   k.ny = 17;
   k.nz = 8;
+  k.ranks = 4;
   k.pa = 2;
   k.pb = 2;
   k.max_batch = 5;
@@ -61,10 +61,11 @@ tune_key some_key(std::uint32_t nx = 16) {
 
 std::vector<tune_entry> two_entries() {
   return {{some_key(16),
-           {exchange_strategy::pairwise, exchange_strategy::alltoall, 5, 2}},
+           {exchange_strategy::pairwise, exchange_strategy::alltoall, 5, 2, 2,
+            2}},
           {some_key(32),
-           {exchange_strategy::alltoall, exchange_strategy::alltoall, 3,
-            1}}};
+           {exchange_strategy::alltoall, exchange_strategy::alltoall, 3, 1, 2,
+            2}}};
 }
 
 std::vector<char> slurp(const std::string& path) {
@@ -195,6 +196,58 @@ TEST(TuningFaults, CrashMidStoreLeavesPreviousCacheIntact) {
   std::remove(path.c_str());
 }
 
+// A CRC-valid entry whose choice its own key could never have produced —
+// a batch over the key's ceiling, a depth over the batch, a split that
+// does not cover the key's ranks — is skipped with a warning, and the
+// tuner re-measures under that key instead of sizing a run from it.
+TEST(TuningFaults, ChoiceOutsideItsKeyIsSkippedAndRemeasured) {
+  const std::string path = cache_path("hostile");
+  const grid g{8, 9, 8};
+  kernel_config base;
+  base.max_batch = 3;
+  tune_key key;
+  key.nx = 8;
+  key.ny = 9;
+  key.nz = 8;
+  key.ranks = 1;
+  key.pa = 1;
+  key.pb = 1;
+  key.max_batch = 3;
+  key.flags = 3;  // kernel_config defaults: drop_nyquist, dealias
+  tune_choice over_ceiling;
+  over_ceiling.batch = 1000;
+  over_ceiling.pa = 1;
+  over_ceiling.pb = 1;
+  tune_choice deep = over_ceiling;
+  deep.batch = 2;
+  deep.pipeline_depth = 3;
+  tune_choice split = over_ceiling;
+  split.batch = 3;
+  split.pb = 2;  // 1 x 2 does not cover 1 rank
+
+  for (const tune_choice& bad : {over_ceiling, deep, split}) {
+    save_tuning_cache(path, {tune_entry{key, bad}});
+    std::vector<std::string> warnings;
+    EXPECT_TRUE(load_tuning_cache(path, &warnings).empty());
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_NE(warnings[0].find("skipping"), std::string::npos);
+  }
+
+  save_tuning_cache(path, {tune_entry{key, over_ceiling}});
+  run_world(1, [&](communicator& world) {
+    tune_options opt;
+    opt.cache_path = path;
+    opt.reps = 1;
+    const tune_report rep = autotune_transforms(g, world, 1, 1, base, opt);
+    EXPECT_EQ(rep.key, key);
+    EXPECT_FALSE(rep.from_cache);
+    EXPECT_FALSE(rep.measured.empty());
+    EXPECT_LE(rep.choice.batch, 3);
+    EXPECT_FALSE(rep.warnings.empty());
+  });
+  std::remove(path.c_str());
+}
+
 // The full-flow guarantee: a cache that cannot be read *or* written still
 // produces a usable tuning choice — measurement proceeds, the failure
 // surfaces as warnings, and nothing throws out of autotune_transforms.
@@ -202,7 +255,6 @@ TEST(TuningFaults, AutotuneSurvivesUnreadableAndUnwritableCache) {
   const std::string path = cache_path("flow");
   dump(path, std::vector<char>(64, 'x'));  // unreadable: bad magic
   run_world(4, [&](communicator& world) {
-    cart2d cart(world, 2, 2);
     const grid g{8, 9, 8};
     kernel_config base;
     base.max_batch = 3;
@@ -216,7 +268,7 @@ TEST(TuningFaults, AutotuneSurvivesUnreadableAndUnwritableCache) {
     fault_injection_scope scope(p);
 
     tune_report rep;
-    ASSERT_NO_THROW(rep = autotune_transforms(g, world, cart, base, opt));
+    ASSERT_NO_THROW(rep = autotune_transforms(g, world, 2, 2, base, opt));
     EXPECT_FALSE(rep.from_cache);
     EXPECT_FALSE(rep.stored);
     EXPECT_GE(rep.choice.batch, 1);

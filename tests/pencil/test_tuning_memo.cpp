@@ -15,10 +15,7 @@
 
 namespace {
 
-using pcf::pencil::autotune_decomposition;
 using pcf::pencil::autotune_transforms;
-using pcf::pencil::decomp_tune_report;
-using pcf::pencil::decomposition;
 using pcf::pencil::find_tuning_entry;
 using pcf::pencil::grid;
 using pcf::pencil::kernel_config;
@@ -28,7 +25,6 @@ using pcf::pencil::tune_options;
 using pcf::pencil::tune_report;
 using pcf::pencil::tuning_memo_reset;
 using pcf::pencil::tuning_memo_statistics;
-using pcf::vmpi::cart2d;
 using pcf::vmpi::communicator;
 using pcf::vmpi::run_world;
 
@@ -38,18 +34,21 @@ std::string cache_path(const std::string& tag) {
   return p;
 }
 
+/// One tuning call on a fresh world of `ranks` ranks; pa = pb = 0 there
+/// measures the split. Returns rank 0's report.
 tune_report tune_once(const grid& g, const std::string& path,
-                      bool force = false) {
+                      bool force = false, int ranks = 1, int pa = 1,
+                      int pb = 1) {
   tune_report rep;
-  run_world(1, [&](communicator& world) {
-    cart2d cart(world, 1, 1);
+  run_world(ranks, [&](communicator& world) {
     kernel_config base;
     base.max_batch = 3;
     tune_options opt;
     opt.cache_path = path;
     opt.reps = 1;
     opt.force_retune = force;
-    rep = autotune_transforms(g, world, cart, base, opt);
+    const tune_report r = autotune_transforms(g, world, pa, pb, base, opt);
+    if (world.rank() == 0) rep = r;
   });
   return rep;
 }
@@ -115,38 +114,52 @@ TEST(TuningMemo, DistinctKeysMergingIntoOneFileKeepEveryEntry) {
   for (const grid& g : grids) {
     kernel_config base;
     base.max_batch = 3;
-    EXPECT_NE(find_tuning_entry(entries, make_tune_key(g, base, 1, 1)),
+    EXPECT_NE(find_tuning_entry(entries, make_tune_key(g, base, 1, 1, 1)),
               nullptr)
         << "entry for nx=" << g.nx << " nz=" << g.nz << " was dropped";
   }
   std::remove(path.c_str());
 }
 
+// Cold measure, memo hit, file hit after a memo reset, memo re-seeded:
+// on one rank with a given split, and on four ranks measuring the split
+// (the whole choice, split included, rides the same tiers).
 TEST(TuningMemo, MemoFrontsTheFileCache) {
-  tuning_memo_reset();
-  const std::string path = cache_path("tiers");
   const grid g{8, 9, 8};
+  struct shape {
+    int ranks, pa, pb;
+  };
+  for (const shape sh : {shape{1, 1, 1}, shape{4, 0, 0}}) {
+    tuning_memo_reset();
+    const std::string path = cache_path("tiers");
+    auto tune = [&] {
+      return tune_once(g, path, false, sh.ranks, sh.pa, sh.pb);
+    };
 
-  const tune_report cold = tune_once(g, path);
-  EXPECT_FALSE(cold.from_cache);
-  EXPECT_FALSE(cold.from_memo);
+    const tune_report cold = tune();
+    EXPECT_FALSE(cold.from_cache);
+    EXPECT_FALSE(cold.from_memo);
+    EXPECT_EQ(cold.choice.pa * cold.choice.pb, sh.ranks);
 
-  // Warm: served by the memo, no file I/O.
-  const tune_report warm = tune_once(g, path);
-  EXPECT_TRUE(warm.from_cache);
-  EXPECT_TRUE(warm.from_memo);
-  EXPECT_EQ(warm.choice, cold.choice);
+    // Warm: served by the memo, no file I/O.
+    const tune_report warm = tune();
+    EXPECT_TRUE(warm.from_cache);
+    EXPECT_TRUE(warm.from_memo);
+    EXPECT_EQ(warm.choice, cold.choice);
 
-  // Memo dropped: falls through to the file tier, which re-seeds the memo.
-  tuning_memo_reset();
-  const tune_report file = tune_once(g, path);
-  EXPECT_TRUE(file.from_cache);
-  EXPECT_FALSE(file.from_memo);
-  EXPECT_EQ(file.choice, cold.choice);
+    // Memo dropped: falls through to the file tier, which re-seeds the
+    // memo.
+    tuning_memo_reset();
+    const tune_report file = tune();
+    EXPECT_TRUE(file.from_cache);
+    EXPECT_FALSE(file.from_memo);
+    EXPECT_EQ(file.choice, cold.choice);
 
-  const tune_report reseeded = tune_once(g, path);
-  EXPECT_TRUE(reseeded.from_memo);
-  std::remove(path.c_str());
+    const tune_report reseeded = tune();
+    EXPECT_TRUE(reseeded.from_memo);
+    EXPECT_EQ(reseeded.choice, cold.choice);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(TuningMemo, ForceRetuneRemeasuresAndRepublishes) {
@@ -163,38 +176,6 @@ TEST(TuningMemo, ForceRetuneRemeasuresAndRepublishes) {
   const tune_report warm = tune_once(g, path);
   EXPECT_TRUE(warm.from_memo);
   EXPECT_EQ(warm.choice, forced.choice);
-  std::remove(path.c_str());
-}
-
-TEST(TuningMemo, DecompositionTuningSharesTheMemo) {
-  tuning_memo_reset();
-  const std::string path = cache_path("decomp");
-  run_world(4, [&](communicator& world) {
-    const grid g{8, 9, 8};
-    kernel_config base;
-    base.max_batch = 3;
-    tune_options opt;
-    opt.cache_path = path;
-    opt.reps = 1;
-
-    const decomp_tune_report cold = autotune_decomposition(
-        g, world, decomposition::tuned, 2, 2, 0, base, opt);
-    EXPECT_FALSE(cold.from_cache);
-
-    const decomp_tune_report warm = autotune_decomposition(
-        g, world, decomposition::tuned, 2, 2, 0, base, opt);
-    EXPECT_TRUE(warm.from_cache);
-    EXPECT_TRUE(warm.from_memo);
-    EXPECT_EQ(warm.plan, cold.plan);
-
-    if (world.rank() == 0) tuning_memo_reset();
-    world.barrier();
-    const decomp_tune_report file = autotune_decomposition(
-        g, world, decomposition::tuned, 2, 2, 0, base, opt);
-    EXPECT_TRUE(file.from_cache);
-    EXPECT_FALSE(file.from_memo);
-    EXPECT_EQ(file.plan, cold.plan);
-  });
   std::remove(path.c_str());
 }
 
