@@ -1,8 +1,10 @@
 // Shared helpers for the table-reproduction benchmark harness.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "util/table.hpp"
@@ -10,12 +12,23 @@
 
 namespace pcf::bench {
 
-/// Environment-tunable workload scale so CI runs stay short:
-/// PCF_BENCH_SCALE=1 (default) reproduces the table shapes quickly;
-/// larger values run closer to publication sizes.
+/// Environment-tunable workload size (PCF_BENCH_REPS, PCF_BENCH_NX, ...):
+/// `fallback` when the variable is unset, otherwise its value, which must
+/// be a positive integer spelled as plain digits. Anything else (empty,
+/// zero, a sign, trailing text, overflow) exits 2 naming the variable, so
+/// a typo never turns into a zero-rep `inf s` table or an empty grid.
 inline long env_long(const char* name, long fallback) {
   const char* v = std::getenv(name);
-  return v != nullptr ? std::atol(v) : fallback;
+  if (v == nullptr) return fallback;
+  const char* end = v + std::strlen(v);
+  long x = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc{} || ptr != end || x <= 0) {
+    std::fprintf(stderr, "%s must be a positive integer, got '%s'\n", name,
+                 v);
+    std::exit(2);
+  }
+  return x;
 }
 
 /// Time `fn` by repeating it until ~min_seconds has elapsed; returns

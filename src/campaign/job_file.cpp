@@ -95,8 +95,6 @@ bool apply_job_key(job_spec& j, const std::string& key,
     j.config.reorder_threads = static_cast<int>(integer());
   else if (key == "advance_threads")
     j.config.advance_threads = static_cast<int>(integer());
-  else if (key == "cache_solvers")
-    j.config.cache_solvers = parse_bool(origin, line, key, value);
   else if (key == "autotune")
     j.config.autotune = parse_bool(origin, line, key, value);
   else if (key == "wall_u_lo") j.config.scenario.wall_u_lo = num();

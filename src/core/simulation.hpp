@@ -129,11 +129,6 @@ struct channel_config {
   // {1, 3, 5} to one CRC trace).
   int max_batch = 5;
 
-  // Cache the factored Helmholtz/Poisson systems and influence vectors per
-  // (wavenumber, substep). Exact same results; trades memory for the
-  // repeated factorizations (ablation: bench_ablation_solver_cache).
-  bool cache_solvers = true;
-
   // Measure-and-pick autotuning at construction (pencil::
   // autotune_transforms): the split when pa = pb = 0, then {exchange
   // strategy per communicator, batch width <= max_batch, pipeline depth}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 namespace pcf::core {
 
@@ -85,19 +84,16 @@ void implicit_stage::run(int i) {
 
   // (Re)build the substep's solver arena if dt changed or it was never
   // built; assembly and factorization are parallel on the advance pool.
-  if (ctx_.cfg.cache_solvers &&
-      (!arena_[i].built() || arena_[i].coeff() != cb)) {
+  if (!arena_[i].built() || arena_[i].coeff() != cb) {
     phase_timer::section build(ctx_.timers, ph_build_);
     arena_[i].build(ops, cb, mt.k2s, ctx_.pool);
   }
-  if (ctx_.cfg.cache_solvers) {
-    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-      scalar_arena& a = sc_arena_[i][gi];
-      const double cbs = rk3::kBeta[i] * ctx_.cfg.dt * groups_[gi].kappa;
-      if (!a.built() || a.coeff() != cbs) {
-        phase_timer::section build(ctx_.timers, ph_build_);
-        a.build(ops, cbs, mt.k2s, ctx_.pool);
-      }
+  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+    scalar_arena& a = sc_arena_[i][gi];
+    const double cbs = rk3::kBeta[i] * ctx_.cfg.dt * groups_[gi].kappa;
+    if (!a.built() || a.coeff() != cbs) {
+      phase_timer::section build(ctx_.timers, ph_build_);
+      a.build(ops, cbs, mt.k2s, ctx_.pool);
     }
   }
 
@@ -108,7 +104,6 @@ void implicit_stage::run(int i) {
     const auto tid = static_cast<std::size_t>(tid_counter.fetch_add(1));
     cplx* panel = panels_[tid];
     cplx* tmp = panel + 2 * n;
-    static thread_local std::unique_ptr<mode_solver> uncached;
     for (std::size_t m = mb; m < me; ++m) {
       if (mt.skip[m]) {
         if (!(mt.has_mean && m == mt.mean_idx)) {
@@ -136,15 +131,8 @@ void implicit_stage::run(int i) {
         panel[n + j] += g * hvm[j] + z * hvp[j];
       // One blocked 2-RHS Helmholtz solve covers omega and phi, then the
       // Poisson recovery of v with the influence correction.
-      if (ctx_.cfg.cache_solvers) {
-        arena_[i].solve_block(static_cast<int>(m), panel,
-                              st.line(st.c_om, m), st.line(st.c_phi, m),
-                              st.line(st.c_v, m));
-      } else {
-        uncached = std::make_unique<mode_solver>(ops, cb, k2);
-        uncached->solve_block(panel, st.line(st.c_om, m),
-                              st.line(st.c_phi, m), st.line(st.c_v, m));
-      }
+      arena_[i].solve_block(static_cast<int>(m), panel, st.line(st.c_om, m),
+                            st.line(st.c_phi, m), st.line(st.c_v, m));
       // Save nonlinear history for the next substep.
       std::copy_n(hgm, n, hgp);
       std::copy_n(hvm, n, hvp);
@@ -165,18 +153,7 @@ void implicit_stage::run(int i) {
             row[j] += g * hm[j] + z * hp[j];
           std::copy_n(hm, n, hp);
         }
-        if (ctx_.cfg.cache_solvers) {
-          sc_arena_[i][gi].solve(static_cast<int>(m), rows, grp.count);
-        } else {
-          const double cbs = rk3::kBeta[i] * ctx_.cfg.dt * grp.kappa;
-          banded::compact_banded Hs = ops.helmholtz(cbs, k2);
-          Hs.factorize();
-          for (std::size_t r = 0; r < grp.count; ++r) {
-            rows[r * n] = cplx{0, 0};
-            rows[(r + 1) * n - 1] = cplx{0, 0};
-          }
-          Hs.solve_many(rows, static_cast<int>(grp.count), n);
-        }
+        sc_arena_[i][gi].solve(static_cast<int>(m), rows, grp.count);
         for (std::size_t r = 0; r < grp.count; ++r)
           std::copy_n(rows + r * n, n,
                       st.line(st.scalars[order_[grp.start + r]].c_th, m));

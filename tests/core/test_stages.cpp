@@ -239,40 +239,28 @@ void seed_implicit_inputs(stage_harness& h) {
   }
 }
 
-TEST(Stages, ImplicitCachedMatchesUncached) {
+TEST(Stages, ImplicitHoldsSpanwiseNyquistAtZero) {
+  // The seeded inputs are nonzero on every mode, so the skipped spanwise
+  // Nyquist modes come out zero only if the stage writes them. The solved
+  // modes are checked against standalone mode_solvers by
+  // SolverArena.MatchesStandaloneModeSolvers.
   run_world(1, [&](communicator& world) {
-    auto cfg = small_config();
-    stage_harness cached(cfg, world);
-    auto cfg2 = cfg;
-    cfg2.cache_solvers = false;
-    stage_harness uncached(cfg2, world);
-    seed_implicit_inputs(cached);
-    seed_implicit_inputs(uncached);
-    for (int i = 0; i < 3; ++i) {
-      cached.implicit.run(i);
-      uncached.implicit.run(i);
-    }
-    const auto& a = cached.state;
-    const auto& b = uncached.state;
-    const std::size_t n = cached.modes.n;
-    for (std::size_t m = 0; m < cached.modes.nmodes; ++m) {
+    stage_harness h(small_config(), world);
+    seed_implicit_inputs(h);
+    for (int i = 0; i < 3; ++i) h.implicit.run(i);
+    const auto& a = h.state;
+    const std::size_t n = h.modes.n;
+    std::size_t nyquist = 0;
+    for (std::size_t m = 0; m < h.modes.nmodes; ++m) {
+      if (!h.modes.skip[m] || m == h.modes.mean_idx) continue;
+      ++nyquist;
       for (std::size_t j = 0; j < n; ++j) {
-        EXPECT_NEAR(std::abs(a.line(a.c_om, m)[j] - b.line(b.c_om, m)[j]),
-                    0.0, 1e-10);
-        EXPECT_NEAR(std::abs(a.line(a.c_phi, m)[j] - b.line(b.c_phi, m)[j]),
-                    0.0, 1e-10);
-        EXPECT_NEAR(std::abs(a.line(a.c_v, m)[j] - b.line(b.c_v, m)[j]),
-                    0.0, 1e-10);
-      }
-      // Spanwise Nyquist modes are held at exactly zero.
-      if (cached.modes.skip[m] && m != cached.modes.mean_idx) {
-        for (std::size_t j = 0; j < n; ++j) {
-          EXPECT_EQ(a.line(a.c_om, m)[j], (cplx{0, 0}));
-          EXPECT_EQ(a.line(a.c_phi, m)[j], (cplx{0, 0}));
-          EXPECT_EQ(a.line(a.c_v, m)[j], (cplx{0, 0}));
-        }
+        EXPECT_EQ(a.line(a.c_om, m)[j], (cplx{0, 0}));
+        EXPECT_EQ(a.line(a.c_phi, m)[j], (cplx{0, 0}));
+        EXPECT_EQ(a.line(a.c_v, m)[j], (cplx{0, 0}));
       }
     }
+    EXPECT_GT(nyquist, 0u);
   });
 }
 

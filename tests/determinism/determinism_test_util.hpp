@@ -26,7 +26,8 @@
 namespace pcf_determinism_test {
 
 /// The quickstart configuration (examples/quickstart.cpp): the grid the
-/// golden CRC lineage 0x3fa23d27 is pinned at. Every matrix axis is a
+/// committed trace tests/determinism/golden_trace_quickstart.csv and the
+/// checkpoint pin 0x27d7bb07 are recorded at. Every matrix axis is a
 /// variation of this base.
 ///
 /// When PCF_DETERMINISM_TUNED is set (the `determinism-tuned` CMake test

@@ -146,8 +146,8 @@ TEST(DeterminismMatrix, SuspendResumeEveryStepMatchesCommittedTrace) {
 }
 
 // F = 2 with depth 2 makes the *trailing* chunk of the five-field batch a
-// single field (5 = 2 + 2 + 1): the pipelined path must hand the short
-// chunk to the serial driver and stay bit-identical.
+// single field (5 = 2 + 2 + 1): that chunk runs as a one-group pipeline on
+// the caller and must stay bit-identical.
 TEST(DeterminismMatrix, TrailingShortChunkStaysBitIdentical) {
   channel_config cfg = quickstart_config();
   cfg.max_batch = 2;

@@ -89,7 +89,8 @@ TEST_P(BatchedCases, BitIdenticalToPerFieldRoundTrips) {
         back_bat[f].reset(d.y_pencil_elems());
       }
 
-      // Per-field reference (the nf == 1 path is the seed kernel).
+      // Per-field reference: a single-field call is the one-group
+      // schedule, run in order on the caller.
       for (std::size_t f = 0; f < F; ++f) {
         pf.to_physical(spec[f].data(), phys_ref[f].data());
         pf.to_spectral(phys_ref[f].data(), back_ref[f].data());
@@ -138,7 +139,16 @@ INSTANTIATE_TEST_SUITE_P(
         // pipelined: depth 2/3, threaded pools, P3DFFT mode, chunk+pipeline
         BCase{2, 2, 1, 1, false, 5, 2}, BCase{2, 2, 1, 1, false, 5, 3},
         BCase{2, 2, 3, 2, false, 5, 3}, BCase{2, 2, 1, 1, true, 5, 2},
-        BCase{3, 2, 1, 1, false, 2, 2}, BCase{1, 1, 1, 1, false, 5, 2}));
+        BCase{3, 2, 1, 1, false, 2, 2}, BCase{1, 1, 1, 1, false, 5, 2},
+        // pipelined over one size-1 communicator: the skipped stage flips
+        // the ping-pong roles of every group (P3DFFT mode copies instead)
+        BCase{1, 4, 1, 1, false, 5, 2}, BCase{4, 1, 1, 1, false, 5, 2},
+        BCase{4, 1, 1, 1, true, 5, 2}, BCase{1, 4, 1, 1, true, 5, 3},
+        BCase{1, 4, 3, 2, false, 5, 2},
+        // depth past the chunk: G = min(depth, nf) groups of one field,
+        // and a trailing one-field chunk runs as one group
+        BCase{2, 2, 1, 1, false, 5, 5}, BCase{2, 2, 1, 1, false, 2, 3},
+        BCase{2, 2, 1, 1, true, 2, 3}));
 
 TEST(PfftBatch, PairwiseStrategyBatchesIdentically) {
   const grid g{16, 7, 8};
@@ -237,6 +247,49 @@ TEST(PfftBatch, AggregatesExchangesAcrossFields) {
     EXPECT_GT(bs.reorder_calls, 0u);
     EXPECT_EQ(bs.reorder_fields % bs.reorder_calls, 0u);
   });
+}
+
+// Each chunk of nf fields runs as G = min(pipeline_depth, nf) groups, and
+// every group issues its own exchange per transpose stage.
+TEST(PfftBatch, PipelineIssuesOneExchangePerGroupAndStage) {
+  const grid g{16, 8, 8};
+  struct row {
+    int depth, max_batch;
+    std::size_t fields, groups;
+  };
+  for (const row r : {row{1, 5, 5, 1}, row{2, 5, 5, 2}, row{3, 5, 2, 2},
+                      row{3, 2, 5, 5}}) {
+    run_world(4, [&](communicator& world) {
+      cart2d cart(world, 2, 2);
+      kernel_config cfg;
+      cfg.max_batch = r.max_batch;
+      cfg.pipeline_depth = r.depth;
+      parallel_fft pf(g, cart, cfg);
+      const auto& d = pf.dec();
+      std::vector<aligned_buffer<cplx>> spec(r.fields);
+      std::vector<aligned_buffer<double>> phys(r.fields);
+      std::vector<const cplx*> sp(r.fields);
+      std::vector<double*> ph(r.fields);
+      for (std::size_t f = 0; f < r.fields; ++f) {
+        spec[f].reset(d.y_pencil_elems());
+        spec[f].fill(cplx{0.0, 0.0});
+        phys[f].reset(d.x_pencil_real_elems());
+        sp[f] = spec[f].data();
+        ph[f] = phys[f].data();
+      }
+      const auto a0 = cart.comm_a().stats();
+      const auto b0 = cart.comm_b().stats();
+      pf.to_physical_batch(sp.data(), ph.data(), r.fields);
+      const auto a1 = cart.comm_a().stats();
+      const auto b1 = cart.comm_b().stats();
+      EXPECT_EQ(a1.alltoall_calls - a0.alltoall_calls, r.groups)
+          << "depth " << r.depth << " max_batch " << r.max_batch;
+      EXPECT_EQ(b1.alltoall_calls - b0.alltoall_calls, r.groups)
+          << "depth " << r.depth << " max_batch " << r.max_batch;
+      EXPECT_EQ(pf.batching().exchanges, 2 * r.groups);
+      EXPECT_EQ(pf.batching().fields, r.fields);
+    });
+  }
 }
 
 TEST(PfftBatch, ChunksBatchesWiderThanMaxBatch) {
