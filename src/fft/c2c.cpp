@@ -2,8 +2,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "fft/engine.hpp"
 #include "fft/fft.hpp"
-#include "fft/scratch.hpp"
 #include "util/check.hpp"
 #include "util/counters.hpp"
 
@@ -12,8 +12,6 @@ namespace pcf::fft {
 namespace {
 
 constexpr std::size_t kMaxButterflyRadix = 31;
-
-using detail::scratch_arena;
 
 double twopi() { return 2.0 * std::numbers::pi; }
 
@@ -55,63 +53,26 @@ void dft_naive(const cplx* in, cplx* out, std::size_t n, int sign) {
 // Mixed-radix engine
 // ---------------------------------------------------------------------------
 
-struct stage {
-  std::size_t n = 0;     // transform length at this depth
-  std::size_t r = 0;     // radix applied at this depth
-  std::size_t m = 0;     // n / r
-  // Twiddles in planar layout: tw[(q-1)*m + k2] = w_n^{q k2} for q in
-  // 1..r-1 (the q = 0 factor is always 1 and not stored). Planar rather
-  // than column-interleaved so the per-radix combine loops below read each
-  // twiddle stream contiguously in k2 — the layout the compiler can
-  // vectorize. The *values* are identical to the interleaved layout.
-  std::vector<cplx> tw;
-};
+namespace detail {
 
-struct c2c_plan::impl {
-  std::size_t n = 0;
-  direction dir_ = direction::forward;
-  double sign = -1.0;  // -1 forward, +1 inverse
-  std::vector<stage> stages;
-  // Root tables per distinct radix: roots[r][(q*k) % r] = w_r^{q k}.
-  std::vector<std::vector<cplx>> radix_roots;  // indexed by radix value
-  double flops = 0.0;
-
-  // Bluestein state (only when n is not smooth).
-  bool bluestein = false;
-  std::size_t bl_m = 0;                 // padded power-of-two length
-  std::vector<cplx> bl_chirp;           // a_j = exp(sign i pi j^2 / n)
-  std::vector<cplx> bl_bhat;            // FFT_M of the chirp filter
-  std::unique_ptr<c2c_plan> bl_fwd, bl_inv;
-
-  void build(std::size_t len, direction d);
-  void build_mixed_radix();
-  void build_bluestein();
-  void exec(std::size_t depth, const cplx* in, std::size_t istride,
-            cplx* out) const;
-  void exec_bluestein(const cplx* in, cplx* out) const;
-  void run(const cplx* in, cplx* out) const;
-
-  const cplx* roots(std::size_t r) const { return radix_roots[r].data(); }
-};
-
-void c2c_plan::impl::build(std::size_t len, direction d) {
-  n = len;
-  dir_ = d;
-  sign = (d == direction::forward) ? -1.0 : 1.0;
-  flops = (n > 1)
-              ? 5.0 * static_cast<double>(n) * std::log2(static_cast<double>(n))
-              : 0.0;
-  if (n <= 1) return;
-  if (is_smooth(n))
+engine::engine(std::size_t n, direction d)
+    : n_(n),
+      dir_(d),
+      sign_(d == direction::forward ? -1.0 : 1.0),
+      flops_(n > 1 ? 5.0 * static_cast<double>(n) *
+                         std::log2(static_cast<double>(n))
+                   : 0.0) {
+  if (n_ <= 1) return;
+  if (is_smooth(n_))
     build_mixed_radix();
   else
     build_bluestein();
 }
 
-void c2c_plan::impl::build_mixed_radix() {
+void engine::build_mixed_radix() {
   // Merge prime factors: pairs of 2s become radix-4 stages (the hot path
   // for the power-of-two-rich grid sizes used in the DNS).
-  auto primes = factorize(n);
+  auto primes = factorize(n_);
   std::vector<std::size_t> radices;
   std::size_t twos = 0;
   for (std::size_t p : primes) {
@@ -127,8 +88,8 @@ void c2c_plan::impl::build_mixed_radix() {
   if (twos == 1) radices.push_back(2);
   std::sort(radices.begin(), radices.end(), std::greater<>());
 
-  radix_roots.assign(kMaxButterflyRadix + 1, {});
-  std::size_t rem = n;
+  roots_.assign(kMaxButterflyRadix + 1, {});
+  std::size_t rem = n_;
   for (std::size_t r : radices) {
     stage st;
     st.n = rem;
@@ -137,254 +98,330 @@ void c2c_plan::impl::build_mixed_radix() {
     st.tw.resize(st.m * (r - 1));
     for (std::size_t k2 = 0; k2 < st.m; ++k2) {
       for (std::size_t q = 1; q < r; ++q) {
-        const double ang = sign * twopi() *
+        const double ang = sign_ * twopi() *
                            static_cast<double>((q * k2) % st.n) /
                            static_cast<double>(st.n);
         st.tw[(q - 1) * st.m + k2] = std::polar(1.0, ang);
       }
     }
-    if (radix_roots[r].empty()) {
-      radix_roots[r].resize(r);
+    if (roots_[r].empty()) {
+      roots_[r].resize(r);
       for (std::size_t q = 0; q < r; ++q)
-        radix_roots[r][q] =
-            std::polar(1.0, sign * twopi() * static_cast<double>(q) /
+        roots_[r][q] =
+            std::polar(1.0, sign_ * twopi() * static_cast<double>(q) /
                                 static_cast<double>(r));
     }
-    stages.push_back(std::move(st));
+    stages_.push_back(std::move(st));
     rem /= r;
   }
   PCF_ASSERT(rem == 1);
 }
 
-void c2c_plan::impl::build_bluestein() {
-  bluestein = true;
-  bl_m = 1;
-  while (bl_m < 2 * n - 1) bl_m <<= 1;
-  bl_fwd = std::make_unique<c2c_plan>(bl_m, direction::forward);
-  bl_inv = std::make_unique<c2c_plan>(bl_m, direction::inverse);
+void engine::build_bluestein() {
+  bluestein_ = true;
+  bl_m_ = 1;
+  while (bl_m_ < 2 * n_ - 1) bl_m_ <<= 1;
+  bl_fwd_ = std::make_unique<const engine>(bl_m_, direction::forward);
+  bl_inv_ = std::make_unique<const engine>(bl_m_, direction::inverse);
 
-  bl_chirp.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
+  bl_chirp_.resize(n_);
+  for (std::size_t j = 0; j < n_; ++j) {
     // j^2 mod 2n keeps the argument small for accuracy.
-    const std::size_t j2 = (j * j) % (2 * n);
-    bl_chirp[j] = std::polar(
-        1.0, sign * std::numbers::pi * static_cast<double>(j2) /
-                 static_cast<double>(n));
+    const std::size_t j2 = (j * j) % (2 * n_);
+    bl_chirp_[j] = std::polar(
+        1.0, sign_ * std::numbers::pi * static_cast<double>(j2) /
+                 static_cast<double>(n_));
   }
-  std::vector<cplx> b(bl_m, cplx{0.0, 0.0});
-  for (std::size_t j = 0; j < n; ++j) {
-    const cplx c = std::conj(bl_chirp[j]);
+  std::vector<cplx> b(bl_m_, cplx{0.0, 0.0});
+  for (std::size_t j = 0; j < n_; ++j) {
+    const cplx c = std::conj(bl_chirp_[j]);
     b[j] = c;
-    if (j != 0) b[bl_m - j] = c;
+    if (j != 0) b[bl_m_ - j] = c;
   }
-  bl_bhat.resize(bl_m);
-  bl_fwd->execute(b.data(), bl_bhat.data());
+  bl_bhat_.resize(bl_m_);
+  bl_fwd_->run<1>(reinterpret_cast<const double*>(b.data()),
+                  reinterpret_cast<double*>(bl_bhat_.data()), nullptr);
 }
 
 namespace {
 
-/// Column butterfly: y[q] live at base[q*colstride], pre-twiddled values in
-/// t[]. Specialized for radix 2/3/4; table-driven for other small primes.
-/// Used for the m == 1 leaf stage and the generic-prime combine; the hot
-/// m > 1 radix-2/3/4 combines run the widened per-stage loops in exec()
-/// with the identical per-element arithmetic.
-inline void butterfly(cplx* base, std::size_t colstride, const cplx* t,
-                      std::size_t r, const cplx* roots, double sign) {
-  switch (r) {
-    case 2: {
-      const cplx a = t[0], b = t[1];
-      base[0] = a + b;
-      base[colstride] = a - b;
-      return;
+/// One block element's L lanes, held in registers or on the stack.
+template <std::size_t L>
+struct elem {
+  double re[L];
+  double im[L];
+};
+
+template <std::size_t L>
+inline void load(const double* blk, std::size_t j, elem<L>& t) {
+  const double* p = blk + 2 * L * j;
+  for (std::size_t l = 0; l < L; ++l) {
+    t.re[l] = p[l];
+    t.im[l] = p[L + l];
+  }
+}
+
+/// t = x * w for every lane of block element j.
+template <std::size_t L>
+inline void load_twiddled(const double* blk, std::size_t j, cplx w,
+                          elem<L>& t) {
+  const double* p = blk + 2 * L * j;
+  const double wr = w.real(), wi = w.imag();
+  for (std::size_t l = 0; l < L; ++l) {
+    const double xr = p[l], xi = p[L + l];
+    t.re[l] = xr * wr - xi * wi;
+    t.im[l] = xr * wi + xi * wr;
+  }
+}
+
+/// Radix-R butterfly on the (already twiddled) inputs t[0..r), writing
+/// output k to block element k * os of `out`. R = 0 is the table-driven
+/// butterfly for any prime r <= 31, accumulating in the order
+/// acc = t[0] + t[1] w^{k} + t[2] w^{2k} + ...
+template <std::size_t R, std::size_t L>
+inline void butterfly(const elem<L>* t, std::size_t r, double* out,
+                      std::size_t os, const cplx* roots, double sign) {
+  const std::size_t es = 2 * L * os;  // output element stride in doubles
+  if constexpr (R == 2) {
+    double* o0 = out;
+    double* o1 = out + es;
+    for (std::size_t l = 0; l < L; ++l) {
+      const double ar = t[0].re[l], ai = t[0].im[l];
+      const double br = t[1].re[l], bi = t[1].im[l];
+      o0[l] = ar + br;
+      o0[L + l] = ai + bi;
+      o1[l] = ar - br;
+      o1[L + l] = ai - bi;
     }
-    case 3: {
-      const double s3 = sign * 0.8660254037844386467637231707529362;  // sqrt(3)/2
-      const cplx u = t[1] + t[2];
-      const cplx v = t[1] - t[2];
-      const cplx w = t[0] - 0.5 * u;
-      const cplx iv{-s3 * v.imag(), s3 * v.real()};  // i * s3 * v
-      base[0] = t[0] + u;
-      base[colstride] = w + iv;
-      base[2 * colstride] = w - iv;
-      return;
+  } else if constexpr (R == 3) {
+    const double s3 = sign * 0.8660254037844386467637231707529362;  // sqrt(3)/2
+    double* o0 = out;
+    double* o1 = out + es;
+    double* o2 = out + 2 * es;
+    for (std::size_t l = 0; l < L; ++l) {
+      const double ur = t[1].re[l] + t[2].re[l], ui = t[1].im[l] + t[2].im[l];
+      const double vr = t[1].re[l] - t[2].re[l], vi = t[1].im[l] - t[2].im[l];
+      const double wr = t[0].re[l] - 0.5 * ur, wi = t[0].im[l] - 0.5 * ui;
+      const double ivr = -s3 * vi, ivi = s3 * vr;  // i * s3 * v
+      o0[l] = t[0].re[l] + ur;
+      o0[L + l] = t[0].im[l] + ui;
+      o1[l] = wr + ivr;
+      o1[L + l] = wi + ivi;
+      o2[l] = wr - ivr;
+      o2[L + l] = wi - ivi;
     }
-    case 4: {
-      const cplx a = t[0] + t[2];
-      const cplx b = t[0] - t[2];
-      const cplx c = t[1] + t[3];
-      const cplx d = t[1] - t[3];
+  } else if constexpr (R == 4) {
+    const double ns = -sign;
+    double* o0 = out;
+    double* o1 = out + es;
+    double* o2 = out + 2 * es;
+    double* o3 = out + 3 * es;
+    for (std::size_t l = 0; l < L; ++l) {
+      const double ar = t[0].re[l] + t[2].re[l], ai = t[0].im[l] + t[2].im[l];
+      const double br = t[0].re[l] - t[2].re[l], bi = t[0].im[l] - t[2].im[l];
+      const double cr = t[1].re[l] + t[3].re[l], ci = t[1].im[l] + t[3].im[l];
+      const double dr = t[1].re[l] - t[3].re[l], di = t[1].im[l] - t[3].im[l];
       // forward (sign=-1): X1 = b - i d, X3 = b + i d
-      const cplx id{-sign * d.imag(), sign * d.real()};  // sign * i * d
-      base[0] = a + c;
-      base[colstride] = b + id;
-      base[2 * colstride] = a - c;
-      base[3 * colstride] = b - id;
-      return;
+      const double idr = ns * di, idi = sign * dr;  // sign * i * d
+      o0[l] = ar + cr;
+      o0[L + l] = ai + ci;
+      o1[l] = br + idr;
+      o1[L + l] = bi + idi;
+      o2[l] = ar - cr;
+      o2[L + l] = ai - ci;
+      o3[l] = br - idr;
+      o3[L + l] = bi - idi;
     }
-    default: {
-      for (std::size_t k = 0; k < r; ++k) {
-        cplx acc = t[0];
-        for (std::size_t q = 1; q < r; ++q) acc += t[q] * roots[(q * k) % r];
-        base[k * colstride] = acc;
+  } else {
+    for (std::size_t k = 0; k < r; ++k) {
+      elem<L> acc = t[0];
+      for (std::size_t q = 1; q < r; ++q) {
+        const double wr = roots[(q * k) % r].real();
+        const double wi = roots[(q * k) % r].imag();
+        for (std::size_t l = 0; l < L; ++l) {
+          acc.re[l] += t[q].re[l] * wr - t[q].im[l] * wi;
+          acc.im[l] += t[q].re[l] * wi + t[q].im[l] * wr;
+        }
       }
-      return;
+      double* o = out + k * es;
+      for (std::size_t l = 0; l < L; ++l) {
+        o[l] = acc.re[l];
+        o[L + l] = acc.im[l];
+      }
     }
   }
 }
 
 }  // namespace
 
-void c2c_plan::impl::exec(std::size_t depth, const cplx* in,
-                          std::size_t istride, cplx* out) const {
-  const stage& st = stages[depth];
-  const std::size_t r = st.r;
+// The DIT recursion, flattened: every leaf butterfly first (reading the
+// input in digit-reversed order), then each stage's combines from the
+// deepest to the outermost, in place in b. Each combine sees exactly the
+// sub-transform values the recursion would have handed it.
+template <std::size_t L>
+void engine::run(const double* a, double* b, double* work) const {
+  if (n_ <= 1) {
+    std::copy_n(a, 2 * L * n_, b);
+    return;
+  }
+  if (bluestein_) {
+    PCF_ASSERT(L == 1);
+    bluestein(a, b, work);
+    return;
+  }
+  switch (stages_.back().r) {
+    case 2: leaves<2, L>(a, b); break;
+    case 3: leaves<3, L>(a, b); break;
+    case 4: leaves<4, L>(a, b); break;
+    default: leaves<0, L>(a, b); break;
+  }
+  for (std::size_t d = stages_.size() - 1; d-- > 0;) {
+    const stage& st = stages_[d];
+    switch (st.r) {
+      case 2: combine<2, L>(st, b); break;
+      case 3: combine<3, L>(st, b); break;
+      case 4: combine<4, L>(st, b); break;
+      default: combine<0, L>(st, b); break;
+    }
+  }
+}
+
+template void engine::run<1>(const double*, double*, double*) const;
+template void engine::run<kLanes>(const double*, double*, double*) const;
+
+template <std::size_t R, std::size_t L>
+void engine::leaves(const double* a, double* b) const {
+  const std::size_t r = R == 0 ? stages_.back().r : R;
+  const std::size_t is = n_ / r;  // input stride between a leaf's points
+  const std::size_t outer = stages_.size() - 1;
+  const cplx* roots = roots_[r].data();
+  elem<L> t[R == 0 ? kMaxButterflyRadix : R];
+  // Odometer over the outer stages' branch digits: leaf o/r reads input
+  // offset sum_d digit[d] * (n / stages_[d].n), its position in the
+  // recursion's input striding.
+  std::size_t digit[64] = {};
+  std::size_t off = 0;
+  for (std::size_t o = 0; o < n_; o += r) {
+    for (std::size_t q = 0; q < r; ++q) load(a, off + q * is, t[q]);
+    butterfly<R>(t, r, b + 2 * L * o, 1, roots, sign_);
+    for (std::size_t d = outer; d-- > 0;) {
+      const std::size_t step = n_ / stages_[d].n;
+      off += step;
+      if (++digit[d] < stages_[d].r) break;
+      digit[d] = 0;
+      off -= stages_[d].r * step;
+    }
+  }
+}
+
+template <std::size_t R, std::size_t L>
+void engine::combine(const stage& st, double* b) const {
+  const std::size_t r = R == 0 ? st.r : R;
   const std::size_t m = st.m;
-  cplx t[kMaxButterflyRadix + 1];
-
-  if (m == 1) {
-    for (std::size_t q = 0; q < r; ++q) t[q] = in[q * istride];
-    butterfly(out, 1, t, r, roots(r), sign);
-    return;
-  }
-
-  for (std::size_t q = 0; q < r; ++q)
-    exec(depth + 1, in + q * istride, istride * r, out + q * m);
-
-  // Combine: columns k2 are independent, contiguous in memory for each
-  // branch q (out + q*m + k2), and each twiddle stream tw[(q-1)*m + k2] is
-  // contiguous in k2 — so the radix-specialized loops below vectorize
-  // across columns. Per-element arithmetic (operand order and association)
-  // is exactly the pre-restructure butterfly's, keeping results
-  // bit-identical to the per-column implementation.
-  const cplx* tw = st.tw.data();
-  const double sg = sign;
-  switch (r) {
-    case 2: {
-      cplx* c0 = out;
-      cplx* c1 = out + m;
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        const cplx a = c0[k2];
-        const cplx b = c1[k2] * tw[k2];
-        c0[k2] = a + b;
-        c1[k2] = a - b;
-      }
-      break;
-    }
-    case 3: {
-      cplx* c0 = out;
-      cplx* c1 = out + m;
-      cplx* c2 = out + 2 * m;
-      const cplx* tw1 = tw;
-      const cplx* tw2 = tw + m;
-      const double s3 = sg * 0.8660254037844386467637231707529362;  // sqrt(3)/2
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        const cplx t0 = c0[k2];
-        const cplx t1 = c1[k2] * tw1[k2];
-        const cplx t2 = c2[k2] * tw2[k2];
-        const cplx u = t1 + t2;
-        const cplx v = t1 - t2;
-        const cplx w = t0 - 0.5 * u;
-        const cplx iv{-s3 * v.imag(), s3 * v.real()};  // i * s3 * v
-        c0[k2] = t0 + u;
-        c1[k2] = w + iv;
-        c2[k2] = w - iv;
-      }
-      break;
-    }
-    case 4: {
-      cplx* c0 = out;
-      cplx* c1 = out + m;
-      cplx* c2 = out + 2 * m;
-      cplx* c3 = out + 3 * m;
-      const cplx* tw1 = tw;
-      const cplx* tw2 = tw + m;
-      const cplx* tw3 = tw + 2 * m;
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        const cplx t0 = c0[k2];
-        const cplx t1 = c1[k2] * tw1[k2];
-        const cplx t2 = c2[k2] * tw2[k2];
-        const cplx t3 = c3[k2] * tw3[k2];
-        const cplx a = t0 + t2;
-        const cplx b = t0 - t2;
-        const cplx c = t1 + t3;
-        const cplx d = t1 - t3;
-        // forward (sign=-1): X1 = b - i d, X3 = b + i d
-        const cplx id{-sg * d.imag(), sg * d.real()};  // sign * i * d
-        c0[k2] = a + c;
-        c1[k2] = b + id;
-        c2[k2] = a - c;
-        c3[k2] = b - id;
-      }
-      break;
-    }
-    default: {
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        cplx* col = out + k2;
-        t[0] = col[0];
-        for (std::size_t q = 1; q < r; ++q)
-          t[q] = col[q * m] * tw[(q - 1) * m + k2];
-        butterfly(col, m, t, r, roots(r), sign);
-      }
-      break;
+  const cplx* roots = roots_[r].data();
+  elem<L> t[R == 0 ? kMaxButterflyRadix : R];
+  // Column k2 of every sub-transform shares its twiddles; each instance
+  // of this stage is a contiguous run of st.n elements of b.
+  for (std::size_t k2 = 0; k2 < m; ++k2) {
+    cplx w[R == 0 ? kMaxButterflyRadix : R];
+    for (std::size_t q = 1; q < r; ++q) w[q] = st.tw[(q - 1) * m + k2];
+    for (std::size_t base = k2; base < n_; base += st.n) {
+      load(b, base, t[0]);
+      for (std::size_t q = 1; q < r; ++q)
+        load_twiddled(b, base + q * m, w[q], t[q]);
+      butterfly<R>(t, r, b + 2 * L * base, m, roots, sign_);
     }
   }
 }
 
-void c2c_plan::impl::exec_bluestein(const cplx* in, cplx* out) const {
-  // Scratch comes from the per-thread arena: the two inner plan
-  // executions below are out-of-place (they check nothing out), and even
-  // a nested checkout could not invalidate u/uhat — the arena grows by
-  // adding chunks, never by moving live ones (see fft/scratch.hpp).
-  scratch_arena::scope sc(scratch_arena::tls());
-  cplx* u = sc.alloc(bl_m);
-  cplx* uhat = sc.alloc(bl_m);
-  std::fill_n(u, bl_m, cplx{0.0, 0.0});
-  for (std::size_t j = 0; j < n; ++j) u[j] = in[j] * bl_chirp[j];
-  bl_fwd->execute(u, uhat);
-  for (std::size_t j = 0; j < bl_m; ++j) uhat[j] *= bl_bhat[j];
-  bl_inv->execute(uhat, u);
-  const double inv_m = 1.0 / static_cast<double>(bl_m);
-  for (std::size_t k = 0; k < n; ++k) out[k] = u[k] * inv_m * bl_chirp[k];
+void engine::bluestein(const double* a, double* b, double* work) const {
+  double* u = work;
+  double* uhat = work + 2 * bl_m_;
+  std::fill_n(u, 2 * bl_m_, 0.0);
+  for (std::size_t j = 0; j < n_; ++j) {  // u = a * chirp
+    const double xr = a[2 * j], xi = a[2 * j + 1];
+    const double cr = bl_chirp_[j].real(), ci = bl_chirp_[j].imag();
+    u[2 * j] = xr * cr - xi * ci;
+    u[2 * j + 1] = xr * ci + xi * cr;
+  }
+  bl_fwd_->run<1>(u, uhat, nullptr);
+  for (std::size_t j = 0; j < bl_m_; ++j) {  // uhat *= bhat
+    const double xr = uhat[2 * j], xi = uhat[2 * j + 1];
+    const double hr = bl_bhat_[j].real(), hi = bl_bhat_[j].imag();
+    uhat[2 * j] = xr * hr - xi * hi;
+    uhat[2 * j + 1] = xr * hi + xi * hr;
+  }
+  bl_inv_->run<1>(uhat, u, nullptr);
+  const double inv_m = 1.0 / static_cast<double>(bl_m_);
+  for (std::size_t k = 0; k < n_; ++k) {  // b = (u / m) * chirp
+    const double xr = u[2 * k] * inv_m, xi = u[2 * k + 1] * inv_m;
+    const double cr = bl_chirp_[k].real(), ci = bl_chirp_[k].imag();
+    b[2 * k] = xr * cr - xi * ci;
+    b[2 * k + 1] = xr * ci + xi * cr;
+  }
 }
 
-void c2c_plan::impl::run(const cplx* in, cplx* out) const {
-  if (n == 0) return;
-  if (n == 1) {
-    out[0] = in[0];
-    return;
+void engine::account(std::size_t count) const {
+  if (n_ <= 1) return;
+  // Per line: this transform plus, under Bluestein, its two inner ones.
+  std::uint64_t flops = static_cast<std::uint64_t>(flops_);
+  std::uint64_t bytes = n_ * sizeof(cplx);
+  if (bluestein_) {
+    flops += 2 * static_cast<std::uint64_t>(bl_fwd_->flops_);
+    bytes += 2 * bl_m_ * sizeof(cplx);
   }
-  if (bluestein) {
-    exec_bluestein(in, out);
-  } else if (in == out) {
-    scratch_arena::scope sc(scratch_arena::tls());
-    cplx* s = sc.alloc(n);
-    std::copy_n(in, n, s);
-    exec(0, s, 1, out);
-  } else {
-    exec(0, in, 1, out);
-  }
-  counters::add_flops(static_cast<std::uint64_t>(flops));
-  counters::add_read(n * sizeof(cplx));
-  counters::add_written(n * sizeof(cplx));
+  counters::add_flops(flops * count);
+  counters::add_read(bytes * count);
+  counters::add_written(bytes * count);
 }
 
-c2c_plan::c2c_plan(std::size_t n, direction dir) : impl_(new impl) {
-  impl_->build(n, dir);
-}
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// c2c_plan
+// ---------------------------------------------------------------------------
+
+c2c_plan::c2c_plan(std::size_t n, direction dir)
+    : impl_(std::make_unique<detail::engine>(n, dir)) {}
 c2c_plan::~c2c_plan() = default;
 c2c_plan::c2c_plan(c2c_plan&&) noexcept = default;
 c2c_plan& c2c_plan::operator=(c2c_plan&&) noexcept = default;
 
-std::size_t c2c_plan::size() const { return impl_->n; }
-direction c2c_plan::dir() const { return impl_->dir_; }
-double c2c_plan::flops_per_execute() const { return impl_->flops; }
+std::size_t c2c_plan::size() const { return impl_->size(); }
+direction c2c_plan::dir() const { return impl_->dir(); }
+double c2c_plan::flops_per_execute() const { return impl_->flops(); }
 
-void c2c_plan::execute(const cplx* in, cplx* out) const { impl_->run(in, out); }
+void c2c_plan::execute(const cplx* in, cplx* out) const {
+  execute_many(in, 0, out, 0, 1);
+}
 
 void c2c_plan::execute_many(const cplx* in, std::size_t in_stride, cplx* out,
                             std::size_t out_stride, std::size_t count) const {
-  for (std::size_t b = 0; b < count; ++b)
-    impl_->run(in + b * in_stride, out + b * out_stride);
+  const std::size_t n = impl_->size();
+  const auto* src = reinterpret_cast<const double*>(in);
+  auto* dst = reinterpret_cast<double*>(out);
+  impl_->execute(
+      count,
+      [&](auto lanes, std::size_t line, double* a) {
+        constexpr std::size_t L = decltype(lanes)::value;
+        for (std::size_t l = 0; l < L; ++l) {
+          const double* x = src + 2 * (line + l) * in_stride;
+          for (std::size_t j = 0; j < n; ++j) {
+            a[2 * L * j + l] = x[2 * j];
+            a[2 * L * j + L + l] = x[2 * j + 1];
+          }
+        }
+      },
+      [&](auto lanes, std::size_t line, const double* b) {
+        constexpr std::size_t L = decltype(lanes)::value;
+        for (std::size_t l = 0; l < L; ++l) {
+          double* y = dst + 2 * (line + l) * out_stride;
+          for (std::size_t j = 0; j < n; ++j) {
+            y[2 * j] = b[2 * L * j + l];
+            y[2 * j + 1] = b[2 * L * j + L + l];
+          }
+        }
+      });
 }
 
 }  // namespace pcf::fft

@@ -7,6 +7,13 @@
 // are unnormalized (a forward-inverse round trip scales by n), matching
 // FFTW's convention.
 //
+// Like FFTW's "many" plans, execute_many() runs its lines in blocks of 8:
+// each block is copied into thread-local scratch interleaved
+// lane-innermost (planar re/im, element j of lane l at 2*8*j + l), and
+// every butterfly stage runs across the 8 lanes. A tail of count % 8 lines,
+// execute() and Bluestein plans run the same kernel at one lane. Lanes never
+// mix, so a line's result does not depend on which lines share its block.
+//
 // Plans are immutable after construction and safe to execute concurrently
 // from multiple threads (scratch is per-call / thread-local), which is what
 // lets the pencil kernel embed FFT calls inside threaded blocks exactly as
@@ -21,6 +28,10 @@
 namespace pcf::fft {
 
 using cplx = std::complex<double>;
+
+namespace detail {
+class engine;
+}
 
 enum class direction { forward, inverse };
 
@@ -38,7 +49,7 @@ class c2c_plan {
   [[nodiscard]] direction dir() const;
 
   /// Transform `in` into `out` (both length n). `in == out` is allowed
-  /// (an internal scratch copy is made); otherwise they must not overlap.
+  /// (lines pass through block scratch); otherwise they must not overlap.
   void execute(const cplx* in, cplx* out) const;
 
   /// Transform `count` lines; line b starts at in + b*in_stride
@@ -50,8 +61,7 @@ class c2c_plan {
   [[nodiscard]] double flops_per_execute() const;
 
  private:
-  struct impl;
-  std::unique_ptr<impl> impl_;
+  std::unique_ptr<detail::engine> impl_;
 };
 
 /// Real-to-complex forward transform: n real inputs -> n/2 + 1 complex

@@ -27,8 +27,11 @@ struct cache {
         ++hits;
         return e.plan;
       }
+    // Construct first: a length the plan rejects throws here and leaves
+    // the counters and the table as they were.
+    std::shared_ptr<const Plan> plan = make();
     ++misses;
-    entries.push_back({n, variant, make()});
+    entries.push_back({n, variant, std::move(plan)});
     return entries.back().plan;
   }
 

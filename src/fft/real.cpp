@@ -1,20 +1,19 @@
 // Real <-> complex transforms via the even/odd packing trick: a length-n
 // real transform is computed with one length-n/2 complex transform plus an
 // O(n) unpack. This is the storage layout the paper's kernel exploits when
-// it drops the Nyquist mode (Section 4.4).
-#include <cmath>
+// it drops the Nyquist mode (Section 4.4). The packing runs in the block
+// engine's pack step and the unpacking in its unpack step, so a block of
+// lines goes through the half-length transform together.
 #include <numbers>
 #include <vector>
 
+#include "fft/engine.hpp"
 #include "fft/fft.hpp"
-#include "fft/scratch.hpp"
 #include "util/check.hpp"
 
 namespace pcf::fft {
 
 namespace {
-
-using detail::scratch_arena;
 
 /// Unit roots e^{sign i 2 pi k / n} for k = 0..n/2.
 std::vector<cplx> half_roots(std::size_t n, double sign) {
@@ -26,6 +25,13 @@ std::vector<cplx> half_roots(std::size_t n, double sign) {
   return w;
 }
 
+/// n / 2, once n is known to be a valid real-transform length (checked
+/// before the half-length plan is built).
+std::size_t half_length(std::size_t n, const char* what) {
+  PCF_REQUIRE(n >= 2 && n % 2 == 0, what);
+  return n / 2;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -34,35 +40,13 @@ std::vector<cplx> half_roots(std::size_t n, double sign) {
 
 struct r2c_plan::impl {
   std::size_t n = 0;
-  c2c_plan half;        // length n/2 forward transform
+  detail::engine half;  // length n/2 forward transform
   std::vector<cplx> w;  // e^{-2 pi i k / n}
 
   explicit impl(std::size_t len)
-      : n(len), half(len / 2, direction::forward), w(half_roots(len, -1.0)) {
-    PCF_REQUIRE(len >= 2 && len % 2 == 0, "r2c length must be even");
-  }
-
-  void run(const double* in, cplx* out) const {
-    const std::size_t h = n / 2;
-    // z/Z stay checked out across half.execute(); if h is not smooth that
-    // execution nests Bluestein plans on this same thread, so the scratch
-    // must come from the non-moving arena (see fft/scratch.hpp).
-    scratch_arena::scope sc(scratch_arena::tls());
-    cplx* z = sc.alloc(h);
-    cplx* Z = sc.alloc(h);
-    for (std::size_t j = 0; j < h; ++j) z[j] = cplx{in[2 * j], in[2 * j + 1]};
-    half.execute(z, Z);
-    // Unpack: X_k = E_k + w^k O_k with
-    //   E_k = (Z_k + conj(Z_{h-k})) / 2,  O_k = -i (Z_k - conj(Z_{h-k})) / 2.
-    for (std::size_t k = 0; k <= h; ++k) {
-      const cplx zk = Z[k % h];
-      const cplx zmk = std::conj(Z[(h - k) % h]);
-      const cplx e = 0.5 * (zk + zmk);
-      const cplx d = 0.5 * (zk - zmk);
-      const cplx o{d.imag(), -d.real()};  // -i * d
-      out[k] = e + w[k] * o;
-    }
-  }
+      : n(len),
+        half(half_length(len, "r2c length must be even"), direction::forward),
+        w(half_roots(len, -1.0)) {}
 };
 
 r2c_plan::r2c_plan(std::size_t n) : impl_(new impl(n)) {}
@@ -72,13 +56,46 @@ r2c_plan& r2c_plan::operator=(r2c_plan&&) noexcept = default;
 std::size_t r2c_plan::size() const { return impl_->n; }
 
 void r2c_plan::execute(const double* in, cplx* out) const {
-  impl_->run(in, out);
+  execute_many(in, 0, out, 0, 1);
 }
 
 void r2c_plan::execute_many(const double* in, std::size_t in_stride, cplx* out,
                             std::size_t out_stride, std::size_t count) const {
-  for (std::size_t b = 0; b < count; ++b)
-    impl_->run(in + b * in_stride, out + b * out_stride);
+  const std::size_t h = impl_->n / 2;
+  const cplx* w = impl_->w.data();
+  auto* dst = reinterpret_cast<double*>(out);
+  impl_->half.execute(
+      count,
+      // Pack: z_j = x_{2j} + i x_{2j+1}.
+      [&](auto lanes, std::size_t line, double* a) {
+        constexpr std::size_t L = decltype(lanes)::value;
+        for (std::size_t l = 0; l < L; ++l) {
+          const double* x = in + (line + l) * in_stride;
+          for (std::size_t j = 0; j < h; ++j) {
+            a[2 * L * j + l] = x[2 * j];
+            a[2 * L * j + L + l] = x[2 * j + 1];
+          }
+        }
+      },
+      // Unpack: X_k = E_k + w^k O_k with
+      //   E_k = (Z_k + conj(Z_{h-k})) / 2,  O_k = -i (Z_k - conj(Z_{h-k})) / 2.
+      [&](auto lanes, std::size_t line, const double* b) {
+        constexpr std::size_t L = decltype(lanes)::value;
+        for (std::size_t k = 0; k <= h; ++k) {
+          const double* zk = b + 2 * L * (k % h);
+          const double* zm = b + 2 * L * ((h - k) % h);
+          const double wr = w[k].real(), wi = w[k].imag();
+          for (std::size_t l = 0; l < L; ++l) {
+            const double mr = zm[l], mi = -zm[L + l];  // conj(Z_{h-k})
+            const double er = 0.5 * (zk[l] + mr), ei = 0.5 * (zk[L + l] + mi);
+            const double dr = 0.5 * (zk[l] - mr), di = 0.5 * (zk[L + l] - mi);
+            const double o_r = di, o_i = -dr;  // -i * d
+            double* y = dst + 2 * ((line + l) * out_stride + k);
+            y[0] = er + (wr * o_r - wi * o_i);
+            y[1] = ei + (wr * o_i + wi * o_r);
+          }
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -87,35 +104,13 @@ void r2c_plan::execute_many(const double* in, std::size_t in_stride, cplx* out,
 
 struct c2r_plan::impl {
   std::size_t n = 0;
-  c2c_plan half;        // length n/2 inverse transform
+  detail::engine half;  // length n/2 inverse transform
   std::vector<cplx> w;  // e^{+2 pi i k / n}
 
   explicit impl(std::size_t len)
-      : n(len), half(len / 2, direction::inverse), w(half_roots(len, 1.0)) {
-    PCF_REQUIRE(len >= 2 && len % 2 == 0, "c2r length must be even");
-  }
-
-  void run(const cplx* in, double* out) const {
-    const std::size_t h = n / 2;
-    // Same nesting hazard as r2c: Z/z live across the half-length execute.
-    scratch_arena::scope sc(scratch_arena::tls());
-    cplx* Z = sc.alloc(h);
-    cplx* z = sc.alloc(h);
-    // Repack: Z_k = E_k + i O_k (scale 2 relative to the forward E/O) so
-    // that r2c followed by c2r scales by exactly n, matching FFTW.
-    for (std::size_t k = 0; k < h; ++k) {
-      const cplx xk = in[k];
-      const cplx xmk = std::conj(in[h - k]);
-      const cplx e = xk + xmk;
-      const cplx o = w[k] * (xk - xmk);
-      Z[k] = cplx{e.real() - o.imag(), e.imag() + o.real()};  // e + i*o
-    }
-    half.execute(Z, z);
-    for (std::size_t j = 0; j < h; ++j) {
-      out[2 * j] = z[j].real();
-      out[2 * j + 1] = z[j].imag();
-    }
-  }
+      : n(len),
+        half(half_length(len, "c2r length must be even"), direction::inverse),
+        w(half_roots(len, 1.0)) {}
 };
 
 c2r_plan::c2r_plan(std::size_t n) : impl_(new impl(n)) {}
@@ -125,13 +120,45 @@ c2r_plan& c2r_plan::operator=(c2r_plan&&) noexcept = default;
 std::size_t c2r_plan::size() const { return impl_->n; }
 
 void c2r_plan::execute(const cplx* in, double* out) const {
-  impl_->run(in, out);
+  execute_many(in, 0, out, 0, 1);
 }
 
 void c2r_plan::execute_many(const cplx* in, std::size_t in_stride, double* out,
                             std::size_t out_stride, std::size_t count) const {
-  for (std::size_t b = 0; b < count; ++b)
-    impl_->run(in + b * in_stride, out + b * out_stride);
+  const std::size_t h = impl_->n / 2;
+  const cplx* w = impl_->w.data();
+  const auto* src = reinterpret_cast<const double*>(in);
+  impl_->half.execute(
+      count,
+      // Pack: Z_k = E_k + i O_k (scale 2 relative to the forward E/O) so
+      // that r2c followed by c2r scales by exactly n, matching FFTW.
+      [&](auto lanes, std::size_t line, double* a) {
+        constexpr std::size_t L = decltype(lanes)::value;
+        for (std::size_t l = 0; l < L; ++l) {
+          const double* x = src + 2 * (line + l) * in_stride;
+          for (std::size_t k = 0; k < h; ++k) {
+            const double xr = x[2 * k], xi = x[2 * k + 1];
+            const double mr = x[2 * (h - k)], mi = -x[2 * (h - k) + 1];
+            const double er = xr + mr, ei = xi + mi;
+            const double dr = xr - mr, di = xi - mi;
+            const double wr = w[k].real(), wi = w[k].imag();
+            const double o_r = wr * dr - wi * di, o_i = wr * di + wi * dr;
+            a[2 * L * k + l] = er - o_i;  // e + i*o
+            a[2 * L * k + L + l] = ei + o_r;
+          }
+        }
+      },
+      // Unpack: x_{2j} = Re z_j, x_{2j+1} = Im z_j.
+      [&](auto lanes, std::size_t line, const double* b) {
+        constexpr std::size_t L = decltype(lanes)::value;
+        for (std::size_t l = 0; l < L; ++l) {
+          double* y = out + (line + l) * out_stride;
+          for (std::size_t j = 0; j < h; ++j) {
+            y[2 * j] = b[2 * L * j + l];
+            y[2 * j + 1] = b[2 * L * j + L + l];
+          }
+        }
+      });
 }
 
 }  // namespace pcf::fft

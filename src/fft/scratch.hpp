@@ -1,12 +1,12 @@
 // Per-thread scratch arena for FFT plan execution.
 //
-// Plan execution is re-entrant on one thread: a real transform checks out
-// packing scratch and then executes its half-length c2c plan, and when that
-// length is not smooth the Bluestein path executes two *nested* inner plans
-// of its own. A single shared thread_local std::vector (the previous
-// implementation) is unsafe to extend under nesting — growing it moves the
-// storage out from under the outer execution's live pointers. This arena
-// makes the nesting explicit and safe:
+// Each execute_many call checks out its two block buffers (plus the
+// Bluestein work buffer) under one scope. Checkouts may still nest on one
+// thread — a caller holding scratch can execute a plan — and a single
+// shared thread_local std::vector (an earlier implementation) is unsafe to
+// extend under nesting: growing it moves the storage out from under the
+// outer checkout's live pointers. This arena makes the nesting explicit
+// and safe:
 //
 //  * Checkouts are grouped under LIFO `scope`s (asserted). A nested scope
 //    that outgrows the current chunk gets a NEW chunk; existing chunks

@@ -11,9 +11,22 @@
 
 #include "util/check.hpp"
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 namespace pcf {
 
 inline constexpr std::size_t kAlignment = 64;  // one x86 cache line
+
+/// Buffers of at least this many bytes get a private anonymous mapping
+/// instead of heap memory, and hand their pages back to the OS when freed.
+/// Heap-held fields fragment glibc's heap: after the first large free it
+/// raises its mmap threshold, later fields land in the heap, and small
+/// allocations that outlive a simulation pin its freed fields' holes, so a
+/// process that builds one simulation after another keeps growing
+/// (DESIGN.md §12).
+inline constexpr std::size_t kMapBytes = std::size_t{64} << 10;
 
 /// Owning, 64-byte-aligned, fixed-size buffer of trivially copyable T.
 /// Unlike std::vector it never value-initializes on resize-free paths and
@@ -68,9 +81,19 @@ class aligned_buffer {
   void fill(const T& v) { std::fill_n(data_.get(), size_, v); }
 
  private:
-  struct free_deleter {
-    void operator()(T* p) const noexcept { std::free(p); }
+  struct releaser {
+    std::size_t mapped = 0;  // bytes of a private mapping; 0: heap memory
+    void operator()(T* p) const noexcept {
+#if defined(__linux__)
+      if (mapped != 0) {
+        ::munmap(p, mapped);
+        return;
+      }
+#endif
+      std::free(p);
+    }
   };
+  using storage = std::unique_ptr<T[], releaser>;
 
   void allocate(std::size_t n) {
     size_ = n;
@@ -80,12 +103,24 @@ class aligned_buffer {
     }
     // round byte count up to the alignment as aligned_alloc requires
     std::size_t bytes = (n * sizeof(T) + kAlignment - 1) / kAlignment * kAlignment;
+    // AddressSanitizer keeps its redzones only around heap memory, so
+    // sanitized builds stay on the heap.
+#if defined(__linux__) && !defined(__SANITIZE_ADDRESS__)
+    if (bytes >= kMapBytes) {
+      void* m = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (m != MAP_FAILED) {
+        data_ = storage(static_cast<T*>(m), releaser{bytes});
+        return;
+      }
+    }
+#endif
     T* p = static_cast<T*>(std::aligned_alloc(kAlignment, bytes));
     if (p == nullptr) throw std::bad_alloc();
-    data_.reset(p);
+    data_ = storage(p, releaser{});
   }
 
-  std::unique_ptr<T[], free_deleter> data_;
+  storage data_;
   std::size_t size_ = 0;
 };
 

@@ -1,7 +1,7 @@
 // The per-thread scratch arena that backs plan execution, and the
-// re-entrancy it exists to guarantee: a real transform's scratch stays
-// valid while its half-length plan nests Bluestein executions on the same
-// thread (the aliasing bug a shared growable vector would have).
+// re-entrancy it exists to guarantee: outer checkouts stay valid while
+// nested ones grow the arena (the aliasing bug a shared growable vector
+// would have), including real transforms whose half length runs Bluestein.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -120,11 +120,10 @@ TEST(ScratchArena, ManyChunksMergeWhenIdle) {
 }
 
 // Regression for the tls_scratch() aliasing hazard: r2c/c2r of length 2p
-// (p a prime > 31) keep packing scratch checked out while the half-length
-// plan runs Bluestein, which executes two nested power-of-two plans on the
-// same thread. With a shared growable vector the nested in-place copies
-// could reallocate or reuse the outer buffers; the arena must keep both
-// live and distinct. Verified against the naive DFT.
+// (p a prime > 31) keep their packed block checked out while the
+// half-length plan runs Bluestein, which executes two power-of-two plans
+// on its own work buffer. The arena must keep all of them live and
+// distinct. Verified against the naive DFT.
 TEST(ScratchNesting, RealTransformWithBluesteinHalfMatchesNaive) {
   const std::size_t n = 74;  // half = 37, prime > 31 -> Bluestein inside
   pcf::rng r(37);
@@ -154,8 +153,8 @@ TEST(ScratchNesting, RealRoundTripWithBluesteinHalf) {
 }
 
 TEST(ScratchNesting, InPlaceNonSmoothTransformMatchesOutOfPlace) {
-  // In-place non-smooth c2c: the run() copy scratch stays live across the
-  // whole Bluestein execution (two nested plans + arena u/uhat).
+  // In-place non-smooth c2c: the packed line stays live across the whole
+  // Bluestein execution (two inner plans on the arena's u/uhat).
   const std::size_t n = 111;  // 3 * 37
   pcf::rng r(111);
   std::vector<cplx> x(n), want(n);

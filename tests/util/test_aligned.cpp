@@ -15,8 +15,9 @@ TEST(AlignedBuffer, DefaultIsEmpty) {
   EXPECT_TRUE(b.empty());
 }
 
+// 1 << 14 doubles (128 KiB) is past kMapBytes: a mapped buffer.
 TEST(AlignedBuffer, DataIsCacheLineAligned) {
-  for (std::size_t n : {1u, 3u, 17u, 1000u}) {
+  for (std::size_t n : {1u, 3u, 17u, 1000u, 1u << 14}) {
     aligned_buffer<double> b(n);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % pcf::kAlignment, 0u)
         << "n = " << n;
@@ -46,19 +47,25 @@ TEST(AlignedBuffer, CopyAssignReplacesContents) {
 }
 
 TEST(AlignedBuffer, MoveTransfersOwnership) {
-  aligned_buffer<double> a(16, 1.0);
-  double* p = a.data();
-  aligned_buffer<double> b(std::move(a));
-  EXPECT_EQ(b.data(), p);
-  EXPECT_EQ(b.size(), 16u);
+  for (std::size_t n : {16u, 1u << 14}) {
+    aligned_buffer<double> a(n, 1.0);
+    double* p = a.data();
+    aligned_buffer<double> b(std::move(a));
+    EXPECT_EQ(b.data(), p);
+    EXPECT_EQ(b.size(), n);
+    EXPECT_EQ(b[n - 1], 1.0);
+  }
 }
 
+// Resizes across kMapBytes both ways: heap -> mapped -> heap.
 TEST(AlignedBuffer, ResetDiscardsAndResizes) {
   aligned_buffer<double> b(8, 1.0);
-  b.reset(100);
-  EXPECT_EQ(b.size(), 100u);
-  b.fill(3.0);
-  EXPECT_EQ(b[99], 3.0);
+  for (std::size_t n : {100u, 1u << 14, 100u}) {
+    b.reset(n);
+    EXPECT_EQ(b.size(), n);
+    b.fill(3.0);
+    EXPECT_EQ(b[n - 1], 3.0);
+  }
 }
 
 TEST(AlignedBuffer, SupportsComplex) {
