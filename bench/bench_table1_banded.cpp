@@ -16,6 +16,9 @@
 // kernel, and the blocked fixed-lane (vectorized) kernel, with the pivoted
 // LAPACK-style solver as baseline. Results go to BENCH_banded.json.
 //
+// Between the two, a blocked-apply row: the per-line A x product against
+// apply_many over a panel of 8 interleaved complex lines, at n = 33 and 49.
+//
 // Usage: bench_table1_banded [--fast]
 //   --fast: smaller system / shorter timing floor — the ctest `perf`-label
 //   smoke configuration.
@@ -148,6 +151,43 @@ int main(int argc, char** argv) {
   std::fputs(t.str().c_str(), stdout);
   std::printf("\npaper: custom ~4x faster than vendor banded solvers, "
               "storage halved.\n");
+
+  // --- Blocked apply -------------------------------------------------------
+  // The nonlinear stage's A0/A1/A2 products: one line at a time against one
+  // apply_many over a panel of 8 interleaved complex lines (a mode block),
+  // at the wall-normal sizes of the quickstart and large grids.
+  pcf::bench::print_header(
+      "Blocked apply", "y = A x per complex line, h = 7: per-line apply vs "
+                       "apply_many over 8 interleaved lines");
+  pcf::text_table at({"n", "Lines", "apply/line", "apply_many/line",
+                      "Speedup"});
+  for (int na : {33, 49}) {
+    constexpr int kLines = 8;
+    const int h = 7;
+    compact_banded A(na, h);
+    gb_matrix<double> Gr(na, 2 * h, 2 * h);
+    gb_matrix<cplx> Gc(na, 2 * h, 2 * h);
+    fill(A, Gr, Gc, 3000 + static_cast<std::uint64_t>(na));
+    pcf::rng r(13);
+    std::vector<cplx> x(static_cast<std::size_t>(na) * kLines);
+    for (auto& v : x) v = cplx{r.uniform(-1, 1), r.uniform(-1, 1)};
+    std::vector<cplx> y(x.size());
+    const double floor = fast ? 0.005 : 0.05;
+    const double t_line = pcf::bench::time_call(
+        [&] {
+          for (int l = 0; l < kLines; ++l)
+            A.apply(x.data() + static_cast<std::size_t>(l) * na,
+                    y.data() + static_cast<std::size_t>(l) * na);
+        },
+        floor) / kLines;
+    const double t_many = pcf::bench::time_call(
+        [&] { A.apply_many(x.data(), y.data(), kLines); }, floor) / kLines;
+    at.add_row({std::to_string(na), std::to_string(kLines),
+                pcf::text_table::fmt(t_line * 1e9, 1) + " ns",
+                pcf::text_table::fmt(t_many * 1e9, 1) + " ns",
+                pcf::text_table::fmt(t_line / t_many, 2) + "x"});
+  }
+  std::fputs(at.str().c_str(), stdout);
 
   // --- Blocked multi-RHS substitution profile ------------------------------
   pcf::bench::print_header(

@@ -32,7 +32,7 @@ int main() {
   wall_normal_operators ops(ny, 7, 2.0);
   const auto n = static_cast<std::size_t>(ops.n());
 
-  std::vector<cplx> rhs(n), c_phi(n), c_v(n), work(n);
+  std::vector<cplx> rhs(n), c_phi(n), c_v(n), work(n), scratch(n);
   for (std::size_t i = 0; i < n; ++i)
     rhs[i] = cplx{std::sin(0.1 * static_cast<double>(i)), 0.3};
 
@@ -41,7 +41,7 @@ int main() {
       const double k2 = 1.0 + 0.37 * m;
       mode_solver solver(ops, 1e-4, k2);
       auto b = rhs;
-      ops.apply_rhs_operator(1e-4, k2, b.data(), work.data());
+      ops.apply_rhs_operator(1e-4, k2, b.data(), work.data(), scratch.data());
       solver.solve_dirichlet(work.data());
       auto b2 = rhs;
       solver.solve_phi_v(b2.data(), c_phi.data(), c_v.data());

@@ -20,21 +20,6 @@ void compact_banded::clear() {
   factorized_ = false;
 }
 
-template <class S>
-void compact_banded::apply(const S* x, S* y) const {
-  PCF_REQUIRE(!factorized_, "apply() needs the unfactored matrix");
-  for (int i = 0; i < n_; ++i) {
-    const int s = row_start(i);
-    const double* r = row(i);
-    S acc{};
-    for (int c = 0; c < w_; ++c) acc += r[c] * x[s + c];
-    y[i] = acc;
-  }
-  counters::add_flops(static_cast<std::uint64_t>(n_) * 2u *
-                      static_cast<std::uint64_t>(w_) *
-                      (std::is_same_v<S, cplx> ? 2 : 1));
-}
-
 namespace {
 
 /// Real lanes contributed by one RHS of type S: a complex RHS is solved as
@@ -43,7 +28,8 @@ namespace {
 template <class S>
 constexpr int kLanesPerRhs = std::is_same_v<S, cplx> ? 2 : 1;
 
-/// Widest RHS panel carried per band pass (one cache line of doubles).
+/// Widest RHS panel solve_many carries per band pass (one cache line of
+/// doubles). apply_many and solve_panel take panels of any width.
 constexpr int kMaxLanes = 8;
 
 /// The factorization and substitution kernels are instantiated with a
@@ -173,8 +159,10 @@ struct kernels {
         for (int k = lo; k < n; ++k) eliminate(k);
       }
     }
-    // Back substitution with U.
-    double acc[kMaxLanes];
+    // Back substitution with U, four lanes at a time in named scalar
+    // accumulators, then lane by lane. (With a runtime lane count, the same
+    // chunk written as an accumulator array ran at about half the speed.)
+    const std::size_t stride = static_cast<std::size_t>(L);
     for (int j = n - 1; j >= 0; --j) {
       const int s = row_start(j, n, h);
       const double* r =
@@ -182,15 +170,78 @@ struct kernels {
       const int off = j - s;
       const int len = 2 * h - off;
       const double* u = r + off;
-      double* xj = lane_row(j);
-      for (int t = 0; t < L; ++t) acc[t] = xj[t];
-      for (int c = 1; c <= len; ++c) {
-        const double uc = u[c];
-        const double* xc = lane_row(j + c);
-        for (int t = 0; t < L; ++t) acc[t] -= uc * xc[t];
-      }
       const double d = u[0];
-      for (int t = 0; t < L; ++t) xj[t] = acc[t] / d;
+      double* xj = lane_row(j);
+      int t = 0;
+      for (; t + 4 <= L; t += 4) {
+        double a0 = xj[t], a1 = xj[t + 1], a2 = xj[t + 2], a3 = xj[t + 3];
+        const double* xc = xj + t;
+        for (int c = 1; c <= len; ++c) {
+          xc += stride;
+          const double uc = u[c];
+          a0 -= uc * xc[0];
+          a1 -= uc * xc[1];
+          a2 -= uc * xc[2];
+          a3 -= uc * xc[3];
+        }
+        xj[t] = a0 / d;
+        xj[t + 1] = a1 / d;
+        xj[t + 2] = a2 / d;
+        xj[t + 3] = a3 / d;
+      }
+      for (; t < L; ++t) {
+        double a0 = xj[t];
+        const double* xc = xj + t;
+        for (int c = 1; c <= len; ++c) {
+          xc += stride;
+          a0 -= u[c] * xc[0];
+        }
+        xj[t] = a0 / d;
+      }
+    }
+  }
+
+  /// y = A x over interleaved panels of L real lanes (unfactored band),
+  /// chunked like the back substitution. Each lane accumulates from +0.0
+  /// in column order, which for the two lanes of a complex line is exactly
+  /// std::complex's `acc += r[c] * x[c]`, so a line's bits do not depend
+  /// on the panel it rides in.
+  template <int LC>
+  static void apply_panel(const double* a, int n, int rh,
+                          const double* __restrict x, double* __restrict y,
+                          int rl) {
+    const int h = HC > 0 ? HC : rh;
+    const int w = 2 * h + 1;
+    const int L = LC > 0 ? LC : rl;
+    const std::size_t stride = static_cast<std::size_t>(L);
+    for (int i = 0; i < n; ++i) {
+      const double* r =
+          a + static_cast<std::size_t>(i) * static_cast<std::size_t>(w);
+      const double* xs =
+          x + static_cast<std::size_t>(row_start(i, n, h)) * stride;
+      double* yi = y + static_cast<std::size_t>(i) * stride;
+      int t = 0;
+      for (; t + 4 <= L; t += 4) {
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+        const double* xc = xs + t;
+        for (int c = 0; c < w; ++c, xc += stride) {
+          const double rc = r[c];
+          a0 += rc * xc[0];
+          a1 += rc * xc[1];
+          a2 += rc * xc[2];
+          a3 += rc * xc[3];
+        }
+        yi[t] = a0;
+        yi[t + 1] = a1;
+        yi[t + 2] = a2;
+        yi[t + 3] = a3;
+      }
+      for (; t < L; ++t) {
+        double a0 = 0.0;
+        const double* xc = xs + t;
+        for (int c = 0; c < w; ++c, xc += stride) a0 += r[c] * xc[0];
+        yi[t] = a0;
+      }
     }
   }
 };
@@ -204,7 +255,10 @@ void panel_for_h(const double* a, int n, int h, double* p, int lanes,
       case 4: kernels<HC>::template solve_panel<4>(a, n, h, p, lanes); return;
       case 6: kernels<HC>::template solve_panel<6>(a, n, h, p, lanes); return;
       case 8: kernels<HC>::template solve_panel<8>(a, n, h, p, lanes); return;
-      default: break;  // odd real-lane counts take the runtime kernel
+      case 16:  // a full mode block of the nonlinear stage
+        kernels<HC>::template solve_panel<16>(a, n, h, p, lanes);
+        return;
+      default: break;  // other lane counts take the runtime kernel
     }
   }
   kernels<HC>::template solve_panel<0>(a, n, h, p, lanes);
@@ -221,6 +275,34 @@ void panel_dispatch(const double* a, int n, int h, double* p, int lanes,
     case 6: panel_for_h<6>(a, n, h, p, lanes, fixed_lanes); break;
     case 7: panel_for_h<7>(a, n, h, p, lanes, fixed_lanes); break;
     default: panel_for_h<0>(a, n, h, p, lanes, fixed_lanes); break;
+  }
+}
+
+template <int HC>
+void apply_for_h(const double* a, int n, int h, const double* x, double* y,
+                 int lanes) {
+  switch (lanes) {
+    // One real or one complex line: apply().
+    case 1: kernels<HC>::template apply_panel<1>(a, n, h, x, y, lanes); return;
+    case 2: kernels<HC>::template apply_panel<2>(a, n, h, x, y, lanes); return;
+    case 16:  // a full mode block of the nonlinear stage
+      kernels<HC>::template apply_panel<16>(a, n, h, x, y, lanes);
+      return;
+    default: kernels<HC>::template apply_panel<0>(a, n, h, x, y, lanes);
+  }
+}
+
+void apply_dispatch(const double* a, int n, int h, const double* x,
+                    double* y, int lanes) {
+  switch (h) {
+    case 1: apply_for_h<1>(a, n, h, x, y, lanes); break;
+    case 2: apply_for_h<2>(a, n, h, x, y, lanes); break;
+    case 3: apply_for_h<3>(a, n, h, x, y, lanes); break;
+    case 4: apply_for_h<4>(a, n, h, x, y, lanes); break;
+    case 5: apply_for_h<5>(a, n, h, x, y, lanes); break;
+    case 6: apply_for_h<6>(a, n, h, x, y, lanes); break;
+    case 7: apply_for_h<7>(a, n, h, x, y, lanes); break;
+    default: apply_for_h<0>(a, n, h, x, y, lanes); break;
   }
 }
 
@@ -373,6 +455,29 @@ void compact_banded::solve(S* x) const {
 }
 
 template <class S>
+void compact_banded::apply_many(const S* x, S* y, int lines) const {
+  PCF_REQUIRE(!factorized_, "apply_many() needs the unfactored matrix");
+  PCF_REQUIRE(lines >= 0, "line count must be nonnegative");
+  if (lines == 0) return;
+  const int lanes = lines * kLanesPerRhs<S>;
+  apply_dispatch(a_.data(), n_, h_, reinterpret_cast<const double*>(x),
+                 reinterpret_cast<double*>(y), lanes);
+  counters::add_flops(static_cast<std::uint64_t>(n_) * 2u *
+                      static_cast<std::uint64_t>(w_) *
+                      static_cast<std::uint64_t>(lanes));
+}
+
+template <class S>
+void compact_banded::solve_panel(S* p, int lines) const {
+  PCF_REQUIRE(factorized_, "solve_panel() requires factorize() first");
+  PCF_REQUIRE(lines >= 0, "line count must be nonnegative");
+  if (lines == 0) return;
+  panel_dispatch(a_.data(), n_, h_, reinterpret_cast<double*>(p),
+                 lines * kLanesPerRhs<S>, true);
+  account_solve_block<S>(n_, w_, lines);
+}
+
+template <class S>
 void compact_banded::solve_many_impl(S* x, int nrhs, std::size_t stride,
                                      bool fixed_lanes) const {
   PCF_REQUIRE(factorized_, "solve_many() requires factorize() first");
@@ -409,8 +514,10 @@ void banded_view::solve_many(S* x, int nrhs, std::size_t stride) const {
   solve_many_on(a_, n_, h_, x, nrhs, stride, true);
 }
 
-template void compact_banded::apply(const double*, double*) const;
-template void compact_banded::apply(const cplx*, cplx*) const;
+template void compact_banded::apply_many(const double*, double*, int) const;
+template void compact_banded::apply_many(const cplx*, cplx*, int) const;
+template void compact_banded::solve_panel(double*, int) const;
+template void compact_banded::solve_panel(cplx*, int) const;
 template void compact_banded::solve(double*) const;
 template void compact_banded::solve(cplx*) const;
 template void compact_banded::solve_many(double*, int, std::size_t) const;

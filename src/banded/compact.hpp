@@ -89,9 +89,21 @@ class compact_banded {
     return a_.size() * sizeof(double);
   }
 
-  /// y = A x using the unfactored matrix. S is double or complex.
+  /// y = A x using the unfactored matrix for one line: the one-line case
+  /// of apply_many. S is double or complex.
   template <class S>
-  void apply(const S* x, S* y) const;
+  void apply(const S* x, S* y) const {
+    apply_many(x, y, 1);
+  }
+
+  /// Y = A X on an interleaved panel of `lines` lines (unfactored matrix).
+  /// Row i of line r sits at x[i * lines + r], so as doubles a complex
+  /// line is two adjacent real lanes: p[i*L + 2r + {re, im}], L = 2*lines.
+  /// The band is streamed once for the whole panel, and every lane runs
+  /// the one-line arithmetic in its order, so each line's result is
+  /// bit-identical to apply() on that line alone. x and y must not alias.
+  template <class S>
+  void apply_many(const S* x, S* y, int lines) const;
 
   /// In-place LU without pivoting. Throws numerical_error on a zero pivot.
   void factorize();
@@ -111,6 +123,13 @@ class compact_banded {
   /// is bit-identical to solve().
   template <class S>
   void solve_many(S* x, int nrhs, std::size_t stride) const;
+
+  /// Solve A X = B in place on an interleaved panel of `lines` right-hand
+  /// sides, laid out as for apply_many (no pack or unpack). Each line's
+  /// result is bit-identical to solve() on that line; the factored band is
+  /// read once for the panel.
+  template <class S>
+  void solve_panel(S* p, int lines) const;
 
   /// Reference multi-RHS path: one full band pass per RHS (the seed
   /// behavior, kept for benchmarking the blocked kernel against).
@@ -137,9 +156,6 @@ class compact_banded {
   double& entry(int i, int j) {
     return a_[static_cast<std::size_t>(i) * static_cast<std::size_t>(w_) +
               static_cast<std::size_t>(j - row_start(i))];
-  }
-  [[nodiscard]] const double* row(int i) const {
-    return a_.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(w_);
   }
 
   template <class S>

@@ -112,12 +112,6 @@ void wall_normal_operators::poisson_into(banded::compact_banded& M,
 }
 
 void wall_normal_operators::apply_rhs_operator(double c, double k2,
-                                               const cplx* x, cplx* y) const {
-  std::vector<cplx> t(static_cast<std::size_t>(basis_.size()));
-  apply_rhs_operator(c, k2, x, y, t.data());
-}
-
-void wall_normal_operators::apply_rhs_operator(double c, double k2,
                                                const cplx* x, cplx* y,
                                                cplx* scratch) const {
   const int n = basis_.size();

@@ -35,27 +35,33 @@ class wall_normal_operators {
   [[nodiscard]] const banded::compact_banded& A1() const { return a1_; }
   [[nodiscard]] const banded::compact_banded& A2() const { return a2_; }
 
+  // Each operation takes `lines` lines (default one) interleaved into a
+  // panel: row i of line r sits at [i * lines + r], so a complex line is
+  // two adjacent real lanes (banded::compact_banded::apply_many). One band
+  // pass serves the whole panel, and every line's bits equal those of the
+  // one-line call on that line alone.
+
   /// Interpolation: overwrite point values with spline coefficients
-  /// (solves A0 c = f). Complex or real lines.
+  /// (solves A0 c = f) in place. Complex or real lines.
   template <class S>
-  void to_coefficients(S* line) const {
-    a0_lu_.solve(line);
+  void to_coefficients(S* x, int lines = 1) const {
+    a0_lu_.solve_panel(x, lines);
   }
 
   /// values[i] = spline(points[i]) from coefficients (A0 apply).
   template <class S>
-  void to_points(const S* coef, S* values) const {
-    a0_.apply(coef, values);
+  void to_points(const S* coef, S* values, int lines = 1) const {
+    a0_.apply_many(coef, values, lines);
   }
 
   /// First/second derivative values at the collocation points.
   template <class S>
-  void deriv1_points(const S* coef, S* values) const {
-    a1_.apply(coef, values);
+  void deriv1_points(const S* coef, S* values, int lines = 1) const {
+    a1_.apply_many(coef, values, lines);
   }
   template <class S>
-  void deriv2_points(const S* coef, S* values) const {
-    a2_.apply(coef, values);
+  void deriv2_points(const S* coef, S* values, int lines = 1) const {
+    a2_.apply_many(coef, values, lines);
   }
 
   /// Derivative of the spline at the walls (for the influence matrix).
@@ -80,10 +86,8 @@ class wall_normal_operators {
   void poisson_into(banded::compact_banded& M, double k2) const;
 
   /// y = [A0 + c (A2 - k2 A0)] x — the explicit side of the IMEX substep.
-  void apply_rhs_operator(double c, double k2, const cplx* x, cplx* y) const;
-
-  /// Same, with caller-provided scratch (length n()) so the per-mode RK3
-  /// loop does not allocate.
+  /// `scratch` (length n()) is caller-provided so the per-mode RK3 loop
+  /// does not allocate.
   void apply_rhs_operator(double c, double k2, const cplx* x, cplx* y,
                           cplx* scratch) const;
 

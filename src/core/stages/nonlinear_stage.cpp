@@ -6,6 +6,57 @@
 
 namespace pcf::core {
 
+namespace {
+
+/// Calls fn(ids, nb) for the active (non-skipped) modes of [mb, me) in
+/// blocks of nb <= kModeBlock; only the last block may be short.
+template <class Fn>
+void for_mode_blocks(const mode_tables& mt, std::size_t mb, std::size_t me,
+                     Fn&& fn) {
+  std::size_t ids[kModeBlock];
+  std::size_t nb = 0;
+  for (std::size_t m = mb; m < me; ++m) {
+    if (mt.skip[m]) continue;
+    ids[nb++] = m;
+    if (nb == kModeBlock) {
+      fn(ids, nb);
+      nb = 0;
+    }
+  }
+  if (nb > 0) fn(ids, nb);
+}
+
+/// Packs the lines of modes ids[0..nb) of field f into a panel: row i of
+/// line r goes to p[i * nb + r].
+void gather(const field_state& st, const aligned_buffer<cplx>& f,
+            const std::size_t* ids, std::size_t nb, cplx* p) {
+  for (std::size_t r = 0; r < nb; ++r) {
+    const cplx* src = st.line(f, ids[r]);
+    for (std::size_t i = 0; i < st.n; ++i) p[i * nb + r] = src[i];
+  }
+}
+
+/// The inverse of gather: panel p back to the lines of field f.
+void scatter(const cplx* p, const std::size_t* ids, std::size_t nb,
+             field_state& st, aligned_buffer<cplx>& f) {
+  for (std::size_t r = 0; r < nb; ++r) {
+    cplx* dst = st.line(f, ids[r]);
+    for (std::size_t i = 0; i < st.n; ++i) dst[i] = p[i * nb + r];
+  }
+}
+
+/// (ar + i ai) * b written out in GCC's order for a complex product
+/// (re = ar*br - ai*bi, im = ar*bi + ai*br). These are the bits of
+/// std::complex's operator* whenever its result is not NaN in both parts,
+/// without the __muldc3 call that checks for that case. Products of a real
+/// and a complex value stay std::complex expressions: they are already
+/// part by part.
+inline cplx cmul(double ar, double ai, cplx b) {
+  return {ar * b.real() - ai * b.imag(), ar * b.imag() + ai * b.real()};
+}
+
+}  // namespace
+
 nonlinear_stage::nonlinear_stage(stage_context& ctx, phase_timer::id parent)
     : ctx_(ctx),
       cfl_maxes_(ctx.ws.shared().alloc<double>(
@@ -41,50 +92,66 @@ void nonlinear_stage::compute_velocities() {
   ctx_.pool.run(mt.nmodes, [&](std::size_t mb, std::size_t me) {
     const auto tid = static_cast<std::size_t>(tid_counter.fetch_add(1));
     workspace_lane::scope scratch(ctx_.ws.thread(tid));
-    cplx* dv = ctx_.ws.thread(tid).alloc<cplx>(n);
-    cplx* om = ctx_.ws.thread(tid).alloc<cplx>(n);
-    double* pts = ctx_.ws.thread(tid).alloc<double>(n);
+    auto& lane = ctx_.ws.thread(tid);
+    cplx* cv = lane.alloc<cplx>(n * kModeBlock);
+    cplx* co = lane.alloc<cplx>(n * kModeBlock);
+    cplx* dv = lane.alloc<cplx>(n * kModeBlock);
+    cplx* om = lane.alloc<cplx>(n * kModeBlock);
+    cplx* vv = lane.alloc<cplx>(n * kModeBlock);
+    double* pts = lane.alloc<double>(n);
     for (std::size_t m = mb; m < me; ++m) {
-      cplx* us = st.line(st.u_s, m);
-      cplx* vs = st.line(st.v_s, m);
-      cplx* ws = st.line(st.w_s, m);
-      // Scalars at the collocation points (the mean profile rides the
-      // mean mode's line, exactly like U / W below).
+      if (!mt.skip[m]) continue;
+      // Skipped modes are zero, except that the mean profiles (U, W and
+      // each scalar's) ride the mean mode's line.
+      const bool mean = mt.has_mean && m == mt.mean_idx;
       for (auto& sc : st.scalars) {
         cplx* ths = st.line(sc.th_s, m);
-        if (mt.skip[m]) {
-          std::fill_n(ths, n, cplx{0, 0});
-          if (mt.has_mean && m == mt.mean_idx) {
-            ops.to_points(sc.c_T.data(), pts);
-            for (std::size_t i = 0; i < n; ++i) ths[i] = pts[i];
-          }
-        } else {
-          ops.to_points(st.line(sc.c_th, m), ths);
+        std::fill_n(ths, n, cplx{0, 0});
+        if (mean) {
+          ops.to_points(sc.c_T.data(), pts);
+          for (std::size_t i = 0; i < n; ++i) ths[i] = pts[i];
         }
       }
-      if (mt.skip[m]) {
-        std::fill_n(us, n, cplx{0, 0});
-        std::fill_n(vs, n, cplx{0, 0});
-        std::fill_n(ws, n, cplx{0, 0});
-        if (mt.has_mean && m == mt.mean_idx) {
-          ops.to_points(st.c_U.data(), pts);
-          for (std::size_t i = 0; i < n; ++i) us[i] = pts[i];
-          ops.to_points(st.c_W.data(), pts);
-          for (std::size_t i = 0; i < n; ++i) ws[i] = pts[i];
-        }
-        continue;
-      }
-      const double k2 = mt.kx[m] * mt.kx[m] + mt.kz[m] * mt.kz[m];
-      ops.deriv1_points(st.line(st.c_v, m), dv);
-      ops.to_points(st.line(st.c_om, m), om);
-      ops.to_points(st.line(st.c_v, m), vs);
-      const cplx ikx{0.0, mt.kx[m] / k2};
-      const cplx ikz{0.0, mt.kz[m] / k2};
-      for (std::size_t i = 0; i < n; ++i) {
-        us[i] = ikx * dv[i] - ikz * om[i];
-        ws[i] = ikz * dv[i] + ikx * om[i];
+      cplx* us = st.line(st.u_s, m);
+      cplx* ws = st.line(st.w_s, m);
+      std::fill_n(us, n, cplx{0, 0});
+      std::fill_n(st.line(st.v_s, m), n, cplx{0, 0});
+      std::fill_n(ws, n, cplx{0, 0});
+      if (mean) {
+        ops.to_points(st.c_U.data(), pts);
+        for (std::size_t i = 0; i < n; ++i) us[i] = pts[i];
+        ops.to_points(st.c_W.data(), pts);
+        for (std::size_t i = 0; i < n; ++i) ws[i] = pts[i];
       }
     }
+    for_mode_blocks(mt, mb, me, [&](const std::size_t* ids, std::size_t nb) {
+      const int lines = static_cast<int>(nb);
+      gather(st, st.c_v, ids, nb, cv);
+      gather(st, st.c_om, ids, nb, co);
+      ops.deriv1_points(cv, dv, lines);
+      ops.to_points(co, om, lines);
+      ops.to_points(cv, vv, lines);
+      for (std::size_t r = 0; r < nb; ++r) {
+        const std::size_t m = ids[r];
+        const double k2 = mt.kx[m] * mt.kx[m] + mt.kz[m] * mt.kz[m];
+        // u = i kx/k2 v' - i kz/k2 omega, w = i kz/k2 v' + i kx/k2 omega.
+        const double ax = mt.kx[m] / k2, az = mt.kz[m] / k2;
+        cplx* us = st.line(st.u_s, m);
+        cplx* ws = st.line(st.w_s, m);
+        for (std::size_t i = 0; i < n; ++i) {
+          const cplx d = dv[i * nb + r], o = om[i * nb + r];
+          us[i] = cmul(0.0, ax, d) - cmul(0.0, az, o);
+          ws[i] = cmul(0.0, az, d) + cmul(0.0, ax, o);
+        }
+      }
+      scatter(vv, ids, nb, st, st.v_s);
+      // Scalars at the collocation points, through the c_v panels.
+      for (auto& sc : st.scalars) {
+        gather(st, sc.c_th, ids, nb, cv);
+        ops.to_points(cv, vv, lines);
+        scatter(vv, ids, nb, st, sc.th_s);
+      }
+    });
   });
 }
 
@@ -185,114 +252,123 @@ void nonlinear_stage::assemble() {
   std::fill_n(st.hU, n, 0.0);
   std::fill_n(st.hW, n, 0.0);
   for (auto& sc : st.scalars) std::fill(sc.hT.begin(), sc.hT.end(), 0.0);
-  const std::size_t nsc = st.scalars.size();
   std::atomic<int> tid_counter{0};
   ctx_.pool.run(mt.nmodes, [&](std::size_t mb, std::size_t me) {
     const auto tid = static_cast<std::size_t>(tid_counter.fetch_add(1));
     workspace_lane::scope scratch(ctx_.ws.thread(tid));
     auto& lane = ctx_.ws.thread(tid);
-    cplx* c1 = lane.alloc<cplx>(n);
-    cplx* c2 = lane.alloc<cplx>(n);
-    cplx* c3 = lane.alloc<cplx>(n);
-    cplx* c4 = lane.alloc<cplx>(n);
-    cplx* c5 = lane.alloc<cplx>(n);
-    cplx* d1 = lane.alloc<cplx>(n);
-    cplx* d2a = lane.alloc<cplx>(n);
-    cplx* d3 = lane.alloc<cplx>(n);
-    cplx* d4a = lane.alloc<cplx>(n);
-    cplx* d5 = lane.alloc<cplx>(n);
-    cplx* d2b = lane.alloc<cplx>(n);
-    cplx* d4b = lane.alloc<cplx>(n);
-    // Two extra lines for the scalar flux derivative, reused across the
-    // scalars of a mode (they are assembled sequentially).
-    cplx* csc = nsc > 0 ? lane.alloc<cplx>(n) : nullptr;
-    cplx* dsc = nsc > 0 ? lane.alloc<cplx>(n) : nullptr;
+    // Twelve panels of kModeBlock lines: the five products' coefficients
+    // and their seven derivatives.
+    cplx* c1 = lane.alloc<cplx>(n * kModeBlock);
+    cplx* c2 = lane.alloc<cplx>(n * kModeBlock);
+    cplx* c3 = lane.alloc<cplx>(n * kModeBlock);
+    cplx* c4 = lane.alloc<cplx>(n * kModeBlock);
+    cplx* c5 = lane.alloc<cplx>(n * kModeBlock);
+    cplx* d1 = lane.alloc<cplx>(n * kModeBlock);
+    cplx* d2a = lane.alloc<cplx>(n * kModeBlock);
+    cplx* d3 = lane.alloc<cplx>(n * kModeBlock);
+    cplx* d4a = lane.alloc<cplx>(n * kModeBlock);
+    cplx* d5 = lane.alloc<cplx>(n * kModeBlock);
+    cplx* d2b = lane.alloc<cplx>(n * kModeBlock);
+    cplx* d4b = lane.alloc<cplx>(n * kModeBlock);
     for (std::size_t m = mb; m < me; ++m) {
-      cplx* hvm = st.line(hv, m);
-      cplx* hgm = st.line(hg, m);
-      // Scalar right-hand sides h_theta = -(i kx (u th)^ + d(v th)^/dy +
-      // i kz (w th)^), assembled into th_s (free once the products are
-      // formed, mirroring h_v / h_g into u_s / v_s); the mean mode feeds
-      // <H_theta> = -d<v theta>/dy into hT.
+      if (!mt.skip[m]) continue;
+      // Skipped modes get zero right-hand sides; the mean mode feeds
+      // <H1> = -d<uv>/dy, <H3> = -d<vw>/dy and <H_theta> = -d<v theta>/dy
+      // (real parts of mode 0) into hU, hW and hT.
+      const bool mean = mt.has_mean && m == mt.mean_idx;
       for (auto& sc : st.scalars) {
-        cplx* hthm = st.line(sc.th_s, m);
-        if (mt.skip[m]) {
-          std::fill_n(hthm, n, cplx{0, 0});
-          if (mt.has_mean && m == mt.mean_idx) {
-            std::copy_n(st.line(sc.qv, m), n, csc);
-            ops.to_coefficients(csc);
-            ops.deriv1_points(csc, dsc);
-            for (std::size_t i = 0; i < n; ++i) sc.hT[i] = -dsc[i].real();
-          }
-          continue;
+        std::fill_n(st.line(sc.th_s, m), n, cplx{0, 0});
+        if (mean) {
+          std::copy_n(st.line(sc.qv, m), n, c1);
+          ops.to_coefficients(c1);
+          ops.deriv1_points(c1, d1);
+          for (std::size_t i = 0; i < n; ++i) sc.hT[i] = -d1[i].real();
         }
-        std::copy_n(st.line(sc.qv, m), n, csc);
-        ops.to_coefficients(csc);
-        ops.deriv1_points(csc, dsc);
-        const cplx ikxs{0.0, mt.kx[m]};
-        const cplx ikzs{0.0, mt.kz[m]};
-        const cplx* pu = st.line(sc.qu, m);
-        const cplx* pw = st.line(sc.qw, m);
-        for (std::size_t i = 0; i < n; ++i)
-          hthm[i] = -(ikxs * pu[i] + dsc[i] + ikzs * pw[i]);
       }
-      if (mt.skip[m]) {
-        std::fill_n(hvm, n, cplx{0, 0});
-        std::fill_n(hgm, n, cplx{0, 0});
-        if (mt.has_mean && m == mt.mean_idx) {
-          // <H1> = -d<uv>/dy, <H3> = -d<vw>/dy (real parts of mode 0).
-          std::copy_n(st.line(st.q2, m), n, c2);
-          std::copy_n(st.line(st.q4, m), n, c4);
-          ops.to_coefficients(c2);
-          ops.to_coefficients(c4);
-          ops.deriv1_points(c2, d2a);
-          ops.deriv1_points(c4, d4a);
-          for (std::size_t i = 0; i < n; ++i) {
-            st.hU[i] = -d2a[i].real();
-            st.hW[i] = -d4a[i].real();
-          }
+      std::fill_n(st.line(hv, m), n, cplx{0, 0});
+      std::fill_n(st.line(hg, m), n, cplx{0, 0});
+      if (mean) {
+        std::copy_n(st.line(st.q2, m), n, c2);
+        std::copy_n(st.line(st.q4, m), n, c4);
+        ops.to_coefficients(c2);
+        ops.to_coefficients(c4);
+        ops.deriv1_points(c2, d2a);
+        ops.deriv1_points(c4, d4a);
+        for (std::size_t i = 0; i < n; ++i) {
+          st.hU[i] = -d2a[i].real();
+          st.hW[i] = -d4a[i].real();
         }
-        continue;
-      }
-      const double kxm = mt.kx[m], kzm = mt.kz[m];
-      const double k2 = kxm * kxm + kzm * kzm;
-      std::copy_n(st.line(st.q1, m), n, c1);
-      std::copy_n(st.line(st.q2, m), n, c2);
-      std::copy_n(st.line(st.q3, m), n, c3);
-      std::copy_n(st.line(st.q4, m), n, c4);
-      std::copy_n(st.line(st.q5, m), n, c5);
-      ops.to_coefficients(c1);
-      ops.to_coefficients(c2);
-      ops.to_coefficients(c3);
-      ops.to_coefficients(c4);
-      ops.to_coefficients(c5);
-      ops.deriv1_points(c1, d1);
-      ops.deriv1_points(c2, d2a);
-      ops.deriv1_points(c3, d3);
-      ops.deriv1_points(c4, d4a);
-      ops.deriv1_points(c5, d5);
-      ops.deriv2_points(c2, d2b);
-      ops.deriv2_points(c4, d4b);
-      const cplx i_unit{0.0, 1.0};
-      const cplx* p1 = st.line(st.q1, m);
-      const cplx* p2 = st.line(st.q2, m);
-      const cplx* p3 = st.line(st.q3, m);
-      const cplx* p4 = st.line(st.q4, m);
-      const cplx* p5 = st.line(st.q5, m);
-      for (std::size_t i = 0; i < n; ++i) {
-        // h_g = kx kz (f1 - f5) + (kz^2 - kx^2) f3
-        //       - i kz d(f2)/dy + i kx d(f4)/dy
-        hgm[i] = kxm * kzm * (p1[i] - p5[i]) +
-                 (kzm * kzm - kxm * kxm) * p3[i] -
-                 i_unit * kzm * d2a[i] + i_unit * kxm * d4a[i];
-        // h_v = i k2 (kx f2 + kz f4) - d/dy [ kx^2 f1 + 2 kx kz f3
-        //       + kz^2 f5 - i kx d(f2)/dy - i kz d(f4)/dy ]
-        hvm[i] = i_unit * k2 * (kxm * p2[i] + kzm * p4[i]) -
-                 (kxm * kxm * d1[i] + 2.0 * kxm * kzm * d3[i] +
-                  kzm * kzm * d5[i] - i_unit * kxm * d2b[i] -
-                  i_unit * kzm * d4b[i]);
       }
     }
+    for_mode_blocks(mt, mb, me, [&](const std::size_t* ids, std::size_t nb) {
+      const int lines = static_cast<int>(nb);
+      gather(st, st.q1, ids, nb, c1);
+      gather(st, st.q2, ids, nb, c2);
+      gather(st, st.q3, ids, nb, c3);
+      gather(st, st.q4, ids, nb, c4);
+      gather(st, st.q5, ids, nb, c5);
+      ops.to_coefficients(c1, lines);
+      ops.to_coefficients(c2, lines);
+      ops.to_coefficients(c3, lines);
+      ops.to_coefficients(c4, lines);
+      ops.to_coefficients(c5, lines);
+      ops.deriv1_points(c1, d1, lines);
+      ops.deriv1_points(c2, d2a, lines);
+      ops.deriv1_points(c3, d3, lines);
+      ops.deriv1_points(c4, d4a, lines);
+      ops.deriv1_points(c5, d5, lines);
+      ops.deriv2_points(c2, d2b, lines);
+      ops.deriv2_points(c4, d4b, lines);
+      for (std::size_t r = 0; r < nb; ++r) {
+        const std::size_t m = ids[r];
+        const double kxm = mt.kx[m], kzm = mt.kz[m];
+        const double k2 = kxm * kxm + kzm * kzm;
+        // i kx, i kz and i k2 as the complex numbers (0 * k, k), whose
+        // real part carries the sign of k as std::complex's i * k does:
+        // the signs of zero in the products depend on it.
+        const double zx = 0.0 * kxm, zz = 0.0 * kzm, zk = 0.0 * k2;
+        const cplx* p1 = st.line(st.q1, m);
+        const cplx* p2 = st.line(st.q2, m);
+        const cplx* p3 = st.line(st.q3, m);
+        const cplx* p4 = st.line(st.q4, m);
+        const cplx* p5 = st.line(st.q5, m);
+        cplx* hvm = st.line(hv, m);
+        cplx* hgm = st.line(hg, m);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t j = i * nb + r;
+          // h_g = kx kz (f1 - f5) + (kz^2 - kx^2) f3
+          //       - i kz d(f2)/dy + i kx d(f4)/dy
+          hgm[i] = kxm * kzm * (p1[i] - p5[i]) +
+                   (kzm * kzm - kxm * kxm) * p3[i] - cmul(zz, kzm, d2a[j]) +
+                   cmul(zx, kxm, d4a[j]);
+          // h_v = i k2 (kx f2 + kz f4) - d/dy [ kx^2 f1 + 2 kx kz f3
+          //       + kz^2 f5 - i kx d(f2)/dy - i kz d(f4)/dy ]
+          hvm[i] = cmul(zk, k2, kxm * p2[i] + kzm * p4[i]) -
+                   (kxm * kxm * d1[j] + 2.0 * kxm * kzm * d3[j] +
+                    kzm * kzm * d5[j] - cmul(zx, kxm, d2b[j]) -
+                    cmul(zz, kzm, d4b[j]));
+        }
+      }
+      // Scalar right-hand sides h_theta = -(i kx (u th)^ + d(v th)^/dy +
+      // i kz (w th)^), assembled into th_s (free once the products are
+      // formed, mirroring h_v / h_g into u_s / v_s), through the c1/d1
+      // panels.
+      for (auto& sc : st.scalars) {
+        gather(st, sc.qv, ids, nb, c1);
+        ops.to_coefficients(c1, lines);
+        ops.deriv1_points(c1, d1, lines);
+        for (std::size_t r = 0; r < nb; ++r) {
+          const std::size_t m = ids[r];
+          const cplx* pu = st.line(sc.qu, m);
+          const cplx* pw = st.line(sc.qw, m);
+          cplx* hthm = st.line(sc.th_s, m);
+          for (std::size_t i = 0; i < n; ++i)
+            hthm[i] = -(cmul(0.0, mt.kx[m], pu[i]) + d1[i * nb + r] +
+                        cmul(0.0, mt.kz[m], pw[i]));
+        }
+      }
+    });
   });
 }
 

@@ -14,6 +14,11 @@
 
 namespace pcf::core {
 
+/// Active modes per wall-normal panel of the velocity and assembly
+/// sub-steps: 8 complex lines, 16 real lanes per panel row. A compile-time
+/// constant: it sizes the thread lanes (dns_workspace_sizes).
+inline constexpr std::size_t kModeBlock = 8;
+
 class nonlinear_stage {
  public:
   /// Registers its phase tree under `parent` ("nonlinear" with children
@@ -37,6 +42,7 @@ class nonlinear_stage {
 
   /// Spectral velocities at the collocation points from the evolved state:
   /// u = (i kx v' - i kz omega) / k2,  w = (i kz v' + i kx omega) / k2.
+  /// The wall-normal applies run on panels of kModeBlock active modes.
   void compute_velocities();
 
   /// All three velocity components spectral -> physical through ONE
@@ -53,7 +59,8 @@ class nonlinear_stage {
 
   /// Assemble the KMM nonlinear right-hand sides h_v (into state.u_s) and
   /// h_g (into state.v_s) at the collocation points from the transformed
-  /// products; mean forcing into state.hU / state.hW.
+  /// products; mean forcing into state.hU / state.hW. The A0 solves and
+  /// A1/A2 applies run on panels of kModeBlock active modes.
   void assemble();
 
  private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numbers>
 
+#include "core/stages/nonlinear_stage.hpp"
+
 namespace pcf::core {
 
 pencil::kernel_config dns_kernel_config(const channel_config& c) {
@@ -168,13 +170,14 @@ field_workspace::sizes dns_workspace_sizes(const channel_config& c,
                  + 40 * kAlignment;
   // Thread lanes. Permanent: the implicit stage's (3 + S)n-complex solve
   // panel (omega/phi rows, operator scratch, one RHS row per passive
-  // scalar). Deepest transient scope: the nonlinear assembly's 12 complex
-  // lines (c1..c5, d1, d2a, d3, d4a, d5, d2b, d4b) plus 2 more when
-  // scalars are configured; the velocity sub-stage needs 2 complex + 1
-  // real line, well under that.
+  // scalar). Deepest transient scope: the nonlinear assembly's 12 mode
+  // panels (c1..c5, d1, d2a, d3, d4a, d5, d2b, d4b), each kModeBlock
+  // complex lines = 16 n doubles; the scalars reuse c1/d1. The velocity
+  // sub-stage needs 5 panels + 1 real line, under that. At kModeBlock = 8
+  // the panels are 12 * 8 * 49 * 16 B = 73.5 KiB per thread for ny = 49.
   const std::size_t nsc = c.scenario.scalars.size();
   s.thread_bytes = (3 + nsc) * n * sizeof(cplx)
-                 + (12 + (nsc > 0 ? 2 : 0)) * n * sizeof(cplx)
+                 + 12 * kModeBlock * n * sizeof(cplx)
                  + n * sizeof(double)
                  + (20 + 2 * nsc) * kAlignment;
   s.transform_bytes = pencil::transform_workspace_bytes(d, dns_kernel_config(c));

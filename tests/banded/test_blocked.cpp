@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <complex>
+#include <cstring>
 #include <functional>
 #include <type_traits>
 #include <vector>
@@ -223,6 +224,135 @@ TEST(BlockedCounters, BandReadChargedOncePerBlock) {
   EXPECT_EQ(blk.bytes_written, R * one.bytes_written);
   EXPECT_EQ(blk.bytes_read, band_bytes + R * (one.bytes_read - band_bytes));
   EXPECT_LT(blk.bytes_read, R * one.bytes_read);
+}
+
+/// Panel lines of random values (line r, row i at p[i * lines + r]),
+/// except that every third line is all -0.0: there the sign of each zero
+/// in the result depends on the order of the operations, and on the skip
+/// of zero multipliers in the solve.
+template <class S>
+std::vector<S> random_lines(int n, int lines, std::uint64_t seed) {
+  auto p = random_panel<S>(
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(lines), seed);
+  for (int i = 0; i < n; ++i)
+    for (int r = 2; r < lines; r += 3)
+      p[static_cast<std::size_t>(i) * static_cast<std::size_t>(lines) +
+        static_cast<std::size_t>(r)] = S(-0.0);
+  return p;
+}
+
+/// Line r of a panel, copied out as a contiguous line.
+template <class S>
+std::vector<S> panel_line(const std::vector<S>& p, int n, int lines, int r) {
+  std::vector<S> line(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
+    line[static_cast<std::size_t>(i)] =
+        p[static_cast<std::size_t>(i) * static_cast<std::size_t>(lines) +
+          static_cast<std::size_t>(r)];
+  return line;
+}
+
+/// The seed's one-line product y = A x over the unfactored profile: one
+/// accumulator per line, from zero, in column order.
+template <class S>
+std::vector<S> seed_apply(const compact_banded& M, const std::vector<S>& x) {
+  const int n = M.n();
+  const int w = M.bandwidth();
+  std::vector<S> y(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const int s = M.row_start(i);
+    const double* r = M.data() + static_cast<std::size_t>(i) * w;
+    S acc{};
+    for (int c = 0; c < w; ++c)
+      acc += r[c] * x[static_cast<std::size_t>(s + c)];
+    y[static_cast<std::size_t>(i)] = acc;
+  }
+  return y;
+}
+
+/// apply_many over `lines` lines against apply() and the seed product on
+/// each line: every bit equal, and the counters charged exactly the sum of
+/// the one-line calls.
+template <class S>
+void check_apply_many(int n, int h, int lines) {
+  compact_banded M(n, h);
+  fill_profile(M, 300 + static_cast<std::uint64_t>(h));
+  const auto x = random_lines<S>(
+      n, lines, 17 * static_cast<std::uint64_t>(h) + lines);
+  std::vector<S> y(x.size());
+  const auto blk = count([&] { M.apply_many(x.data(), y.data(), lines); });
+  pcf::op_counts sum{};
+  for (int r = 0; r < lines; ++r) {
+    const auto xr = panel_line(x, n, lines, r);
+    std::vector<S> yr(static_cast<std::size_t>(n));
+    const auto one = count([&] { M.apply(xr.data(), yr.data()); });
+    sum.flops += one.flops;
+    sum.bytes_read += one.bytes_read;
+    sum.bytes_written += one.bytes_written;
+    const auto ref = seed_apply(M, xr);
+    const auto got = panel_line(y, n, lines, r);
+    ASSERT_EQ(std::memcmp(got.data(), yr.data(), n * sizeof(S)), 0)
+        << "h=" << h << " lines=" << lines << " line " << r;
+    ASSERT_EQ(std::memcmp(got.data(), ref.data(), n * sizeof(S)), 0)
+        << "h=" << h << " lines=" << lines << " line " << r;
+  }
+  EXPECT_EQ(blk.flops, sum.flops) << "h=" << h << " lines=" << lines;
+  EXPECT_EQ(blk.bytes_read, sum.bytes_read);
+  EXPECT_EQ(blk.bytes_written, sum.bytes_written);
+}
+
+// Panel widths 1 .. 2M+1 real lanes for M = 8 modes a block (and complex
+// panels up to 2M+2 lanes), at every compile-time bandwidth h = 1..7 and
+// at h = 9, which takes the runtime-bandwidth kernel.
+TEST(BlockedApply, MatchesPerLineApply) {
+  constexpr int kBlockModes = 8;
+  for (int h : {1, 2, 3, 4, 5, 6, 7, 9}) {
+    const int n = 40;
+    for (int lines = 1; lines <= 2 * kBlockModes + 1; ++lines)
+      check_apply_many<double>(n, h, lines);
+    for (int lines = 1; lines <= kBlockModes + 1; ++lines)
+      check_apply_many<cplx>(n, h, lines);
+  }
+}
+
+/// solve_panel over `lines` interleaved lines against solve() on each
+/// line; the counters charge the band once for the panel, as a block of
+/// solve_many does.
+template <class S>
+void check_solve_panel(int h, int lines) {
+  const int n = 40;
+  compact_banded M(n, h);
+  fill_profile(M, 500 + static_cast<std::uint64_t>(h));
+  // A zero below the first pivot stays a zero multiplier in L (column 0
+  // takes no updates), so the skip of zero multipliers is exercised.
+  M.at(h, 0) = 0.0;
+  M.factorize();
+  auto p =
+      random_lines<S>(n, lines, 23 * static_cast<std::uint64_t>(h) + lines);
+  const auto rhs = p;
+  const auto blk = count([&] { M.solve_panel(p.data(), lines); });
+  pcf::op_counts one{};
+  for (int r = 0; r < lines; ++r) {
+    auto xr = panel_line(rhs, n, lines, r);
+    one = count([&] { M.solve(xr.data()); });
+    const auto got = panel_line(p, n, lines, r);
+    ASSERT_EQ(std::memcmp(got.data(), xr.data(), n * sizeof(S)), 0)
+        << "h=" << h << " lines=" << lines << " line " << r;
+  }
+  const std::uint64_t band_bytes =
+      static_cast<std::uint64_t>(n) * (2 * h + 1) * 8;
+  EXPECT_EQ(blk.flops, lines * one.flops);
+  EXPECT_EQ(blk.bytes_written, lines * one.bytes_written);
+  EXPECT_EQ(blk.bytes_read,
+            band_bytes + lines * (one.bytes_read - band_bytes));
+}
+
+TEST(Blocked, SolvePanelMatchesPerLineSolve) {
+  for (int h : {1, 2, 3, 4, 5, 6, 7, 9})
+    for (int lines = 1; lines <= 17; ++lines) {
+      check_solve_panel<double>(h, lines);
+      check_solve_panel<cplx>(h, lines);
+    }
 }
 
 }  // namespace

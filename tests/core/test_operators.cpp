@@ -114,11 +114,11 @@ TEST(Operators, RhsOperatorIsConsistentWithHelmholtz) {
   wall_normal_operators ops(30, 7, 2.0);
   const double c = 0.02, k2 = 7.0;
   const std::size_t n = static_cast<std::size_t>(ops.n());
-  std::vector<cplx> x(n), plus(n), a0x(n);
+  std::vector<cplx> x(n), plus(n), a0x(n), scratch(n);
   for (std::size_t i = 0; i < n; ++i)
     x[i] = cplx{std::sin(0.1 * i), std::cos(0.2 * i)};
-  ops.apply_rhs_operator(c, k2, x.data(), plus.data());
-  ops.apply_rhs_operator(-c, k2, x.data(), a0x.data());
+  ops.apply_rhs_operator(c, k2, x.data(), plus.data(), scratch.data());
+  ops.apply_rhs_operator(-c, k2, x.data(), a0x.data(), scratch.data());
   std::vector<cplx> avg(n), direct(n);
   for (std::size_t i = 0; i < n; ++i) avg[i] = 0.5 * (plus[i] + a0x[i]);
   ops.to_points(x.data(), direct.data());

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <vector>
@@ -138,7 +139,7 @@ struct stage_harness {
         ops(c.ny, c.degree, c.stretch),
         pool(std::max(1, c.advance_threads)),
         modes(make_mode_tables(c, d)),
-        state(modes, d.x_pencil_real_elems(), ws),
+        state(modes, d.x_pencil_real_elems(), ws, c.scenario.scalars.size()),
         timers(world.size() == 1),
         ph_step(timers.add("step")),
         ctx{cfg,   d,     ops, pf, pool,  world,
@@ -339,6 +340,345 @@ TEST(Stages, DtControllerProportionalWithClamp) {
     st.cfl_local = 0.5;
     EXPECT_EQ(h.diagnostics.finish_step(), 0.0);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Per-mode references for the mode-blocked velocity and assembly sub-steps:
+// the one-line-at-a-time code the panels replaced, copied here with its
+// wall-normal operations on the seed's one-line kernels, so every bit the
+// stage writes can be compared with memcmp.
+
+/// The seed's one-line wall-normal operations: the runtime-width product
+/// of compact_banded::apply and the scalar solve of a factored copy of A0.
+struct seed_ops {
+  const wall_normal_operators& ops;
+  pcf::banded::compact_banded a0_lu;
+
+  explicit seed_ops(const wall_normal_operators& o) : ops(o), a0_lu(o.A0()) {
+    a0_lu.factorize();
+  }
+  template <class S>
+  static void apply(const pcf::banded::compact_banded& A, const S* x, S* y) {
+    for (int i = 0; i < A.n(); ++i) {
+      const int s = A.row_start(i);
+      const double* r =
+          A.data() + static_cast<std::size_t>(i) * A.bandwidth();
+      S acc{};
+      for (int c = 0; c < A.bandwidth(); ++c) acc += r[c] * x[s + c];
+      y[i] = acc;
+    }
+  }
+  template <class S>
+  void to_coefficients(S* line) const {
+    a0_lu.solve(line);
+  }
+  template <class S>
+  void to_points(const S* coef, S* values) const {
+    apply(ops.A0(), coef, values);
+  }
+  template <class S>
+  void deriv1_points(const S* coef, S* values) const {
+    apply(ops.A1(), coef, values);
+  }
+  template <class S>
+  void deriv2_points(const S* coef, S* values) const {
+    apply(ops.A2(), coef, values);
+  }
+};
+
+void reference_velocities(stage_harness& h) {
+  const auto& mt = h.modes;
+  auto& st = h.state;
+  const seed_ops ops(h.ops);
+  const std::size_t n = mt.n;
+  std::vector<cplx> dvv(n), omv(n);
+  std::vector<double> ptsv(n);
+  cplx* dv = dvv.data();
+  cplx* om = omv.data();
+  double* pts = ptsv.data();
+  for (std::size_t m = 0; m < mt.nmodes; ++m) {
+    cplx* us = st.line(st.u_s, m);
+    cplx* vs = st.line(st.v_s, m);
+    cplx* ws = st.line(st.w_s, m);
+    for (auto& sc : st.scalars) {
+      cplx* ths = st.line(sc.th_s, m);
+      if (mt.skip[m]) {
+        std::fill_n(ths, n, cplx{0, 0});
+        if (mt.has_mean && m == mt.mean_idx) {
+          ops.to_points(sc.c_T.data(), pts);
+          for (std::size_t i = 0; i < n; ++i) ths[i] = pts[i];
+        }
+      } else {
+        ops.to_points(st.line(sc.c_th, m), ths);
+      }
+    }
+    if (mt.skip[m]) {
+      std::fill_n(us, n, cplx{0, 0});
+      std::fill_n(vs, n, cplx{0, 0});
+      std::fill_n(ws, n, cplx{0, 0});
+      if (mt.has_mean && m == mt.mean_idx) {
+        ops.to_points(st.c_U.data(), pts);
+        for (std::size_t i = 0; i < n; ++i) us[i] = pts[i];
+        ops.to_points(st.c_W.data(), pts);
+        for (std::size_t i = 0; i < n; ++i) ws[i] = pts[i];
+      }
+      continue;
+    }
+    const double k2 = mt.kx[m] * mt.kx[m] + mt.kz[m] * mt.kz[m];
+    ops.deriv1_points(st.line(st.c_v, m), dv);
+    ops.to_points(st.line(st.c_om, m), om);
+    ops.to_points(st.line(st.c_v, m), vs);
+    const cplx ikx{0.0, mt.kx[m] / k2};
+    const cplx ikz{0.0, mt.kz[m] / k2};
+    for (std::size_t i = 0; i < n; ++i) {
+      us[i] = ikx * dv[i] - ikz * om[i];
+      ws[i] = ikz * dv[i] + ikx * om[i];
+    }
+  }
+}
+
+void reference_assemble(stage_harness& h) {
+  const auto& mt = h.modes;
+  auto& st = h.state;
+  const seed_ops ops(h.ops);
+  const std::size_t n = mt.n;
+  auto& hv = st.u_s;
+  auto& hg = st.v_s;
+  std::fill_n(st.hU, n, 0.0);
+  std::fill_n(st.hW, n, 0.0);
+  for (auto& sc : st.scalars) std::fill(sc.hT.begin(), sc.hT.end(), 0.0);
+  std::vector<cplx> lines(14 * n);
+  cplx* c1 = lines.data();
+  cplx* c2 = c1 + n;
+  cplx* c3 = c2 + n;
+  cplx* c4 = c3 + n;
+  cplx* c5 = c4 + n;
+  cplx* d1 = c5 + n;
+  cplx* d2a = d1 + n;
+  cplx* d3 = d2a + n;
+  cplx* d4a = d3 + n;
+  cplx* d5 = d4a + n;
+  cplx* d2b = d5 + n;
+  cplx* d4b = d2b + n;
+  cplx* csc = d4b + n;
+  cplx* dsc = csc + n;
+  for (std::size_t m = 0; m < mt.nmodes; ++m) {
+    cplx* hvm = st.line(hv, m);
+    cplx* hgm = st.line(hg, m);
+    for (auto& sc : st.scalars) {
+      cplx* hthm = st.line(sc.th_s, m);
+      if (mt.skip[m]) {
+        std::fill_n(hthm, n, cplx{0, 0});
+        if (mt.has_mean && m == mt.mean_idx) {
+          std::copy_n(st.line(sc.qv, m), n, csc);
+          ops.to_coefficients(csc);
+          ops.deriv1_points(csc, dsc);
+          for (std::size_t i = 0; i < n; ++i) sc.hT[i] = -dsc[i].real();
+        }
+        continue;
+      }
+      std::copy_n(st.line(sc.qv, m), n, csc);
+      ops.to_coefficients(csc);
+      ops.deriv1_points(csc, dsc);
+      const cplx ikxs{0.0, mt.kx[m]};
+      const cplx ikzs{0.0, mt.kz[m]};
+      const cplx* pu = st.line(sc.qu, m);
+      const cplx* pw = st.line(sc.qw, m);
+      for (std::size_t i = 0; i < n; ++i)
+        hthm[i] = -(ikxs * pu[i] + dsc[i] + ikzs * pw[i]);
+    }
+    if (mt.skip[m]) {
+      std::fill_n(hvm, n, cplx{0, 0});
+      std::fill_n(hgm, n, cplx{0, 0});
+      if (mt.has_mean && m == mt.mean_idx) {
+        std::copy_n(st.line(st.q2, m), n, c2);
+        std::copy_n(st.line(st.q4, m), n, c4);
+        ops.to_coefficients(c2);
+        ops.to_coefficients(c4);
+        ops.deriv1_points(c2, d2a);
+        ops.deriv1_points(c4, d4a);
+        for (std::size_t i = 0; i < n; ++i) {
+          st.hU[i] = -d2a[i].real();
+          st.hW[i] = -d4a[i].real();
+        }
+      }
+      continue;
+    }
+    const double kxm = mt.kx[m], kzm = mt.kz[m];
+    const double k2 = kxm * kxm + kzm * kzm;
+    std::copy_n(st.line(st.q1, m), n, c1);
+    std::copy_n(st.line(st.q2, m), n, c2);
+    std::copy_n(st.line(st.q3, m), n, c3);
+    std::copy_n(st.line(st.q4, m), n, c4);
+    std::copy_n(st.line(st.q5, m), n, c5);
+    ops.to_coefficients(c1);
+    ops.to_coefficients(c2);
+    ops.to_coefficients(c3);
+    ops.to_coefficients(c4);
+    ops.to_coefficients(c5);
+    ops.deriv1_points(c1, d1);
+    ops.deriv1_points(c2, d2a);
+    ops.deriv1_points(c3, d3);
+    ops.deriv1_points(c4, d4a);
+    ops.deriv1_points(c5, d5);
+    ops.deriv2_points(c2, d2b);
+    ops.deriv2_points(c4, d4b);
+    const cplx i_unit{0.0, 1.0};
+    const cplx* p1 = st.line(st.q1, m);
+    const cplx* p2 = st.line(st.q2, m);
+    const cplx* p3 = st.line(st.q3, m);
+    const cplx* p4 = st.line(st.q4, m);
+    const cplx* p5 = st.line(st.q5, m);
+    for (std::size_t i = 0; i < n; ++i) {
+      hgm[i] = kxm * kzm * (p1[i] - p5[i]) +
+               (kzm * kzm - kxm * kxm) * p3[i] -
+               i_unit * kzm * d2a[i] + i_unit * kxm * d4a[i];
+      hvm[i] = i_unit * k2 * (kxm * p2[i] + kzm * p4[i]) -
+               (kxm * kxm * d1[i] + 2.0 * kxm * kzm * d3[i] +
+                kzm * kzm * d5[i] - i_unit * kxm * d2b[i] -
+                i_unit * kzm * d4b[i]);
+    }
+  }
+}
+
+/// 12 x 24 x 6: 6 x 6 = 36 local modes, 29 of them active, so neither
+/// count is a multiple of the 8-mode panel and the tail block is short;
+/// the spanwise Nyquist modes (kz index 3) fall inside gathered blocks.
+channel_config blocked_config(int threads, int scalars) {
+  channel_config cfg = small_config();
+  cfg.nx = 12;
+  cfg.nz = 6;
+  cfg.advance_threads = threads;
+  cfg.scenario.scalars.assign(static_cast<std::size_t>(scalars),
+                              pcf::core::scalar_spec{0.71, 0.0, 1.0});
+  return cfg;
+}
+
+/// Seed values with exact zeros of both signs mixed in, and some lines all
+/// zero (so every term of those modes' results is a signed zero), so the
+/// signed-zero behavior of the complex products is exercised.
+cplx blocked_value(std::size_t m, std::size_t j, int which) {
+  if ((m + static_cast<std::size_t>(which)) % 5 == 0) return cplx{-0.0, 0.0};
+  const std::size_t k = m * 131 + j * 7 + static_cast<std::size_t>(which);
+  if (k % 17 == 0) return cplx{-0.0, 0.0};
+  if (k % 19 == 0) return cplx{0.0, -0.0};
+  return seed_value(m, j, which);
+}
+
+void seed_lines(stage_harness& h, pcf::aligned_buffer<cplx>& f, int which) {
+  for (std::size_t m = 0; m < h.modes.nmodes; ++m)
+    for (std::size_t j = 0; j < h.modes.n; ++j)
+      h.state.line(f, m)[j] = blocked_value(m, j, which);
+}
+
+void poison(pcf::aligned_buffer<cplx>& f) {
+  f.fill(cplx{std::nan(""), -std::nan("")});
+}
+
+bool same_bits(const pcf::aligned_buffer<cplx>& a,
+               const std::vector<cplx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), b.size() * sizeof(cplx)) == 0;
+}
+
+std::vector<cplx> copy_of(const pcf::aligned_buffer<cplx>& f) {
+  return std::vector<cplx>(f.data(), f.data() + f.size());
+}
+
+TEST(Stages, VelocitiesMatchPerModeReference) {
+  for (int threads : {1, 2})
+    for (int scalars : {0, 3})
+      run_world(1, [&](communicator& world) {
+        stage_harness h(blocked_config(threads, scalars), world);
+        ASSERT_EQ(h.modes.nmodes, 36u);
+        auto& st = h.state;
+        seed_lines(h, st.c_v, 0);
+        seed_lines(h, st.c_om, 1);
+        for (std::size_t j = 0; j < h.modes.n; ++j) {
+          st.c_U[j] = std::sin(0.3 * static_cast<double>(j));
+          st.c_W[j] = std::cos(0.2 * static_cast<double>(j));
+        }
+        for (std::size_t s = 0; s < st.scalars.size(); ++s) {
+          seed_lines(h, st.scalars[s].c_th, 2 + static_cast<int>(s));
+          for (std::size_t j = 0; j < h.modes.n; ++j)
+            st.scalars[s].c_T[j] = 0.1 * static_cast<double>(j + s);
+        }
+        auto outputs = [&] {
+          std::vector<pcf::aligned_buffer<cplx>*> f = {&st.u_s, &st.v_s,
+                                                       &st.w_s};
+          for (auto& sc : st.scalars) f.push_back(&sc.th_s);
+          return f;
+        };
+        for (auto* f : outputs()) poison(*f);
+        h.nonlinear.compute_velocities();
+        std::vector<std::vector<cplx>> got;
+        for (auto* f : outputs()) {
+          got.push_back(copy_of(*f));
+          poison(*f);
+        }
+        reference_velocities(h);
+        const auto f = outputs();
+        for (std::size_t k = 0; k < f.size(); ++k)
+          EXPECT_TRUE(same_bits(*f[k], got[k]))
+              << "field " << k << " threads " << threads << " scalars "
+              << scalars;
+      });
+}
+
+TEST(Stages, AssembleMatchesPerModeReference) {
+  for (int threads : {1, 2})
+    for (int scalars : {0, 3})
+      run_world(1, [&](communicator& world) {
+        stage_harness h(blocked_config(threads, scalars), world);
+        ASSERT_EQ(h.modes.nmodes, 36u);
+        auto& st = h.state;
+        const std::size_t n = h.modes.n;
+        seed_lines(h, st.q1, 0);
+        seed_lines(h, st.q2, 1);
+        seed_lines(h, st.q3, 2);
+        seed_lines(h, st.q4, 3);
+        seed_lines(h, st.q5, 4);
+        for (std::size_t s = 0; s < st.scalars.size(); ++s) {
+          const int base = 5 + 3 * static_cast<int>(s);
+          seed_lines(h, st.scalars[s].qu, base);
+          seed_lines(h, st.scalars[s].qv, base + 1);
+          seed_lines(h, st.scalars[s].qw, base + 2);
+        }
+        auto outputs = [&] {
+          std::vector<pcf::aligned_buffer<cplx>*> f = {&st.u_s, &st.v_s};
+          for (auto& sc : st.scalars) f.push_back(&sc.th_s);
+          return f;
+        };
+        // The mean forcings, as one vector: hU, hW, then each scalar's hT.
+        auto means = [&] {
+          std::vector<double> v(st.hU, st.hU + n);
+          v.insert(v.end(), st.hW, st.hW + n);
+          for (auto& sc : st.scalars)
+            v.insert(v.end(), sc.hT.begin(), sc.hT.end());
+          return v;
+        };
+        for (auto* f : outputs()) poison(*f);
+        h.nonlinear.assemble();
+        std::vector<std::vector<cplx>> got;
+        for (auto* f : outputs()) {
+          got.push_back(copy_of(*f));
+          poison(*f);
+        }
+        const std::vector<double> got_means = means();
+        std::fill_n(st.hU, n, 1.0);
+        std::fill_n(st.hW, n, 1.0);
+        reference_assemble(h);
+        const auto f = outputs();
+        for (std::size_t k = 0; k < f.size(); ++k)
+          EXPECT_TRUE(same_bits(*f[k], got[k]))
+              << "field " << k << " threads " << threads << " scalars "
+              << scalars;
+        const std::vector<double> want_means = means();
+        ASSERT_EQ(got_means.size(), want_means.size());
+        EXPECT_EQ(std::memcmp(got_means.data(), want_means.data(),
+                              want_means.size() * sizeof(double)),
+                  0);
+      });
 }
 
 /// The quickstart state after 25 steps must carry the section CRCs of the

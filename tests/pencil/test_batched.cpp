@@ -48,7 +48,7 @@ cplx spec_value(std::size_t f, std::size_t xg, std::size_t zg, std::size_t y,
 struct BCase {
   int pa, pb;
   int fft_threads, reorder_threads;
-  bool p3dfft;
+  int p3dfft;  // 0 or 1: an int, so the struct has no padding bytes
   int max_batch, pipeline_depth;
 };
 
@@ -130,25 +130,25 @@ INSTANTIATE_TEST_SUITE_P(
     Modes, BatchedCases,
     ::testing::Values(
         // plain batched: serial, parallel, threaded pools, P3DFFT mode
-        BCase{1, 1, 1, 1, false, 5, 1}, BCase{2, 2, 1, 1, false, 5, 1},
-        BCase{2, 2, 3, 2, false, 5, 1}, BCase{2, 2, 1, 1, true, 5, 1},
-        BCase{4, 1, 1, 1, true, 5, 1},
+        BCase{1, 1, 1, 1, 0, 5, 1}, BCase{2, 2, 1, 1, 0, 5, 1},
+        BCase{2, 2, 3, 2, 0, 5, 1}, BCase{2, 2, 1, 1, 1, 5, 1},
+        BCase{4, 1, 1, 1, 1, 5, 1},
         // chunked: max_batch below the widest F
-        BCase{2, 2, 1, 1, false, 2, 1}, BCase{1, 4, 1, 1, false, 3, 1},
-        BCase{2, 1, 1, 1, false, 1, 1},
+        BCase{2, 2, 1, 1, 0, 2, 1}, BCase{1, 4, 1, 1, 0, 3, 1},
+        BCase{2, 1, 1, 1, 0, 1, 1},
         // pipelined: depth 2/3, threaded pools, P3DFFT mode, chunk+pipeline
-        BCase{2, 2, 1, 1, false, 5, 2}, BCase{2, 2, 1, 1, false, 5, 3},
-        BCase{2, 2, 3, 2, false, 5, 3}, BCase{2, 2, 1, 1, true, 5, 2},
-        BCase{3, 2, 1, 1, false, 2, 2}, BCase{1, 1, 1, 1, false, 5, 2},
+        BCase{2, 2, 1, 1, 0, 5, 2}, BCase{2, 2, 1, 1, 0, 5, 3},
+        BCase{2, 2, 3, 2, 0, 5, 3}, BCase{2, 2, 1, 1, 1, 5, 2},
+        BCase{3, 2, 1, 1, 0, 2, 2}, BCase{1, 1, 1, 1, 0, 5, 2},
         // pipelined over one size-1 communicator: the skipped stage flips
         // the ping-pong roles of every group (P3DFFT mode copies instead)
-        BCase{1, 4, 1, 1, false, 5, 2}, BCase{4, 1, 1, 1, false, 5, 2},
-        BCase{4, 1, 1, 1, true, 5, 2}, BCase{1, 4, 1, 1, true, 5, 3},
-        BCase{1, 4, 3, 2, false, 5, 2},
+        BCase{1, 4, 1, 1, 0, 5, 2}, BCase{4, 1, 1, 1, 0, 5, 2},
+        BCase{4, 1, 1, 1, 1, 5, 2}, BCase{1, 4, 1, 1, 1, 5, 3},
+        BCase{1, 4, 3, 2, 0, 5, 2},
         // depth past the chunk: G = min(depth, nf) groups of one field,
         // and a trailing one-field chunk runs as one group
-        BCase{2, 2, 1, 1, false, 5, 5}, BCase{2, 2, 1, 1, false, 2, 3},
-        BCase{2, 2, 1, 1, true, 2, 3}));
+        BCase{2, 2, 1, 1, 0, 5, 5}, BCase{2, 2, 1, 1, 0, 2, 3},
+        BCase{2, 2, 1, 1, 1, 2, 3}));
 
 TEST(PfftBatch, PairwiseStrategyBatchesIdentically) {
   const grid g{16, 7, 8};

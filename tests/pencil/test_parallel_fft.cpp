@@ -50,7 +50,7 @@ cplx spec_value(std::size_t xg, std::size_t zg, std::size_t y, const grid& g,
 struct Case {
   int pa, pb;
   int fft_threads, reorder_threads;
-  bool p3dfft;
+  int p3dfft;  // 0 or 1: an int, so the struct has no padding bytes
 };
 
 class PfftCases : public ::testing::TestWithParam<Case> {};
@@ -143,11 +143,11 @@ TEST_P(PfftCases, PhysicalFieldIsConsistentAcrossDecompositions) {
 
 INSTANTIATE_TEST_SUITE_P(
     Decompositions, PfftCases,
-    ::testing::Values(Case{1, 1, 1, 1, false}, Case{2, 2, 1, 1, false},
-                      Case{4, 1, 1, 1, false}, Case{1, 4, 1, 1, false},
-                      Case{2, 4, 1, 1, false}, Case{3, 2, 1, 1, false},
-                      Case{2, 2, 3, 2, false}, Case{1, 1, 1, 1, true},
-                      Case{2, 2, 1, 1, true}, Case{4, 2, 1, 1, true}));
+    ::testing::Values(Case{1, 1, 1, 1, 0}, Case{2, 2, 1, 1, 0},
+                      Case{4, 1, 1, 1, 0}, Case{1, 4, 1, 1, 0},
+                      Case{2, 4, 1, 1, 0}, Case{3, 2, 1, 1, 0},
+                      Case{2, 2, 3, 2, 0}, Case{1, 1, 1, 1, 1},
+                      Case{2, 2, 1, 1, 1}, Case{4, 2, 1, 1, 1}));
 
 TEST(Pfft, SingleModeGivesAnalyticCosine) {
   const grid g{16, 3, 8};
