@@ -1,11 +1,13 @@
 // Shared helpers for the table-reproduction benchmark harness.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -45,6 +47,24 @@ double time_call(F&& fn, double min_seconds = 0.05, int min_reps = 3) {
     if (s >= min_seconds || reps > (1 << 22)) return s / reps;
     reps *= 4;
   }
+}
+
+/// Median and interquartile range of `k` time_call() samples, seconds per
+/// call. One sample can land on a preemption or a clock step; the median
+/// of several resolves a kernel change, and the IQR says how far to trust
+/// it.
+struct timing {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+template <class F>
+timing time_median(F&& fn, double min_seconds = 0.05, int k = 5) {
+  std::vector<double> s(static_cast<std::size_t>(std::max(k, 1)));
+  for (double& v : s) v = time_call(fn, min_seconds);
+  std::sort(s.begin(), s.end());
+  const std::size_t n = s.size();
+  return {s[n / 2], s[(3 * n) / 4] - s[n / 4]};
 }
 
 inline void print_header(const char* table, const char* description) {

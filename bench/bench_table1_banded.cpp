@@ -14,7 +14,9 @@
 // time for h in {1..7} and R in {1, 2, 4, 8} complex right-hand sides,
 // comparing the scalar one-pass-per-RHS path, the blocked runtime-lane
 // kernel, and the blocked fixed-lane (vectorized) kernel, with the pivoted
-// LAPACK-style solver as baseline. Results go to BENCH_banded.json.
+// LAPACK-style solver as baseline. Each cell is the median of 5 timed
+// runs, printed with half its interquartile range; both go to
+// BENCH_banded.json.
 //
 // Between the two, a blocked-apply row: the per-line A x product against
 // apply_many over a panel of 8 interleaved complex lines, at n = 33 and 49.
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <complex>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "banded/compact.hpp"
@@ -63,8 +66,15 @@ void fill(compact_banded& C, gb_matrix<double>& Gr, gb_matrix<cplx>& Gc,
 
 struct rhs_case {
   int h, r;
-  double scalar, blocked, vec, gb;  // seconds per RHS, solve only
+  // Seconds per RHS, solve only: medians and interquartile ranges.
+  pcf::bench::timing scalar, blocked, vec, gb;
 };
+
+/// "median ns ±half-IQR" for one table cell.
+std::string cell(const pcf::bench::timing& t) {
+  return pcf::text_table::fmt(t.median * 1e9, 1) + " ns +/-" +
+         pcf::text_table::fmt(0.5 * t.iqr * 1e9, 1);
+}
 
 void write_json(const char* path, int n, bool fast,
                 const std::vector<rhs_case>& cases) {
@@ -81,9 +91,12 @@ void write_json(const char* path, int n, bool fast,
     std::fprintf(f,
                  "    {\"h\": %d, \"nrhs\": %d, \"scalar_per_rhs\": %.3e, "
                  "\"blocked_per_rhs\": %.3e, \"vector_per_rhs\": %.3e, "
-                 "\"gb_per_rhs\": %.3e}%s\n",
-                 c.h, c.r, c.scalar, c.blocked, c.vec, c.gb,
-                 i + 1 < cases.size() ? "," : "");
+                 "\"gb_per_rhs\": %.3e, \"scalar_iqr\": %.3e, "
+                 "\"blocked_iqr\": %.3e, \"vector_iqr\": %.3e, "
+                 "\"gb_iqr\": %.3e}%s\n",
+                 c.h, c.r, c.scalar.median, c.blocked.median, c.vec.median,
+                 c.gb.median, c.scalar.iqr, c.blocked.iqr, c.vec.iqr,
+                 c.gb.iqr, i + 1 < cases.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -192,7 +205,8 @@ int main(int argc, char** argv) {
   // --- Blocked multi-RHS substitution profile ------------------------------
   pcf::bench::print_header(
       "Multi-RHS", "per-RHS solve time: scalar vs blocked vs vectorized "
-                   "(complex RHS, factorization excluded)");
+                   "(complex RHS, factorization excluded; median of 5 runs "
+                   "+/- half the interquartile range)");
   const double floor_s = fast ? 0.005 : 0.05;
   pcf::text_table mt({"Bandwidth", "R", "scalar/RHS", "blocked/RHS",
                       "vector/RHS", "vec speedup", "Ref^R/RHS"});
@@ -221,30 +235,29 @@ int main(int argc, char** argv) {
         std::memcpy(work.data(), rhs0.data(),
                     static_cast<std::size_t>(R) * stride * sizeof(cplx));
       };
-      const double t_copy = pcf::bench::time_call(restore, floor_s);
+      const double t_copy = pcf::bench::time_median(restore, floor_s).median;
       auto timed = [&](auto&& solve) {
-        const double tt = pcf::bench::time_call(
+        const pcf::bench::timing tt = pcf::bench::time_median(
             [&] {
               restore();
               solve();
             },
             floor_s);
-        return std::max(tt - t_copy, 0.0) / R;
+        return pcf::bench::timing{std::max(tt.median - t_copy, 0.0) / R,
+                                  tt.iqr / R};
       };
-      rhs_case c{h, R, 0, 0, 0, 0};
+      rhs_case c{h, R, {}, {}, {}, {}};
       c.scalar = timed([&] { C.solve_many_scalar(work.data(), R, stride); });
       c.blocked =
           timed([&] { C.solve_many_blocked_generic(work.data(), R, stride); });
       c.vec = timed([&] { C.solve_many(work.data(), R, stride); });
       c.gb = timed([&] { Gr.solve_many(work.data(), R, stride); });
-      if (R == 1) scalar1 = c.scalar;
+      if (R == 1) scalar1 = c.scalar.median;
       cases.push_back(c);
-      mt.add_row({std::to_string(2 * h + 1), std::to_string(R),
-                  pcf::text_table::fmt(c.scalar * 1e9, 1) + " ns",
-                  pcf::text_table::fmt(c.blocked * 1e9, 1) + " ns",
-                  pcf::text_table::fmt(c.vec * 1e9, 1) + " ns",
-                  pcf::text_table::fmt(scalar1 / c.vec, 2) + "x",
-                  pcf::text_table::fmt(c.gb * 1e9, 1) + " ns"});
+      mt.add_row({std::to_string(2 * h + 1), std::to_string(R), cell(c.scalar),
+                  cell(c.blocked), cell(c.vec),
+                  pcf::text_table::fmt(scalar1 / c.vec.median, 2) + "x",
+                  cell(c.gb)});
     }
   }
   std::fputs(mt.str().c_str(), stdout);
@@ -253,8 +266,8 @@ int main(int argc, char** argv) {
   // single-RHS path at the production bandwidth (h = 7) and R = 4.
   double s1 = 0.0, v4 = 0.0;
   for (const rhs_case& c : cases) {
-    if (c.h == 7 && c.r == 1) s1 = c.scalar;
-    if (c.h == 7 && c.r == 4) v4 = c.vec;
+    if (c.h == 7 && c.r == 1) s1 = c.scalar.median;
+    if (c.h == 7 && c.r == 4) v4 = c.vec.median;
   }
   if (v4 > 0.0)
     std::printf("\nh=7: blocked 4-RHS per-RHS speedup over scalar 1-RHS: "

@@ -17,9 +17,9 @@
 #include "core/simulation.hpp"
 #include "netsim/roofline.hpp"
 #include "util/counters.hpp"
+#include "util/thread_pool.hpp"
 
 using pcf::core::cplx;
-using pcf::core::mode_solver;
 using pcf::core::wall_normal_operators;
 
 int main() {
@@ -32,19 +32,29 @@ int main() {
   wall_normal_operators ops(ny, 7, 2.0);
   const auto n = static_cast<std::size_t>(ops.n());
 
-  std::vector<cplx> rhs(n), c_phi(n), c_v(n), work(n), scratch(n);
+  // The advance the cached-arena step runs: per mode, both right-hand
+  // sides through the RHS operator, then one fused omega + phi + v solve.
+  // The factored modes and the scratch are built before the clock and the
+  // counters start, so neither the timing nor the flop:byte ratio includes
+  // set-up.
+  std::vector<double> k2s(static_cast<std::size_t>(nmodes));
+  for (int m = 0; m < nmodes; ++m)
+    k2s[static_cast<std::size_t>(m)] = 1.0 + 0.37 * m;
+  pcf::thread_pool serial(1);
+  pcf::core::solver_arena arena;
+  arena.build(ops, 1e-4, k2s, serial);
+  std::vector<cplx> rhs(n), panel(2 * n), tmp(n), c_om(n), c_phi(n), c_v(n);
   for (std::size_t i = 0; i < n; ++i)
     rhs[i] = cplx{std::sin(0.1 * static_cast<double>(i)), 0.3};
 
   auto advance_all_modes = [&] {
     for (int m = 0; m < nmodes; ++m) {
-      const double k2 = 1.0 + 0.37 * m;
-      mode_solver solver(ops, 1e-4, k2);
-      auto b = rhs;
-      ops.apply_rhs_operator(1e-4, k2, b.data(), work.data(), scratch.data());
-      solver.solve_dirichlet(work.data());
-      auto b2 = rhs;
-      solver.solve_phi_v(b2.data(), c_phi.data(), c_v.data());
+      const double k2 = k2s[static_cast<std::size_t>(m)];
+      ops.apply_rhs_operator(1e-4, k2, rhs.data(), panel.data(), tmp.data());
+      ops.apply_rhs_operator(1e-4, k2, rhs.data(), panel.data() + n,
+                             tmp.data());
+      arena.solve_block(m, panel.data(), c_om.data(), c_phi.data(),
+                        c_v.data());
     }
   };
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/cmul.hpp"
 #include "core/simulation.hpp"
 #include "core/simulation_impl.hpp"
 
@@ -137,14 +138,11 @@ double channel_dns::max_divergence() {
     const double k2 = mt.kx[m] * mt.kx[m] + mt.kz[m] * mt.kz[m];
     s.ops.deriv1_points(s.line(s.state.c_v, m), dv);
     s.ops.to_points(s.line(s.state.c_om, m), om);
-    const cplx ikx{0.0, mt.kx[m]};
-    const cplx ikz{0.0, mt.kz[m]};
+    const double kx = mt.kx[m], kz = mt.kz[m];
     for (std::size_t i = 0; i < n; ++i) {
-      const cplx us = (cplx{0.0, mt.kx[m] / k2} * dv[i] -
-                       cplx{0.0, mt.kz[m] / k2} * om[i]);
-      const cplx ws = (cplx{0.0, mt.kz[m] / k2} * dv[i] +
-                       cplx{0.0, mt.kx[m] / k2} * om[i]);
-      const cplx dval = ikx * us + dv[i] + ikz * ws;
+      const cplx us = cmul(0.0, kx / k2, dv[i]) - cmul(0.0, kz / k2, om[i]);
+      const cplx ws = cmul(0.0, kz / k2, dv[i]) + cmul(0.0, kx / k2, om[i]);
+      const cplx dval = cmul(0.0, kx, us) + dv[i] + cmul(0.0, kz, ws);
       local = std::max(local, std::abs(dval));
     }
   }
@@ -301,9 +299,9 @@ void channel_dns::physical_vorticity_z(std::vector<double>& wz) {
     std::copy_n(s.line(s.state.u_s, m), n, cu);
     s.ops.to_coefficients(cu);
     s.ops.deriv1_points(cu, du);
-    const cplx ikx{0.0, mt.kx[m]};
+    const double kx = mt.kx[m];
     const cplx* vs = s.line(s.state.v_s, m);
-    for (std::size_t i = 0; i < n; ++i) out[i] = ikx * vs[i] - du[i];
+    for (std::size_t i = 0; i < n; ++i) out[i] = cmul(0.0, kx, vs[i]) - du[i];
   }
   s.pf.to_physical(s.state.q1.data(), s.state.f1.data());
   wz.assign(s.state.f1.begin(), s.state.f1.end());

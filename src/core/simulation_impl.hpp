@@ -100,7 +100,7 @@ struct channel_dns::impl {
   /// Park this instance: free the factored-solver slabs and hand every
   /// workspace slab back to the block pool. Evolved state, statistics and
   /// timers are untouched. Legal only at a step boundary; the permanent
-  /// workspace checkouts (pencil ping-pong buffers, hU/hW, CFL maxima,
+  /// workspace checkouts (pencil exchange buffers, hU/hW, CFL maxima,
   /// solve panels) are all contents-dead there — each is zero-filled or
   /// fully rewritten before its next read.
   void suspend() {
@@ -114,7 +114,7 @@ struct channel_dns::impl {
   /// Reacquire the workspace slabs (possibly different pool blocks) and
   /// re-establish every permanent checkout in construction order, so each
   /// lands at its construction offset on the new base: transform lane —
-  /// pf's ping-pong buffers; shared lane — field_state's hU/hW then the
+  /// pf's exchange buffers; shared lane — field_state's hU/hW then the
   /// nonlinear stage's CFL maxima; thread lanes — the implicit solve
   /// panels. Solver arenas rebuild lazily on the next step (the dt-change
   /// path already proves that bit-identical).

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 
+#include "core/cmul.hpp"
+
 namespace pcf::core {
 
 namespace {
@@ -43,16 +45,6 @@ void scatter(const cplx* p, const std::size_t* ids, std::size_t nb,
     cplx* dst = st.line(f, ids[r]);
     for (std::size_t i = 0; i < st.n; ++i) dst[i] = p[i * nb + r];
   }
-}
-
-/// (ar + i ai) * b written out in GCC's order for a complex product
-/// (re = ar*br - ai*bi, im = ar*bi + ai*br). These are the bits of
-/// std::complex's operator* whenever its result is not NaN in both parts,
-/// without the __muldc3 call that checks for that case. Products of a real
-/// and a complex value stay std::complex expressions: they are already
-/// part by part.
-inline cplx cmul(double ar, double ai, cplx b) {
-  return {ar * b.real() - ai * b.imag(), ar * b.imag() + ai * b.real()};
 }
 
 }  // namespace

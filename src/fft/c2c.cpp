@@ -43,7 +43,10 @@ void dft_naive(const cplx* in, cplx* out, std::size_t n, int sign) {
       // Reduce j*k mod n before forming the angle to preserve accuracy.
       const double ang = sign * twopi() * static_cast<double>((j * k) % n) /
                          static_cast<double>(n);
-      acc += in[j] * std::polar(1.0, ang);
+      const cplx w = std::polar(1.0, ang);
+      // in[j] * w in GCC's order, without the __muldc3 NaN check.
+      acc += cplx{in[j].real() * w.real() - in[j].imag() * w.imag(),
+                  in[j].real() * w.imag() + in[j].imag() * w.real()};
     }
     out[k] = acc;
   }
@@ -398,29 +401,28 @@ void c2c_plan::execute(const cplx* in, cplx* out) const {
 void c2c_plan::execute_many(const cplx* in, std::size_t in_stride, cplx* out,
                             std::size_t out_stride, std::size_t count) const {
   const std::size_t n = impl_->size();
-  const auto* src = reinterpret_cast<const double*>(in);
-  auto* dst = reinterpret_cast<double*>(out);
+  detail::scratch_arena::scope sc(detail::scratch_arena::tls());
+  execute_many(detail::strided_lines(sc, in, n, in_stride, count),
+               detail::strided_lines(sc, out, n, out_stride, count), 0, count);
+}
+
+void c2c_plan::execute_many(const line_map<const cplx>& in,
+                            const line_map<cplx>& out, std::size_t first,
+                            std::size_t count) const {
+  const std::size_t n = impl_->size();
   impl_->execute(
-      count,
+      first, count,
       [&](auto lanes, std::size_t line, double* a) {
         constexpr std::size_t L = decltype(lanes)::value;
-        for (std::size_t l = 0; l < L; ++l) {
-          const double* x = src + 2 * (line + l) * in_stride;
-          for (std::size_t j = 0; j < n; ++j) {
-            a[2 * L * j + l] = x[2 * j];
-            a[2 * L * j + L + l] = x[2 * j + 1];
-          }
-        }
+        const detail::lanes<L> ln(in.rows, line);
+        for (std::size_t j = 0; j < n; ++j)
+          detail::gather(in, ln, j, a + 2 * L * j, a + 2 * L * j + L);
       },
       [&](auto lanes, std::size_t line, const double* b) {
         constexpr std::size_t L = decltype(lanes)::value;
-        for (std::size_t l = 0; l < L; ++l) {
-          double* y = dst + 2 * (line + l) * out_stride;
-          for (std::size_t j = 0; j < n; ++j) {
-            y[2 * j] = b[2 * L * j + l];
-            y[2 * j + 1] = b[2 * L * j + L + l];
-          }
-        }
+        const detail::lanes<L> ln(out.rows, line);
+        for (std::size_t j = 0; j < n; ++j)
+          detail::scatter(out, ln, j, b + 2 * L * j, b + 2 * L * j + L);
       });
 }
 

@@ -8,11 +8,18 @@
 // FFTW's convention.
 //
 // Like FFTW's "many" plans, execute_many() runs its lines in blocks of 8:
-// each block is copied into thread-local scratch interleaved
-// lane-innermost (planar re/im, element j of lane l at 2*8*j + l), and
-// every butterfly stage runs across the 8 lanes. A tail of count % 8 lines,
-// execute() and Bluestein plans run the same kernel at one lane. Lanes never
-// mix, so a line's result does not depend on which lines share its block.
+// each block is gathered into thread-local scratch interleaved
+// lane-innermost (planar re/im, element j of lane l at 2*8*j + l), every
+// butterfly stage runs across the 8 lanes, and the block is scattered back
+// out. A tail of count % 8 lines, execute() and Bluestein plans run the
+// same kernel at one lane. Lanes never mix, so a line's result does not
+// depend on which lines share its block.
+//
+// Where the lines live is a line_map on each side: an offset table per
+// element plus per-line coordinates. The strided form execute_many(ptr,
+// stride, ...) is its contiguous case; the pencil kernel hands the FFT its
+// exchange buffers' layouts directly, so the gather and scatter of a block
+// are the transpose's reorder (pencil/pencil.hpp).
 //
 // Plans are immutable after construction and safe to execute concurrently
 // from multiple threads (scratch is per-call / thread-local), which is what
@@ -22,6 +29,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -34,6 +42,31 @@ class engine;
 }
 
 enum class direction { forward, inverse };
+
+/// Storage of element j of every line of a line_map: in line (g, r) it sits
+/// at base[off + g * group + r * row].
+struct line_slot {
+  /// `off` of an element without storage: a gather reads it as zero and a
+  /// scatter drops it (a dealiasing gap, a pad, a dropped Nyquist mode).
+  static constexpr std::ptrdiff_t none =
+      std::numeric_limits<std::ptrdiff_t>::min();
+  std::ptrdiff_t off = 0;
+  std::ptrdiff_t group = 0;
+  std::ptrdiff_t row = 0;
+};
+
+/// Gather/scatter form of a set of lines. Line l is row l % rows of group
+/// l / rows, and its element j lives where slots[j] says. T is the element
+/// type of the side: cplx, or double for the real side of r2c/c2r.
+template <class T>
+struct line_map {
+  T* base = nullptr;
+  const line_slot* slots = nullptr;  // one per element of a line
+  std::size_t rows = 1;
+  /// Output maps only: every stored value is multiplied by it (1 stores
+  /// the transform's values as they are).
+  double scale = 1.0;
+};
 
 /// Complex-to-complex 1-D transform of fixed length.
 class c2c_plan {
@@ -56,6 +89,12 @@ class c2c_plan {
   /// (out + b*out_stride) and is contiguous. Thread-safe.
   void execute_many(const cplx* in, std::size_t in_stride, cplx* out,
                     std::size_t out_stride, std::size_t count) const;
+
+  /// Transform lines first .. first+count-1 of `in` into the same lines of
+  /// `out` (n slots each). A block's stores may only overwrite input that
+  /// belongs to its own lines, so in place through one map is fine.
+  void execute_many(const line_map<const cplx>& in, const line_map<cplx>& out,
+                    std::size_t first, std::size_t count) const;
 
   /// Nominal flop count of one execution (5 n log2 n convention).
   [[nodiscard]] double flops_per_execute() const;
@@ -80,6 +119,10 @@ class r2c_plan {
   void execute(const double* in, cplx* out) const;
   void execute_many(const double* in, std::size_t in_stride, cplx* out,
                     std::size_t out_stride, std::size_t count) const;
+  /// Mapped lines as in c2c_plan: `in` has n real slots, `out` n/2 + 1.
+  void execute_many(const line_map<const double>& in,
+                    const line_map<cplx>& out, std::size_t first,
+                    std::size_t count) const;
 
  private:
   struct impl;
@@ -103,6 +146,10 @@ class c2r_plan {
   void execute(const cplx* in, double* out) const;
   void execute_many(const cplx* in, std::size_t in_stride, double* out,
                     std::size_t out_stride, std::size_t count) const;
+  /// Mapped lines as in c2c_plan: `in` has n/2 + 1 slots, `out` n real.
+  void execute_many(const line_map<const cplx>& in,
+                    const line_map<double>& out, std::size_t first,
+                    std::size_t count) const;
 
  private:
   struct impl;

@@ -42,23 +42,21 @@ decomp::decomp(const grid& gg, const kernel_config& cfg, int pa_, int pb_,
 //
 //  * exchange buffers: the per-rank segment for rank q starts at
 //    nf * displ[q] and holds the nf fields back to back, field f at
-//    nf * displ[q] + f * count[q]. Scaling the seed's dense prefix-sum
-//    displacements by nf is all the "extended build_counts()" needed, so
-//    all fields ride ONE alltoallv/pairwise exchange per transpose stage.
-//  * compute buffers (z-pencil / x-pencil layouts): field f lives at
-//    offset f * wstride, where wstride is the seed's single-field
-//    workspace size. w1/w2 (and w3 in P3DFFT mode) are allocated
-//    max_batch * wstride so both layouts always fit.
+//    nf * displ[q] + f * count[q]. Scaling the single-field dense
+//    prefix-sum displacements by nf is all the batching needs, so all
+//    fields ride ONE alltoallv/pairwise exchange per transpose stage.
+//  * w1/w2/w3 each hold max_batch field slots of wstride elements; a
+//    pipeline group works on the slots of its own fields.
 //
-// With nf == 1 every offset degenerates to the seed's, and every pool loop
-// runs the same partition, so the single-field path is bit-identical to
-// the pre-batching kernel.
+// There is no separate z-pencil or x-spectral buffer: each FFT stage
+// gathers its lines straight from one exchange's receive layout and
+// scatters them straight into the next one's send layout (stage_map).
 
 namespace {
 
-/// Elements of one field's single-buffer workspace slot: the max over
-/// every intermediate layout a field occupies on its way through the
-/// pipeline.
+/// Elements of one field's workspace slot: the max over the exchange
+/// layouts a field occupies on its way through the pipeline (y-pencil send,
+/// y<->z receive, z<->x send, z<->x receive).
 std::size_t slot_elems(const decomp& d) {
   const std::size_t yz_total = d.xs.count * d.g.nz * d.yb.count;
   const std::size_t zx_total = d.nxs * d.yb.count * d.zp.count;
@@ -66,22 +64,90 @@ std::size_t slot_elems(const decomp& d) {
   m = std::max(m, yz_total);
   m = std::max(m, d.z_pencil_elems());
   m = std::max(m, zx_total);
-  m = std::max(m, d.x_pencil_spec_elems());
   return m;
+}
+
+/// Workspace buffers the schedule touches: P3DFFT mode routes through
+/// three, a 1x1 grid needs one (no exchange to ping-pong across), any other
+/// split two.
+std::size_t buffer_count(const decomp& d, const kernel_config& cfg) {
+  if (!cfg.drop_nyquist && !cfg.dealias) return 3;
+  return (d.pa == 1 && d.pb == 1) ? 1 : 2;
 }
 
 std::size_t round_to_alignment(std::size_t bytes) {
   return (bytes + kAlignment - 1) / kAlignment * kAlignment;
 }
 
+/// Rank owning item i of n block-distributed over p ranks.
+int owner(std::size_t n, int p, std::size_t i) {
+  int q = 0;
+  while (block_range(n, p, q).offset + block_range(n, p, q).count <= i) ++q;
+  return q;
+}
+
+/// Where one FFT stage's lines sit in an exchange layout. `rel` holds each
+/// element's slot inside its rank segment and `seg` that segment; per call,
+/// prepare(nf) adds the segment displacements nf * displ[q] + f * count[q]
+/// of every field. A one-segment layout needs no per-field table: its
+/// field offset goes into the base pointer.
+struct stage_map {
+  std::vector<fft::line_slot> rel;
+  std::vector<int> seg;
+  const std::vector<std::size_t>* count = nullptr;
+  const std::vector<std::size_t>* displ = nullptr;
+  std::size_t rows = 1;
+  std::vector<fft::line_slot> live;  // max_batch per-field tables
+
+  stage_map() = default;
+  stage_map(std::size_t n, std::size_t rows_, const std::vector<std::size_t>& c,
+            const std::vector<std::size_t>& dsp, std::size_t max_batch)
+      : rel(n), seg(n, 0), count(&c), displ(&dsp), rows(rows_) {
+    if (c.size() > 1) live.resize(n * max_batch);
+  }
+
+  void set(std::size_t j, int q, std::size_t off, std::size_t group,
+           std::size_t row) {
+    rel[j] = {static_cast<std::ptrdiff_t>(off),
+              static_cast<std::ptrdiff_t>(group),
+              static_cast<std::ptrdiff_t>(row)};
+    seg[j] = q;
+  }
+  void set_none(std::size_t j) { rel[j].off = fft::line_slot::none; }
+
+  /// Fills the per-field tables of an nf-field group (the caller's thread,
+  /// before the stage's pool loop reads them).
+  void prepare(std::size_t nf) {
+    if (live.empty()) return;
+    const std::size_t n = rel.size();
+    for (std::size_t f = 0; f < nf; ++f)
+      for (std::size_t j = 0; j < n; ++j) {
+        fft::line_slot s = rel[j];
+        if (s.off != fft::line_slot::none) {
+          const auto q = static_cast<std::size_t>(seg[j]);
+          s.off += static_cast<std::ptrdiff_t>(nf * (*displ)[q] +
+                                               f * (*count)[q]);
+        }
+        live[f * n + j] = s;
+      }
+  }
+
+  /// Field f's lines in buffer `buf` (prepared for this group).
+  template <class T>
+  fft::line_map<T> at(T* buf, std::size_t f, double scale = 1.0) const {
+    if (live.empty())
+      return {buf + f * (*count)[0], rel.data(), rows, scale};
+    return {buf, live.data() + f * rel.size(), rows, scale};
+  }
+};
+
 }  // namespace
 
 std::size_t transform_workspace_bytes(const decomp& d,
                                       const kernel_config& cfg) {
-  const int nbuf = (!cfg.drop_nyquist && !cfg.dealias) ? 3 : 2;  // P3DFFT: 3x
   const std::size_t wn =
       slot_elems(d) * static_cast<std::size_t>(std::max(1, cfg.max_batch));
-  return static_cast<std::size_t>(nbuf) * round_to_alignment(wn * sizeof(cplx));
+  return buffer_count(d, cfg) * round_to_alignment(wn * sizeof(cplx));
 }
 
 struct parallel_fft::impl {
@@ -102,11 +168,10 @@ struct parallel_fft::impl {
   thread_pool fft_pool;
   thread_pool reorder_pool;
 
-  // Workspaces. The customized kernel ping-pongs between two buffers; the
-  // P3DFFT-mode kernel uses a third (its documented 3x footprint, w3 null
-  // otherwise). Each holds max_batch single-field workspaces side by side,
-  // permanently checked out of `ws_`: the caller's lane, or `own_lane_`
-  // leased from the global block pool for a standalone kernel.
+  // Workspaces: buffer_count() buffers (w2/w3 null beyond it), each
+  // max_batch field slots side by side, permanently checked out of `ws_`:
+  // the caller's lane, or `own_lane_` leased from the global block pool
+  // for a standalone kernel.
   workspace_lane own_lane_;
   workspace_lane* ws_ = nullptr;
   cplx* w1 = nullptr;
@@ -127,10 +192,20 @@ struct parallel_fft::impl {
   std::vector<std::size_t> exch_scratch_;
   std::vector<vmpi::async_proxy::ticket> tk1_, tk2_;
 
-  // Degenerate transpose stages (slab: pa == 1; 2.5D replica groups keep
-  // both > 1 but small). A size-1 communicator's exchange is the identity
-  // on the packed buffer, so the drivers forward it straight to the unpack.
-  bool skip_a_ = false, skip_b_ = false;
+  // Which exchange stages run. P3DFFT mode runs both (a size-1 one is a
+  // copy) and routes through w3. Otherwise a size-1 communicator's stage is
+  // skipped: its send layout equals its source's, so the FFT reads and
+  // writes the caller's y-pencils directly when pb == 1, and the c2r reads
+  // / the r2c writes the z<->x send layout directly when pa == 1.
+  bool p3d_ = false;
+  bool run_a_ = true, run_b_ = true;
+
+  // The FFT stages' line layouts (stage_map): z lines on the y side (the
+  // y<->z receive layout, or the y-pencils themselves when pb == 1), z
+  // lines on the x side (the z<->x send layout), x modes (the z<->x
+  // receive layout) and physical x lines.
+  stage_map zy_map, zx_map, xs_map;
+  std::vector<fft::line_slot> phys_slots;
 
   section_timer comm_t, reorder_t, fft_t;
 
@@ -150,12 +225,14 @@ struct parallel_fft::impl {
         x_fwd(fft::shared_r2c(d.nxf)),
         x_inv(fft::shared_c2r(d.nxf)),
         fft_pool(std::max(1, c.fft_threads)),
-        reorder_pool(std::max(1, c.reorder_threads)) {
+        reorder_pool(std::max(1, c.reorder_threads)),
+        p3d_(!c.drop_nyquist && !c.dealias) {
     PCF_REQUIRE(cfg.max_batch >= 1, "max_batch must be >= 1");
     PCF_REQUIRE(cfg.pipeline_depth >= 1, "pipeline_depth must be >= 1");
-    skip_a_ = comm_a.size() == 1;
-    skip_b_ = comm_b.size() == 1;
+    run_a_ = p3d_ || comm_a.size() > 1;
+    run_b_ = p3d_ || comm_b.size() > 1;
     build_counts();
+    build_maps();
     exch_scratch_.resize(4 *
                          static_cast<std::size_t>(std::max(d.pa, d.pb)));
     wstride = slot_elems(d);
@@ -176,9 +253,10 @@ struct parallel_fft::impl {
   /// Permanent checkouts from ws_ (sized by transform_workspace_bytes).
   void checkout_buffers() {
     const std::size_t wn = wstride * static_cast<std::size_t>(cfg.max_batch);
+    const std::size_t nbuf = buffer_count(d, cfg);
     w1 = ws_->alloc<cplx>(wn);
-    w2 = ws_->alloc<cplx>(wn);
-    if (!cfg.drop_nyquist && !cfg.dealias) w3 = ws_->alloc<cplx>(wn);
+    if (nbuf > 1) w2 = ws_->alloc<cplx>(wn);
+    if (nbuf > 2) w3 = ws_->alloc<cplx>(wn);
   }
 
   /// One exchange with either strategy. The pairwise algorithm runs p-1
@@ -216,11 +294,10 @@ struct parallel_fft::impl {
                          const std::size_t* rc, const std::size_t* rd,
                          std::size_t nf) {
     if (comm.size() == 1) {
-      // Degenerate stage (slab / 2.5D layouts): the packed buffer already
-      // has the unpack's expected layout (sc[0] == rc[0]), so the exchange
-      // is a pure local copy. Not counted as an exchange — the non-P3DFFT
-      // drivers skip even this copy by forwarding the packed buffer
-      // straight into the unpack.
+      // Degenerate stage (slab / 2.5D layouts): the send buffer already
+      // has the receive layout (sc[0] == rc[0]), so the exchange is a pure
+      // local copy. Not counted as an exchange — only P3DFFT mode runs it;
+      // the other drivers skip the stage.
       std::copy_n(send, nf * sc[0], recv);
       return;
     }
@@ -273,13 +350,62 @@ struct parallel_fft::impl {
     }
   }
 
-  /// Padded position of spectral z mode zg (3/2-rule: negative modes move
-  /// to the end of the padded line).
-  [[nodiscard]] std::size_t zpad_pos(std::size_t zg) const {
-    return zg < d.g.nz / 2 ? zg : zg + (d.nzf - d.g.nz);
+  /// The FFT stages' layouts; see the layout comments in pencil.hpp.
+  void build_maps() {
+    const std::size_t yc = d.yb.count, zc = d.zp.count;
+    const std::size_t nz = d.g.nz, nzf = d.nzf, mb = cfg.max_batch;
+    // z lines (x, y), lanes 8 consecutive y. y side: segment q holds
+    // [x][zl][y] for its spectral z block, so the lanes of one element are
+    // adjacent. The 3/2-rule gap, which also swallows the spanwise Nyquist
+    // mode nz/2 (on the padded grid +nz/2 and -nz/2 are distinct modes, so
+    // the self-conjugate coefficient is not representable; paper Section
+    // 4.4), has no storage.
+    zy_map = stage_map(nzf, yc, rc_yz, rd_yz, mb);
+    for (std::size_t j = 0; j < nzf; ++j) {
+      const std::size_t gap = nzf - nz;
+      if (gap > 0 && j >= nz / 2 && j <= nz / 2 + gap) {
+        zy_map.set_none(j);
+        continue;
+      }
+      const std::size_t zg = j < nz / 2 ? j : j - gap;
+      const int q = owner(nz, d.pb, zg);
+      const block zq = block_range(nz, d.pb, q);
+      zy_map.set(j, q, (zg - zq.offset) * yc, zq.count * yc, 1);
+    }
+    // x side: segment q holds [x][y][zl] for its padded z block.
+    zx_map = stage_map(nzf, yc, sc_zx, sd_zx, mb);
+    for (std::size_t j = 0; j < nzf; ++j) {
+      const int q = owner(nzf, d.pa, j);
+      const block zq = block_range(nzf, d.pa, q);
+      zx_map.set(j, q, j - zq.offset, yc * zq.count, zq.count);
+    }
+    // x lines (y, z), lanes 8 consecutive z. Spectral side: segment q holds
+    // [xl][y][z] for its x-mode block; modes past nxs (the 3/2-rule pad,
+    // or the dropped Nyquist mode) have no storage.
+    xs_map = stage_map(d.x_line_modes(), zc, rc_zx, rd_zx, mb);
+    for (std::size_t k = 0; k < d.x_line_modes(); ++k) {
+      if (k >= d.nxs) {
+        xs_map.set_none(k);
+        continue;
+      }
+      const int q = owner(d.nxs, d.pa, k);
+      const block xq = block_range(d.nxs, d.pa, q);
+      xs_map.set(k, q, (k - xq.offset) * yc * zc, zc, 1);
+    }
+    // Physical side: [z][y][x].
+    phys_slots.resize(d.nxf);
+    for (std::size_t i = 0; i < d.nxf; ++i)
+      phys_slots[i] = {static_cast<std::ptrdiff_t>(i),
+                       static_cast<std::ptrdiff_t>(d.nxf),
+                       static_cast<std::ptrdiff_t>(yc * d.nxf)};
   }
 
-  /// Byte-counter accounting shared by every pack/unpack kernel:
+  template <class T>
+  fft::line_map<T> phys_at(T* p) const {
+    return {p, phys_slots.data(), d.zp.count};
+  }
+
+  /// Byte-counter accounting shared by the pack/unpack kernels:
   /// `reads`/`writes` are the per-field element counts; the batch counters
   /// additionally record how wide the fused kernels ran.
   void account(std::size_t reads, std::size_t writes, std::size_t nf) {
@@ -289,11 +415,11 @@ struct parallel_fft::impl {
     reorder_fields_ += nf;
   }
 
-  // --- inverse path (spectral -> physical) --------------------------------
+  // --- y-pencil reorders (only when pb > 1, or in P3DFFT mode) -------------
   //
-  // Every reorder kernel widens its thread-pool loop by nf with fields in
-  // the inner blocking (index i -> item i/nf, field i%nf), so small
-  // per-field pencils still feed all reorder/fft threads.
+  // Both widen their thread-pool loop by nf with fields in the inner
+  // blocking (index i -> item i/nf, field i%nf), so small per-field pencils
+  // still feed all reorder threads.
 
   void pack_y_to_z(const cplx* const* specs, cplx* send, std::size_t nf) {
     const section_timer::section time_sec(reorder_t);
@@ -314,185 +440,6 @@ struct parallel_fft::impl {
       }
     });
     account(d.y_pencil_elems(), d.y_pencil_elems(), nf);
-  }
-
-  void unpack_z_pencil(const cplx* recv, cplx* zbuf, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
-    const std::size_t yc = d.yb.count, nzf = d.nzf, nzg = d.g.nz;
-    const bool dealias = nzf > nzg;
-    const std::size_t* rc = rc_yz.data();
-    const std::size_t* rd = rd_yz.data();
-    // Zero the dealiasing gap once per line. The gap also swallows the
-    // spanwise Nyquist mode nz/2: on the padded grid +nz/2 and -nz/2 are
-    // distinct modes, so the (self-conjugate) Nyquist coefficient is not
-    // representable and is dropped, as in the paper (Section 4.4).
-    if (dealias) {
-      reorder_pool.run(d.xs.count * yc * nf,
-                       [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          const std::size_t l = i / nf, f = i % nf;
-          std::fill_n(zbuf + f * wstride + l * nzf + nzg / 2, nzf - nzg + 1,
-                      cplx{0.0, 0.0});
-        }
-      });
-    }
-    reorder_pool.run(d.xs.count * nf, [&](std::size_t ib, std::size_t ie) {
-      for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t x = i / nf, f = i % nf;
-        cplx* zb = zbuf + f * wstride;
-        for (int q = 0; q < d.pb; ++q) {
-          const block zq = block_range(nzg, d.pb, q);
-          const cplx* seg = recv + nf * rd[q] + f * rc[q];
-          for (std::size_t zl = 0; zl < zq.count; ++zl) {
-            const std::size_t zg = zq.offset + zl;
-            if (dealias && zg == nzg / 2) continue;  // dropped Nyquist
-            const std::size_t zp = zpad_pos(zg);
-            const cplx* src = seg + (x * zq.count + zl) * yc;
-            for (std::size_t y = 0; y < yc; ++y)
-              zb[(x * yc + y) * nzf + zp] = src[y];
-          }
-        }
-      }
-    });
-    account(d.xs.count * nzg * yc, d.z_pencil_elems(), nf);
-  }
-
-  void pack_z_to_x(const cplx* zbuf, cplx* send, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
-    const std::size_t yc = d.yb.count, nzf = d.nzf;
-    const std::size_t* sc = sc_zx.data();
-    const std::size_t* sd = sd_zx.data();
-    reorder_pool.run(d.xs.count * nf, [&](std::size_t ib, std::size_t ie) {
-      for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t x = i / nf, f = i % nf;
-        const cplx* zb = zbuf + f * wstride;
-        for (int q = 0; q < d.pa; ++q) {
-          const block zq = block_range(nzf, d.pa, q);
-          cplx* seg = send + nf * sd[q] + f * sc[q];
-          for (std::size_t y = 0; y < yc; ++y)
-            std::copy_n(zb + (x * yc + y) * nzf + zq.offset, zq.count,
-                        seg + (x * yc + y) * zq.count);
-        }
-      }
-    });
-    account(d.z_pencil_elems(), d.z_pencil_elems(), nf);
-  }
-
-  void unpack_x_pencil(const cplx* recv, cplx* xbuf, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
-    const std::size_t yc = d.yb.count, zc = d.zp.count;
-    const std::size_t modes = d.x_line_modes();
-    const std::size_t* rc = rc_zx.data();
-    const std::size_t* rd = rd_zx.data();
-    // Zero the dealiasing pad region of each x line.
-    if (modes > d.nxs) {
-      reorder_pool.run(zc * yc * nf, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          const std::size_t l = i / nf, f = i % nf;
-          std::fill_n(xbuf + f * wstride + l * modes + d.nxs, modes - d.nxs,
-                      cplx{0.0, 0.0});
-        }
-      });
-    }
-    reorder_pool.run(zc * nf, [&](std::size_t ib, std::size_t ie) {
-      for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t z = i / nf, f = i % nf;
-        cplx* xb = xbuf + f * wstride;
-        for (int q = 0; q < d.pa; ++q) {
-          const block xq = block_range(d.nxs, d.pa, q);
-          const cplx* seg = recv + nf * rd[q] + f * rc[q];
-          // y outer / xl inner: the xb writes are unit-stride in xl, so
-          // this loop vectorizes as a strided gather + contiguous store.
-          for (std::size_t y = 0; y < yc; ++y) {
-            cplx* dst = xb + (z * yc + y) * modes + xq.offset;
-            const cplx* src = seg + y * zc + z;
-            for (std::size_t xl = 0; xl < xq.count; ++xl)
-              dst[xl] = src[xl * yc * zc];
-          }
-        }
-      }
-    });
-    account(d.nxs * yc * zc, d.x_pencil_spec_elems(), nf);
-  }
-
-  // --- forward path (physical -> spectral) --------------------------------
-
-  void pack_x_to_z(const cplx* xspec, cplx* send, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
-    const std::size_t yc = d.yb.count, zc = d.zp.count;
-    const std::size_t modes = d.x_line_modes();
-    const std::size_t* rc = rc_zx.data();
-    const std::size_t* rd = rd_zx.data();
-    reorder_pool.run(zc * nf, [&](std::size_t ib, std::size_t ie) {
-      for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t z = i / nf, f = i % nf;
-        const cplx* xb = xspec + f * wstride;
-        for (int q = 0; q < d.pa; ++q) {
-          const block xq = block_range(d.nxs, d.pa, q);
-          cplx* seg = send + nf * rd[q] + f * rc[q];
-          // Mirror of unpack_x_pencil: contiguous loads in xl, strided
-          // scatter stores.
-          for (std::size_t y = 0; y < yc; ++y) {
-            const cplx* src = xb + (z * yc + y) * modes + xq.offset;
-            cplx* dst = seg + y * zc + z;
-            for (std::size_t xl = 0; xl < xq.count; ++xl)
-              dst[xl * yc * zc] = src[xl];
-          }
-        }
-      }
-    });
-    account(d.nxs * yc * zc, d.nxs * yc * zc, nf);
-  }
-
-  void unpack_z_from_x(const cplx* recv, cplx* zbuf, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
-    const std::size_t yc = d.yb.count, nzf = d.nzf;
-    const std::size_t* sc = sc_zx.data();
-    const std::size_t* sd = sd_zx.data();
-    reorder_pool.run(d.xs.count * nf, [&](std::size_t ib, std::size_t ie) {
-      for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t x = i / nf, f = i % nf;
-        cplx* zb = zbuf + f * wstride;
-        for (int q = 0; q < d.pa; ++q) {
-          const block zq = block_range(nzf, d.pa, q);
-          const cplx* seg = recv + nf * sd[q] + f * sc[q];
-          for (std::size_t y = 0; y < yc; ++y)
-            std::copy_n(seg + (x * yc + y) * zq.count, zq.count,
-                        zb + (x * yc + y) * nzf + zq.offset);
-        }
-      }
-    });
-    account(d.z_pencil_elems(), d.z_pencil_elems(), nf);
-  }
-
-  void pack_z_to_y(const cplx* zbuf, cplx* send, double scale,
-                   std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
-    const std::size_t yc = d.yb.count, nzf = d.nzf, nzg = d.g.nz;
-    const std::size_t* rc = rc_yz.data();
-    const std::size_t* rd = rd_yz.data();
-    reorder_pool.run(d.xs.count * nf, [&](std::size_t ib, std::size_t ie) {
-      for (std::size_t i = ib; i < ie; ++i) {
-        const std::size_t x = i / nf, f = i % nf;
-        const cplx* zb = zbuf + f * wstride;
-        for (int q = 0; q < d.pb; ++q) {
-          const block zq = block_range(nzg, d.pb, q);
-          cplx* seg = send + nf * rd[q] + f * rc[q];
-          for (std::size_t zl = 0; zl < zq.count; ++zl) {
-            const std::size_t zg = zq.offset + zl;
-            cplx* dst = seg + (x * zq.count + zl) * yc;
-            if (nzf > nzg && zg == nzg / 2) {  // dropped Nyquist
-              std::fill_n(dst, yc, cplx{0.0, 0.0});
-              continue;
-            }
-            const std::size_t zp = zpad_pos(zg);
-            for (std::size_t y = 0; y < yc; ++y)
-              dst[y] = zb[(x * yc + y) * nzf + zp] * scale;
-          }
-        }
-      }
-    });
-    account(d.xs.count * nzg * yc, d.xs.count * nzg * yc, nf);
   }
 
   void unpack_y_pencil(const cplx* recv, cplx* const* specs, std::size_t nf) {
@@ -518,52 +465,36 @@ struct parallel_fft::impl {
 
   // --- FFT stages ----------------------------------------------------------
   //
-  // The line loops are widened to lines * nf and re-split at field
-  // boundaries, so a chunk never spans two fields' workspace slots.
+  // One pass per stage: the plan gathers each block of lines through the
+  // `in` map and scatters it through the `out` map. The line loop is
+  // widened to lines * nf and re-split at field boundaries, so a call never
+  // spans two fields.
 
-  void z_fft(cplx* zbuf, const fft::c2c_plan& plan, std::size_t nf) {
+  template <class Plan, class In, class Out>
+  void fft_stage(const Plan& plan, std::size_t lines, std::size_t nf, In in,
+                 Out out) {
     const section_timer::section time_sec(fft_t);
-    const std::size_t lines = d.xs.count * d.yb.count;
-    const std::size_t len = d.nzf;
     fft_pool.run(lines * nf, [&](std::size_t b, std::size_t e) {
       while (b < e) {
         const std::size_t f = b / lines, l0 = b % lines;
         const std::size_t cnt = std::min(e - b, lines - l0);
-        cplx* base = zbuf + f * wstride + l0 * len;
-        plan.execute_many(base, len, base, len, cnt);
+        plan.execute_many(in(f), out(f), l0, cnt);
         b += cnt;
       }
     });
   }
 
-  void x_c2r(const cplx* xspec, double* const* phys, std::size_t nf) {
-    const section_timer::section time_sec(fft_t);
-    const std::size_t lines = d.zp.count * d.yb.count;
-    const std::size_t modes = d.x_line_modes();
-    fft_pool.run(lines * nf, [&](std::size_t b, std::size_t e) {
-      while (b < e) {
-        const std::size_t f = b / lines, l0 = b % lines;
-        const std::size_t cnt = std::min(e - b, lines - l0);
-        x_inv->execute_many(xspec + f * wstride + l0 * modes, modes,
-                           phys[f] + l0 * d.nxf, d.nxf, cnt);
-        b += cnt;
-      }
-    });
-  }
-
-  void x_r2c(const double* const* phys, cplx* xspec, std::size_t nf) {
-    const section_timer::section time_sec(fft_t);
-    const std::size_t lines = d.zp.count * d.yb.count;
-    const std::size_t modes = d.x_line_modes();
-    fft_pool.run(lines * nf, [&](std::size_t b, std::size_t e) {
-      while (b < e) {
-        const std::size_t f = b / lines, l0 = b % lines;
-        const std::size_t cnt = std::min(e - b, lines - l0);
-        x_fwd->execute_many(phys[f] + l0 * d.nxf, d.nxf,
-                           xspec + f * wstride + l0 * modes, modes, cnt);
-        b += cnt;
-      }
-    });
+  /// Zeroes the dropped spanwise Nyquist row zg = nz/2 of field f in a
+  /// y-side layout (the forward z stage's scatter has no slot for it).
+  void zero_nyquist_row(cplx* buf, std::size_t f, std::size_t nf) {
+    const std::size_t nz = d.g.nz, yc = d.yb.count;
+    const int q = owner(nz, d.pb, nz / 2);
+    const auto uq = static_cast<std::size_t>(q);
+    const block zq = block_range(nz, d.pb, q);
+    cplx* seg = buf + nf * rd_yz[uq] + f * rc_yz[uq];
+    for (std::size_t x = 0; x < d.xs.count; ++x)
+      std::fill_n(seg + (x * zq.count + nz / 2 - zq.offset) * yc, yc,
+                  cplx{0.0, 0.0});
   }
 
   // --- transposes (communication) ------------------------------------------
@@ -617,10 +548,11 @@ struct parallel_fft::impl {
   // G = min(pipeline_depth, nf) balanced groups. Group g owns the disjoint
   // workspace slice [first(g)*wstride, (first(g)+count(g))*wstride) of
   // each of w1/w2/w3, so its in-flight exchange never touches buffers
-  // another group is computing on. Every transform is (pre) pack, (x1)
-  // first exchange, (c1) unpack + z-FFT + pack, (x2) second exchange, (c2)
-  // unpack + x-FFT; x1/x2 run on the comm thread, everything else on the
-  // caller.
+  // another group is computing on. Every transform is (pre) the y-pencil
+  // pack (inverse) or the r2c stage (forward), (x1) first exchange, (c1)
+  // the z FFT stage, (x2) second exchange, (c2) the c2r stage (inverse) or
+  // the y-pencil unpack (forward); x1/x2 run on the comm thread,
+  // everything else on the caller.
   //
   // Schedule (software pipeline over groups k):
   //
@@ -692,50 +624,50 @@ struct parallel_fft::impl {
     const auto G = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(cfg.pipeline_depth),
                               nf));
-    const bool p3d = w3 != nullptr;
     auto grp = [&](std::size_t g) {
       return block_range(nf, G, static_cast<int>(g));
     };
     auto at = [&](cplx* w, std::size_t g) {
       return w + grp(g).offset * wstride;
     };
-    // Degenerate stages (size-1 comm) skip the exchange and hand the
-    // packed buffer straight to the unpack, flipping the ping-pong roles
-    // for the rest of the chunk. The P3DFFT branch keeps its fixed
-    // 3-buffer rotation (do_exchange_batch degenerates to a local copy
-    // there).
-    cplx* uz_src = (!p3d && skip_b_) ? w1 : w2;
-    cplx* uz_dst = (!p3d && skip_b_) ? w2 : w1;
+    // y-pencils -(pack, CommB)-> w2 -(z FFT)-> zx_send -(CommA)-> zx_recv
+    // -(c2r)-> phys. A skipped stage hands its send layout on as is.
+    cplx* zx_send = p3d_ ? w3 : w1;
+    cplx* zx_recv = !run_a_ ? zx_send : (p3d_ ? w1 : w2);
     run_pipeline(
         static_cast<std::size_t>(G),
         [&](std::size_t g) {
           const block fb = grp(g);
-          pack_y_to_z(specs + fb.offset, at(w1, g), fb.count);
+          if (run_b_) pack_y_to_z(specs + fb.offset, at(w1, g), fb.count);
         },
         [&](std::size_t g) {
-          if (p3d || !skip_b_) a2a_yz(at(w1, g), at(w2, g), grp(g).count);
-        },
-        [&](std::size_t g) {
-          const std::size_t fc = grp(g).count;
-          cplx* z = p3d ? at(w3, g) : at(uz_dst, g);
-          unpack_z_pencil(p3d ? at(w2, g) : at(uz_src, g), z, fc);
-          z_fft(z, *z_inv, fc);
-          pack_z_to_x(z, p3d ? at(w1, g) : at(uz_src, g), fc);
-        },
-        [&](std::size_t g) {
-          if (p3d)
-            a2a_zx(at(w1, g), at(w2, g), grp(g).count);
-          else if (!skip_a_)
-            a2a_zx(at(uz_src, g), at(uz_dst, g), grp(g).count);
+          if (run_b_) a2a_yz(at(w1, g), at(w2, g), grp(g).count);
         },
         [&](std::size_t g) {
           const block fb = grp(g);
-          cplx* ux_src = skip_a_ ? uz_src : uz_dst;
-          cplx* ux_dst = skip_a_ ? uz_dst : uz_src;
-          cplx* in = p3d ? at(w2, g) : at(ux_src, g);
-          cplx* x = p3d ? at(w3, g) : at(ux_dst, g);
-          unpack_x_pencil(in, x, fb.count);
-          x_c2r(x, phys + fb.offset, fb.count);
+          const cplx* yz = run_b_ ? at(w2, g) : nullptr;
+          cplx* zx = at(zx_send, g);
+          zy_map.prepare(fb.count);
+          zx_map.prepare(fb.count);
+          fft_stage(
+              *z_inv, d.xs.count * d.yb.count, fb.count,
+              [&](std::size_t f) {
+                return run_b_ ? zy_map.at(yz, f)
+                              : zy_map.at(specs[fb.offset + f], 0);
+              },
+              [&](std::size_t f) { return zx_map.at(zx, f); });
+        },
+        [&](std::size_t g) {
+          if (run_a_) a2a_zx(at(zx_send, g), at(zx_recv, g), grp(g).count);
+        },
+        [&](std::size_t g) {
+          const block fb = grp(g);
+          const cplx* zx = at(zx_recv, g);
+          xs_map.prepare(fb.count);
+          fft_stage(
+              *x_inv, d.yb.count * d.zp.count, fb.count,
+              [&](std::size_t f) { return xs_map.at(zx, f); },
+              [&](std::size_t f) { return phys_at(phys[fb.offset + f]); });
         });
   }
 
@@ -744,7 +676,6 @@ struct parallel_fft::impl {
     const auto G = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(cfg.pipeline_depth),
                               nf));
-    const bool p3d = w3 != nullptr;
     const double scale =
         1.0 / (static_cast<double>(d.nxf) * static_cast<double>(d.nzf));
     auto grp = [&](std::size_t g) {
@@ -753,41 +684,54 @@ struct parallel_fft::impl {
     auto at = [&](cplx* w, std::size_t g) {
       return w + grp(g).offset * wstride;
     };
-    // Mirror of inverse_pipelined's degenerate-stage handling.
-    cplx* uz_src = (!p3d && skip_a_) ? w2 : w1;
-    cplx* uz_dst = (!p3d && skip_a_) ? w1 : w2;
+    // phys -(r2c)-> w1 -(CommA)-> z_src -(z FFT, scaled)-> y_send -(CommB)->
+    // y_recv -(unpack)-> y-pencils; mirror of inverse_pipelined.
+    cplx* z_src = run_a_ ? w2 : w1;
+    cplx* y_send = p3d_ ? w3 : (z_src == w1 ? w2 : w1);
+    cplx* y_recv = p3d_ ? w1 : (y_send == w1 ? w2 : w1);
+    const bool dealias = d.nzf > d.g.nz;
     run_pipeline(
         static_cast<std::size_t>(G),
         [&](std::size_t g) {
           const block fb = grp(g);
-          x_r2c(phys + fb.offset, at(w1, g), fb.count);
-          pack_x_to_z(at(w1, g), at(w2, g), fb.count);
+          cplx* zx = at(w1, g);
+          xs_map.prepare(fb.count);
+          fft_stage(
+              *x_fwd, d.yb.count * d.zp.count, fb.count,
+              [&](std::size_t f) { return phys_at(phys[fb.offset + f]); },
+              [&](std::size_t f) { return xs_map.at(zx, f); });
         },
         [&](std::size_t g) {
-          if (p3d)
-            a2a_xz(at(w2, g), at(w3, g), grp(g).count);
-          else if (!skip_a_)
-            a2a_xz(at(w2, g), at(w1, g), grp(g).count);
-        },
-        [&](std::size_t g) {
-          const std::size_t fc = grp(g).count;
-          cplx* in = p3d ? at(w3, g) : at(uz_src, g);
-          cplx* z = p3d ? at(w1, g) : at(uz_dst, g);
-          unpack_z_from_x(in, z, fc);
-          z_fft(z, *z_fwd, fc);
-          pack_z_to_y(z, p3d ? at(w2, g) : at(uz_src, g), scale, fc);
-        },
-        [&](std::size_t g) {
-          if (p3d)
-            a2a_zy(at(w2, g), at(w3, g), grp(g).count);
-          else if (!skip_b_)
-            a2a_zy(at(uz_src, g), at(uz_dst, g), grp(g).count);
+          if (run_a_) a2a_xz(at(w1, g), at(w2, g), grp(g).count);
         },
         [&](std::size_t g) {
           const block fb = grp(g);
-          const cplx* ysrc = p3d ? at(w3, g)
-                                 : (skip_b_ ? at(uz_src, g) : at(uz_dst, g));
-          unpack_y_pencil(ysrc, specs + fb.offset, fb.count);
+          const cplx* zx = at(z_src, g);
+          cplx* ys = run_b_ ? at(y_send, g) : nullptr;
+          zx_map.prepare(fb.count);
+          zy_map.prepare(fb.count);
+          fft_stage(
+              *z_fwd, d.xs.count * d.yb.count, fb.count,
+              [&](std::size_t f) { return zx_map.at(zx, f); },
+              [&](std::size_t f) {
+                return run_b_ ? zy_map.at(ys, f, scale)
+                              : zy_map.at(specs[fb.offset + f], 0, scale);
+              });
+          if (dealias)
+            for (std::size_t f = 0; f < fb.count; ++f) {
+              if (run_b_)
+                zero_nyquist_row(ys, f, fb.count);
+              else
+                zero_nyquist_row(specs[fb.offset + f], 0, 1);
+            }
+        },
+        [&](std::size_t g) {
+          if (run_b_) a2a_zy(at(y_send, g), at(y_recv, g), grp(g).count);
+        },
+        [&](std::size_t g) {
+          const block fb = grp(g);
+          if (run_b_)
+            unpack_y_pencil(at(y_recv, g), specs + fb.offset, fb.count);
         });
   }
 };
@@ -837,7 +781,7 @@ batch_stats parallel_fft::batching() const {
 
 std::size_t parallel_fft::workspace_bytes() const {
   const auto& im = *impl_;
-  const std::size_t nbuf = im.w3 != nullptr ? 3 : 2;
+  const std::size_t nbuf = buffer_count(im.d, im.cfg);
   return nbuf * im.wstride * static_cast<std::size_t>(im.cfg.max_batch) *
          sizeof(cplx);
 }

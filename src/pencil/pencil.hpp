@@ -11,9 +11,12 @@
 //   x-pencils: [zp-block(P_A)][y-block(P_B)][...x]   (x contiguous)
 //
 // The spectral -> physical path is: y->z transpose (CommB), 3/2 pad + z
-// inverse FFT, z->x transpose (CommA), 3/2 pad + c2r FFT. The 3/2-rule
-// padding/truncation is fused into the transpose unpack/pack, as in the
-// paper. Physical grid is nxp = 3nx/2 by nzp = 3nz/2 (per y point).
+// inverse FFT, z->x transpose (CommA), 3/2 pad + c2r FFT. Each FFT stage
+// gathers its lines straight from one exchange's receive layout and
+// scatters them straight into the next one's send layout, so the 3/2-rule
+// padding/truncation and the reorders happen inside the transforms, one
+// pass per stage, as in the paper. Physical grid is nxp = 3nx/2 by
+// nzp = 3nz/2 (per y point).
 #pragma once
 
 #include <complex>
@@ -69,7 +72,7 @@ struct kernel_config {
   int fft_threads = 1;        // threads for FFT + pad/truncate blocks
   int reorder_threads = 1;    // threads for pack/unpack (on-node reorder)
   // Fields aggregated into one exchange by the *_batch entry points; the
-  // ping-pong workspaces grow by this factor. 1 keeps the seed footprint.
+  // exchange buffers grow by this factor. 1 keeps the seed footprint.
   int max_batch = 1;
   // > 1 splits each batch into up to this many field groups and overlaps
   // the exchange of group k with the FFT/reorder of its neighbours on a
@@ -120,15 +123,12 @@ struct decomp {
   }
   /// Complex modes per x line in x-pencils (input of the c2r transform).
   [[nodiscard]] std::size_t x_line_modes() const { return nxf / 2 + 1; }
-  [[nodiscard]] std::size_t x_pencil_spec_elems() const {
-    return zp.count * yb.count * x_line_modes();
-  }
   [[nodiscard]] std::size_t x_pencil_real_elems() const {
     return zp.count * yb.count * nxf;
   }
 };
 
-/// Bytes of ping-pong transpose/FFT workspace one parallel_fft instance
+/// Bytes of transpose/FFT workspace one parallel_fft instance
 /// needs for this decomposition and configuration (including per-buffer
 /// alignment slack) — what to lease for the workspace lane handed to the
 /// lane constructor below.
@@ -136,9 +136,9 @@ struct decomp {
                                                     const kernel_config& cfg);
 
 /// The parallel FFT kernel: spectral y-pencils <-> physical x-pencils.
-/// Thread-unsafe per instance; each rank builds its own. The transpose/FFT
-/// ping-pong buffers are permanent construction-time checkouts of a
-/// workspace lane.
+/// Thread-unsafe per instance; each rank builds its own. The exchange
+/// buffers (one on a 1x1 grid, two otherwise, three in P3DFFT mode) are
+/// permanent construction-time checkouts of a workspace lane.
 class parallel_fft {
  public:
   /// Standalone kernel: leases its own lane from block_pool::global().
@@ -182,13 +182,13 @@ class parallel_fft {
   /// Internal workspace allocated (for the paper's 1x-vs-3x buffer claim).
   [[nodiscard]] std::size_t workspace_bytes() const;
 
-  /// Re-check the ping-pong buffers out of the construction-time lane
+  /// Re-check the exchange buffers out of the construction-time lane
   /// after its slab was released and reacquired (the simulation's
   /// suspend/resume cycle — the lane may sit on different pool blocks
   /// now). The lane must be freshly reacquired with this kernel as its
   /// first checkout, which reproduces the construction-time offsets.
   /// Plans, counts and exchange strategies are untouched, so a rebind
-  /// costs two bump allocations.
+  /// costs one bump allocation per buffer.
   void rebind_workspace();
 
   /// Section timers (accumulated across calls).

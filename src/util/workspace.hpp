@@ -221,7 +221,7 @@ class workspace_lane {
 ///   * shared()     — serial-section scratch (observables, mean flow,
 ///                    substep-lifetime fields like hU/hW);
 ///   * thread(tid)  — per-advance-pool-thread scratch (mode-loop lines);
-///   * transform()  — the pencil kernel's ping-pong transpose/FFT buffers.
+///   * transform()  — the pencil kernel's transpose/FFT exchange buffers.
 /// Capacities are fixed at construction and every lane's slab is leased
 /// from `pool`; see workspace_lane for the checkout rules.
 /// release()/reacquire() cycle the whole arena through the pool (the

@@ -140,8 +140,9 @@ INSTANTIATE_TEST_SUITE_P(
         BCase{2, 2, 1, 1, 0, 5, 2}, BCase{2, 2, 1, 1, 0, 5, 3},
         BCase{2, 2, 3, 2, 0, 5, 3}, BCase{2, 2, 1, 1, 1, 5, 2},
         BCase{3, 2, 1, 1, 0, 2, 2}, BCase{1, 1, 1, 1, 0, 5, 2},
-        // pipelined over one size-1 communicator: the skipped stage flips
-        // the ping-pong roles of every group (P3DFFT mode copies instead)
+        // pipelined over one size-1 communicator: the skipped stage hands
+        // its send layout straight to the next FFT stage of every group
+        // (P3DFFT mode copies instead)
         BCase{1, 4, 1, 1, 0, 5, 2}, BCase{4, 1, 1, 1, 0, 5, 2},
         BCase{4, 1, 1, 1, 1, 5, 2}, BCase{1, 4, 1, 1, 1, 5, 3},
         BCase{1, 4, 3, 2, 0, 5, 2},

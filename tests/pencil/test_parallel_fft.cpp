@@ -305,13 +305,15 @@ TEST(Pfft, WorkspaceCustomSmallerThanP3dfft) {
     custom_cfg.dealias = false;
     parallel_fft custom(g, cart, custom_cfg);
     parallel_fft p3d(g, cart, kernel_config::p3dfft_mode());
-    // The customized kernel ping-pongs two buffers; P3DFFT mode keeps three.
+    // The customized kernel needs one buffer on 1x1; P3DFFT mode keeps three.
     EXPECT_LT(custom.workspace_bytes(), p3d.workspace_bytes());
     EXPECT_EQ(p3d.workspace_bytes() % 3, 0u);
   });
 }
 
-TEST(Pfft, TimersAccumulateAndReset) {
+// On a 1x1 grid both transpose stages are skipped and the FFT stages
+// gather and scatter the caller's buffers themselves: no reorder pass runs.
+TEST(Pfft, OneRankRunsNoReorderPass) {
   const grid g{16, 4, 8};
   run_world(1, [&](communicator& world) {
     cart2d cart(world, 1, 1);
@@ -320,11 +322,35 @@ TEST(Pfft, TimersAccumulateAndReset) {
     aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{0, 0});
     aligned_buffer<double> phys(d.x_pencil_real_elems());
     pf.to_physical(spec.data(), phys.data());
+    pf.to_spectral(phys.data(), spec.data());
     EXPECT_GT(pf.fft_seconds(), 0.0);
-    EXPECT_GT(pf.reorder_seconds(), 0.0);
+    EXPECT_EQ(pf.reorder_seconds(), 0.0);
+    EXPECT_EQ(pf.batching().reorder_calls, 0u);
     EXPECT_GE(pf.comm_seconds(), 0.0);
     pf.reset_timers();
     EXPECT_EQ(pf.fft_seconds(), 0.0);
+    EXPECT_EQ(pf.comm_seconds(), 0.0);
+  });
+}
+
+// With pb > 1 the y-pencils are packed for and unpacked from CommB, so
+// every section timer runs.
+TEST(Pfft, TimersAccumulateAndReset) {
+  const grid g{16, 4, 8};
+  run_world(2, [&](communicator& world) {
+    cart2d cart(world, 1, 2);
+    parallel_fft pf(g, cart, kernel_config{});
+    const auto& d = pf.dec();
+    aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{0, 0});
+    aligned_buffer<double> phys(d.x_pencil_real_elems());
+    pf.to_physical(spec.data(), phys.data());
+    EXPECT_GT(pf.fft_seconds(), 0.0);
+    EXPECT_GT(pf.reorder_seconds(), 0.0);
+    EXPECT_GT(pf.batching().reorder_calls, 0u);
+    EXPECT_GE(pf.comm_seconds(), 0.0);
+    pf.reset_timers();
+    EXPECT_EQ(pf.fft_seconds(), 0.0);
+    EXPECT_EQ(pf.reorder_seconds(), 0.0);
     EXPECT_EQ(pf.comm_seconds(), 0.0);
   });
 }
