@@ -11,7 +11,6 @@
 
 #include "bench_common.hpp"
 #include "core/simulation.hpp"
-#include "pencil/autotune.hpp"
 #include "pencil/decomp.hpp"
 #include "pencil/pencil.hpp"
 #include "util/aligned.hpp"
@@ -165,65 +164,6 @@ int main() {
     std::printf("paper Section 2.2: the pencil decomposition is chosen for "
                 "its flexibility in rank counts —\na slab decomposition "
                 "cannot exceed one grid dimension's worth of ranks.\n");
-  }
-
-  // E. Exchange strategy (paper Section 4.3): FFTW's transpose planner
-  // picks between MPI_Alltoall and pairwise MPI_Sendrecv; here both run
-  // on the virtual-MPI runtime at 8 ranks, plus the pair the autotuner
-  // picks per communicator.
-  {
-    grid ge{32, 16, 32};
-    auto cycle = [&](exchange_strategy strat, tune_choice* picked) {
-      double out = 0;
-      std::mutex m;
-      pcf::vmpi::run_world(8, [&](pcf::vmpi::communicator& world) {
-        pcf::vmpi::cart2d cart(world, 4, 2);
-        kernel_config cfg;
-        cfg.strategy_a = strat;
-        cfg.strategy_b = strat;
-        tune_choice choice;
-        if (picked != nullptr) {
-          choice = autotune_transforms(ge, world, cart.pa(), cart.pb(), cfg,
-                                       tune_options{})
-                       .choice;
-          cfg = apply_tuning(cfg, choice);
-        }
-        parallel_fft pf(ge, cart, cfg);
-        const auto& d = pf.dec();
-        pcf::aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{0.1, 0.0});
-        pcf::aligned_buffer<double> phys(d.x_pencil_real_elems());
-        pf.to_physical(spec.data(), phys.data());
-        pcf::wall_timer t;
-        for (int r = 0; r < reps; ++r) {
-          pf.to_physical(spec.data(), phys.data());
-          pf.to_spectral(phys.data(), spec.data());
-        }
-        if (world.rank() == 0) {
-          std::lock_guard<std::mutex> lk(m);
-          out = t.seconds() / reps;
-          if (picked != nullptr) *picked = choice;
-        }
-      });
-      return out;
-    };
-    auto name = [](exchange_strategy s) {
-      return s == exchange_strategy::pairwise ? "pairwise" : "alltoall";
-    };
-    const double ta = cycle(exchange_strategy::alltoall, nullptr);
-    const double tp = cycle(exchange_strategy::pairwise, nullptr);
-    tune_choice pick;
-    const double tu = cycle(exchange_strategy::alltoall, &pick);
-    std::printf("\nE. transpose exchange strategy (8 virtual ranks, grid "
-                "%zu x %zu x %zu):\n", ge.nx, ge.ny, ge.nz);
-    pcf::text_table te({"Strategy", "Round trip"});
-    te.add_row({"alltoall", pcf::text_table::fmt_time(ta)});
-    te.add_row({"pairwise sendrecv", pcf::text_table::fmt_time(tp)});
-    te.add_row({std::string("autotuned (CommA ") + name(pick.strat_a) +
-                    ", CommB " + name(pick.strat_b) + ")",
-                pcf::text_table::fmt_time(tu)});
-    std::fputs(te.str().c_str(), stdout);
-    std::printf("paper Section 4.3: FFTW mostly picks MPI_alltoall for "
-                "CommB and either for CommA.\n");
   }
   return 0;
 }

@@ -11,7 +11,7 @@
 // FFT/reorder work on a comm thread. The autotuned mode first runs the
 // measured tuner (storing its decision in an on-disk cache), then reloads
 // the cache — exercising both the tune and replay paths production uses —
-// and runs whatever {strategies, F, depth} the tuner chose.
+// and runs whatever {F, depth} the tuner chose.
 //
 // Usage: bench_pencil_batch [--fast]
 //   --fast: small grid / few ranks / few reps — the ctest `perf`-label
@@ -51,10 +51,6 @@ struct mode_result {
   std::uint64_t exchanges = 0;       // aggregated exchanges per substage
   std::uint64_t alltoall_calls = 0;  // vmpi calls per substage (both comms)
 };
-
-const char* strategy_name(exchange_strategy s) {
-  return s == exchange_strategy::pairwise ? "pairwise" : "alltoall";
-}
 
 mode_result run_mode(const std::string& name, const bench_config& bc,
                      int trials, int reps, const kernel_config& cfg,
@@ -202,11 +198,9 @@ void write_json(const char* path, int reps,
     std::fprintf(f, "      \"dealias\": %s,\n",
                  rep.bc.dealias ? "true" : "false");
     std::fprintf(f,
-                 "      \"tuned_choice\": {\"strat_a\": \"%s\", \"strat_b\": "
-                 "\"%s\", \"batch\": %d, \"pipeline_depth\": %d},\n",
-                 strategy_name(rep.tuned.strat_a),
-                 strategy_name(rep.tuned.strat_b), rep.tuned.batch,
-                 rep.tuned.pipeline_depth);
+                 "      \"tuned_choice\": {\"batch\": %d, "
+                 "\"pipeline_depth\": %d},\n",
+                 rep.tuned.batch, rep.tuned.pipeline_depth);
     std::fprintf(f, "      \"modes\": [\n");
     for (std::size_t i = 0; i < rs.size(); ++i) {
       const auto& r = rs[i];
@@ -275,9 +269,8 @@ int main(int argc, char** argv) {
     const tune_choice tuned =
         tune_and_reload(bc, base, cache, fast ? 1 : 2);
     std::remove(cache.c_str());
-    std::printf("  tuner chose: strat_a=%s strat_b=%s F=%d depth=%d\n",
-                strategy_name(tuned.strat_a), strategy_name(tuned.strat_b),
-                tuned.batch, tuned.pipeline_depth);
+    std::printf("  tuner chose: F=%d depth=%d\n", tuned.batch,
+                tuned.pipeline_depth);
 
     config_report rep;
     rep.bc = bc;

@@ -46,7 +46,6 @@ void append_blowup_report(const std::string& path, const run_report& rep,
   }
   os << "vmpi comm stats: ranks=" << ranks
      << " alltoall_calls=" << stats.alltoall_calls
-     << " exchange_calls=" << stats.exchange_calls
      << " reduce_calls=" << stats.reduce_calls
      << " bytes_sent=" << stats.bytes_sent << "\n";
   if (restored_generation >= 0) {

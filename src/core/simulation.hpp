@@ -130,22 +130,18 @@ struct channel_config {
   int max_batch = 5;
 
   // Measure-and-pick autotuning at construction (pencil::
-  // autotune_transforms): the split when pa = pb = 0, then {exchange
-  // strategy per communicator, batch width <= max_batch, pipeline depth}
-  // are timed on this grid and split, and the winners are written back
-  // into pa / pb / max_batch / pipeline_depth / strategy_a / strategy_b
-  // before any communicator is split or workspace sized. Bit-identical
+  // autotune_transforms): the split when pa = pb = 0, then {batch width
+  // <= max_batch, pipeline depth} are timed on this grid and split, and
+  // the winners are written back into pa / pb / max_batch /
+  // pipeline_depth before any communicator is split or workspace sized.
+  // A 1-rank world has no exchange to shape, so it times nothing and keeps
+  // max_batch, and pipeline_depth clamped to it. Bit-identical
   // physics for every choice (the determinism suite pins this).
   // `tuning_cache` persists winners across runs; empty re-measures at
   // every construction. A damaged or version-skewed cache file falls back
   // to measurement — it never aborts a run.
   bool autotune = false;
   std::string tuning_cache;
-
-  // Exchange strategy per transpose communicator (CommA = z<->x, CommB =
-  // y<->z); `autotune` replaces both with the measured winners.
-  pencil::exchange_strategy strategy_a = pencil::exchange_strategy::alltoall;
-  pencil::exchange_strategy strategy_b = pencil::exchange_strategy::alltoall;
 
   // Scenario layer: wall BC values, forcing mode, passive scalars. The
   // default is the classical channel and changes nothing.

@@ -11,8 +11,6 @@ pencil::kernel_config dns_kernel_config(const channel_config& c) {
   pencil::kernel_config k{true, true, c.fft_threads, c.reorder_threads};
   k.max_batch = std::max(1, c.max_batch);
   k.pipeline_depth = c.pipeline_depth;
-  k.strategy_a = c.strategy_a;
-  k.strategy_b = c.strategy_b;
   return k;
 }
 
@@ -32,8 +30,6 @@ channel_config& resolve_tuning(channel_config& c, vmpi::communicator& world) {
   c.pb = rep.choice.pb;
   c.max_batch = rep.choice.batch;
   c.pipeline_depth = rep.choice.pipeline_depth;
-  c.strategy_a = rep.choice.strat_a;
-  c.strategy_b = rep.choice.strat_b;
   c.autotune = false;  // resolved: reconstruction must not re-measure
   return c;
 }

@@ -56,8 +56,8 @@ inline constexpr double kZeta[3] = {0.0, -17.0 / 60.0, -5.0 / 12.0};
 
 /// If c.autotune is set, run pencil::autotune_transforms over `world`
 /// (collective) and write the chosen split (c.pa x c.pb; measured when
-/// both are 0), batch width, pipeline depth and exchange strategies back
-/// into `c`; otherwise a no-op. Must run before the Cartesian split is
+/// both are 0), batch width and pipeline depth back into `c`; otherwise a
+/// no-op. Must run before the Cartesian split is
 /// made and before dns_workspace_sizes() sizes the transform lane.
 channel_config& resolve_tuning(channel_config& c, vmpi::communicator& world);
 

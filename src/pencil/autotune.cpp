@@ -20,41 +20,29 @@ namespace pcf::pencil {
 namespace {
 
 // On-disk layout: header {magic, version, entry count} then fixed-size
-// entries, each 16 payload words (10 key + 6 choice) followed by a CRC-32
+// entries, each 14 payload words (10 key + 4 choice) followed by a CRC-32
 // of those payload bytes. All words are native u32 — the cache is a local
 // per-machine artifact, not an interchange format.
 //
-// v3 (a layout is a split): the key is {grid, ranks, requested split,
-// threads, batch ceiling, flags} and the choice {pa, pb, strategies,
-// batch, depth}. v2 files (separate decomposition entries) fail the
-// version check and fall back to re-measurement.
+// v4 (one exchange): the key is {grid, ranks, requested split, threads,
+// batch ceiling, flags} and the choice {pa, pb, batch, depth}. v3 files
+// (which also carried a per-communicator exchange strategy) and v2 files
+// (separate decomposition entries) fail the version check and fall back to
+// re-measurement.
 constexpr std::uint32_t kMagic = 0x50465443;  // "PFTC"
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 constexpr std::size_t kKeyWords = 10;
-constexpr std::size_t kChoiceWords = 6;
+constexpr std::size_t kChoiceWords = 4;
 constexpr std::size_t kPayloadWords = kKeyWords + kChoiceWords;
 constexpr std::size_t kEntryBytes = (kPayloadWords + 1) * sizeof(std::uint32_t);
 constexpr std::size_t kHeaderBytes = 3 * sizeof(std::uint32_t);
-
-std::uint32_t encode_strategy(exchange_strategy s) {
-  return s == exchange_strategy::pairwise ? 1u : 0u;
-}
-
-bool decode_strategy(std::uint32_t v, exchange_strategy& out) {
-  if (v == 0) out = exchange_strategy::alltoall;
-  else if (v == 1) out = exchange_strategy::pairwise;
-  else return false;
-  return true;
-}
 
 // The choice words, shared by the file entry and the rank-0 broadcast.
 void pack_choice(const tune_choice& c, std::uint32_t w[kChoiceWords]) {
   w[0] = static_cast<std::uint32_t>(c.pa);
   w[1] = static_cast<std::uint32_t>(c.pb);
-  w[2] = encode_strategy(c.strat_a);
-  w[3] = encode_strategy(c.strat_b);
-  w[4] = static_cast<std::uint32_t>(c.batch);
-  w[5] = static_cast<std::uint32_t>(c.pipeline_depth);
+  w[2] = static_cast<std::uint32_t>(c.batch);
+  w[3] = static_cast<std::uint32_t>(c.pipeline_depth);
 }
 
 // Decode the choice words and check them against the key they were stored
@@ -63,11 +51,7 @@ void pack_choice(const tune_choice& c, std::uint32_t w[kChoiceWords]) {
 // batch ceiling or onto a split that does not cover its ranks.
 bool unpack_choice(const std::uint32_t w[kChoiceWords], const tune_key& key,
                    tune_choice& c, std::string& why) {
-  if (!decode_strategy(w[2], c.strat_a) || !decode_strategy(w[3], c.strat_b)) {
-    why = "unknown exchange strategy code";
-    return false;
-  }
-  if (w[4] < 1 || w[4] > key.max_batch || w[5] < 1 || w[5] > w[4]) {
+  if (w[2] < 1 || w[2] > key.max_batch || w[3] < 1 || w[3] > w[2]) {
     why = "batch/depth outside the key's ceiling";
     return false;
   }
@@ -79,8 +63,8 @@ bool unpack_choice(const std::uint32_t w[kChoiceWords], const tune_key& key,
   }
   c.pa = static_cast<int>(w[0]);
   c.pb = static_cast<int>(w[1]);
-  c.batch = static_cast<int>(w[4]);
-  c.pipeline_depth = static_cast<int>(w[5]);
+  c.batch = static_cast<int>(w[2]);
+  c.pipeline_depth = static_cast<int>(w[3]);
   return true;
 }
 
@@ -278,24 +262,26 @@ double time_substage(parallel_fft& pf, vmpi::communicator& world, int reps) {
   return agreed;
 }
 
-// Strategies worth timing on a communicator of `size` ranks: a size-1
-// communicator exchanges nothing, so only the default applies there.
-std::vector<exchange_strategy> strategy_candidates(int size) {
-  if (size == 1) return {exchange_strategy::alltoall};
-  return {exchange_strategy::alltoall, exchange_strategy::pairwise};
-}
-
 // The measurement behind a cache miss (collective over `world`): the split
-// first when it was not given, then the exchange-strategy pair and the
-// batch/depth sweep on the winning split. Every argmin is strict < over a
-// fixed candidate order, so ties keep the earlier candidate and every rank
-// (comparing identical agreed times) picks the same one.
+// first when it was not given, then the batch/depth sweep on the winning
+// split. Every argmin is strict < over a fixed candidate order, so ties
+// keep the earlier candidate and every rank (comparing identical agreed
+// times) picks the same one. One rank runs no exchange, so batch width and
+// depth only re-chunk the same FFT lines there: base's values are kept and
+// nothing is timed.
 tune_choice measure(const grid& g, vmpi::communicator& world, int pa, int pb,
                     const kernel_config& base, const tune_options& opt,
                     tune_report& rep) {
+  const int max_batch = std::max(1, base.max_batch);
   tune_choice chosen;
   chosen.pa = pa;
   chosen.pb = pb;
+  if (world.size() == 1) {
+    chosen.pa = chosen.pb = 1;
+    chosen.batch = max_batch;
+    chosen.pipeline_depth = std::clamp(base.pipeline_depth, 1, max_batch);
+    return chosen;
+  }
   if (pa == 0 && pb == 0) {
     const std::vector<process_split> splits =
         split_candidates(g, world.size(), 0, 0);
@@ -319,29 +305,9 @@ tune_choice measure(const grid& g, vmpi::communicator& world, int pa, int pb,
   }
   vmpi::cart2d cart(world, chosen.pa, chosen.pb);
 
-  // The exchange-strategy pair on the widest batch without pipelining; a
-  // lone candidate pair (every communicator of size 1) is not timed.
-  const int max_batch = std::max(1, base.max_batch);
-  const std::vector<exchange_strategy> cand_a = strategy_candidates(cart.pa());
-  const std::vector<exchange_strategy> cand_b = strategy_candidates(cart.pb());
-  double best = std::numeric_limits<double>::infinity();
-  if (cand_a.size() * cand_b.size() > 1) {
-    for (exchange_strategy sa : cand_a) {
-      for (exchange_strategy sb : cand_b) {
-        parallel_fft pf(g, cart, apply_tuning(base, {sa, sb, max_batch, 1}));
-        const double agreed = time_substage(pf, world, opt.reps);
-        if (agreed < best) {
-          best = agreed;
-          chosen.strat_a = sa;
-          chosen.strat_b = sb;
-        }
-      }
-    }
-  }
-
   // The batch/depth sweep, ascending (F, depth): ties go to the smaller
   // batch, then the shallower pipeline.
-  best = std::numeric_limits<double>::infinity();
+  double best = std::numeric_limits<double>::infinity();
   for (int F : {1, 3, 5}) {
     if (F > max_batch) continue;
     for (int depth = 1; depth <= 2 && depth <= F; ++depth) {
@@ -402,8 +368,6 @@ tune_key make_tune_key(const grid& g, const kernel_config& base, int ranks,
 }
 
 kernel_config apply_tuning(kernel_config base, const tune_choice& choice) {
-  base.strategy_a = choice.strat_a;
-  base.strategy_b = choice.strat_b;
   base.max_batch = choice.batch;
   base.pipeline_depth = choice.pipeline_depth;
   return base;

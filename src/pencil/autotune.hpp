@@ -2,12 +2,14 @@
 //
 // The paper's kernel leans on FFTW 3.3's transpose planner, which times
 // candidate exchange implementations at plan time and keeps the fastest
-// (Section 4.3). This module is that planner, extended to the whole knob
-// set the batched kernel exposes: {process split, exchange strategy per
-// communicator, batch width F, pipeline depth}, each measured on the
-// 3-down + 5-up field workload an RK3 substage actually runs. Timings are
-// max-reduced across all ranks before the (deterministic) argmin, so every
-// rank picks the same configuration.
+// (Section 4.3). This module is that planner, pointed at the knobs the
+// batched kernel exposes: {process split, batch width F, pipeline depth},
+// each measured on the 3-down + 5-up field workload an RK3 substage
+// actually runs. Timings are max-reduced across all ranks before the
+// (deterministic) argmin, so every rank picks the same configuration. The
+// exchange implementation itself is not a knob: on vmpi an alltoallv costs
+// two rendezvous where p-1 MPI_Sendrecv rounds cost 2(p-1) for the same
+// copies, and it never measured slower (DESIGN.md §10).
 //
 // Winners persist in a small versioned on-disk cache keyed by (grid, rank
 // count, requested split, thread counts, batch ceiling, kernel flags).
@@ -45,8 +47,6 @@ struct tune_key {
 
 /// The tuner's decision: what to run production with.
 struct tune_choice {
-  exchange_strategy strat_a = exchange_strategy::alltoall;  // CommA (z<->x)
-  exchange_strategy strat_b = exchange_strategy::alltoall;  // CommB (y<->z)
   int batch = 1;           // aggregated-exchange width F
   int pipeline_depth = 1;  // comm/compute overlap groups
   int pa = 1;              // process split (the requested one when given)
@@ -83,9 +83,10 @@ struct tune_report {
     int pipeline_depth = 1;
     double seconds = 0.0;
   };
-  // Every timed candidate in order, empty on a cache hit: the split
-  // candidates first (only when the split is measured; timed at the base
-  // batch and depth), then the batch/depth sweep on the winning split.
+  // Every timed candidate in order, empty on a cache hit or a 1-rank
+  // world: the split candidates first (only when the split is measured;
+  // timed at the base batch and depth), then the batch/depth sweep on the
+  // winning split.
   std::vector<candidate> measured;
   std::vector<std::string> warnings;
 };
@@ -95,8 +96,8 @@ struct tune_report {
 [[nodiscard]] tune_key make_tune_key(const grid& g, const kernel_config& base,
                                      int ranks, int pa, int pb);
 
-/// `base` with the tuner's decision applied (per-communicator strategies,
-/// batch width and pipeline depth; the split is the caller's to use).
+/// `base` with the tuner's decision applied (batch width and pipeline
+/// depth; the split is the caller's to use).
 [[nodiscard]] kernel_config apply_tuning(kernel_config base,
                                          const tune_choice& choice);
 
@@ -105,9 +106,10 @@ struct tune_report {
 /// every split_candidates() entry runs the 3-down + 5-up RK3 substage
 /// workload at `base`, and the strict-< argmin over the fixed candidate
 /// order keeps candidate 0 on a tie, so the pick is never slower than
-/// candidate 0 as measured. The exchange-strategy pair and the batch/depth
-/// sweep are then timed on the winning split. Timings are max-reduced over
-/// `world`, so every rank picks the same choice.
+/// candidate 0 as measured. The batch/depth sweep is then timed on the
+/// winning split. Timings are max-reduced over `world`, so every rank
+/// picks the same choice. A 1-rank world times nothing: the choice is
+/// 1 x 1 with base's batch and (batch-clamped) depth.
 ///
 /// One transaction per call: in-process memo, then the cache file (rank
 /// 0), verdict broadcast, measure on a miss, merge-store, barrier, memo

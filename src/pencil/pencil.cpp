@@ -44,7 +44,7 @@ decomp::decomp(const grid& gg, const kernel_config& cfg, int pa_, int pb_,
 //    nf * displ[q] and holds the nf fields back to back, field f at
 //    nf * displ[q] + f * count[q]. Scaling the single-field dense
 //    prefix-sum displacements by nf is all the batching needs, so all
-//    fields ride ONE alltoallv/pairwise exchange per transpose stage.
+//    fields ride ONE alltoallv per transpose stage.
 //  * w1/w2/w3 each hold max_batch field slots of wstride elements; a
 //    pipeline group works on the slots of its own fields.
 //
@@ -259,28 +259,6 @@ struct parallel_fft::impl {
     if (nbuf > 2) w3 = ws_->alloc<cplx>(wn);
   }
 
-  /// One exchange with either strategy. The pairwise algorithm runs p-1
-  /// rounds with partner (rank + r) mod p — the MPI_Sendrecv pattern FFTW's
-  /// transpose planner generates.
-  void do_exchange(vmpi::communicator& comm, exchange_strategy strat,
-                   const cplx* send, const std::size_t* sc,
-                   const std::size_t* sd, cplx* recv, const std::size_t* rc,
-                   const std::size_t* rd) {
-    if (strat == exchange_strategy::alltoall) {
-      comm.alltoallv(send, sc, sd, recv, rc, rd);
-      return;
-    }
-    const int p = comm.size();
-    const int me = comm.rank();
-    std::copy_n(send + sd[me], sc[me],
-                recv + rd[me]);  // self block, no communication
-    for (int r = 1; r < p; ++r) {
-      const int dest = (me + r) % p;
-      const int src = (me + p - r) % p;
-      comm.exchange(send + sd[dest], sc[dest], dest, recv + rd[src], rc[src]);
-    }
-  }
-
   /// Aggregated exchange carrying nf fields: counts and displacements are
   /// the single-field ones scaled by nf (valid because the displacements
   /// are dense prefix sums). The scaled arrays live in the preallocated
@@ -288,11 +266,10 @@ struct parallel_fft::impl {
   /// per instance, and within one call every exchange runs on a single
   /// thread (the caller for a one-group chunk, otherwise the async_proxy's
   /// one comm thread, whose tickets are strictly ordered).
-  void do_exchange_batch(vmpi::communicator& comm, exchange_strategy strat,
-                         const cplx* send, const std::size_t* sc,
-                         const std::size_t* sd, cplx* recv,
-                         const std::size_t* rc, const std::size_t* rd,
-                         std::size_t nf) {
+  void do_exchange_batch(vmpi::communicator& comm, const cplx* send,
+                         const std::size_t* sc, const std::size_t* sd,
+                         cplx* recv, const std::size_t* rc,
+                         const std::size_t* rd, std::size_t nf) {
     if (comm.size() == 1) {
       // Degenerate stage (slab / 2.5D layouts): the send buffer already
       // has the receive layout (sc[0] == rc[0]), so the exchange is a pure
@@ -313,7 +290,7 @@ struct parallel_fft::impl {
       brc[q] = nf * rc[q];
       brd[q] = nf * rd[q];
     }
-    do_exchange(comm, strat, send, bsc, bsd, recv, brc, brd);
+    comm.alltoallv(send, bsc, bsd, recv, brc, brd);
   }
 
   void build_counts() {
@@ -501,23 +478,23 @@ struct parallel_fft::impl {
 
   void a2a_yz(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_b, cfg.strategy_b, send, sc_yz.data(), sd_yz.data(),
-                      recv, rc_yz.data(), rd_yz.data(), nf);
+    do_exchange_batch(comm_b, send, sc_yz.data(), sd_yz.data(), recv,
+                      rc_yz.data(), rd_yz.data(), nf);
   }
   void a2a_zy(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_b, cfg.strategy_b, send, rc_yz.data(), rd_yz.data(),
-                      recv, sc_yz.data(), sd_yz.data(), nf);
+    do_exchange_batch(comm_b, send, rc_yz.data(), rd_yz.data(), recv,
+                      sc_yz.data(), sd_yz.data(), nf);
   }
   void a2a_zx(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_a, cfg.strategy_a, send, sc_zx.data(), sd_zx.data(),
-                      recv, rc_zx.data(), rd_zx.data(), nf);
+    do_exchange_batch(comm_a, send, sc_zx.data(), sd_zx.data(), recv,
+                      rc_zx.data(), rd_zx.data(), nf);
   }
   void a2a_xz(const cplx* send, cplx* recv, std::size_t nf) {
     const section_timer::section time_sec(comm_t);
-    do_exchange_batch(comm_a, cfg.strategy_a, send, rc_zx.data(), rd_zx.data(),
-                      recv, sc_zx.data(), sd_zx.data(), nf);
+    do_exchange_batch(comm_a, send, rc_zx.data(), rd_zx.data(), recv,
+                      sc_zx.data(), sd_zx.data(), nf);
   }
 
   // --- drivers -------------------------------------------------------------

@@ -53,16 +53,6 @@ struct grid {
   [[nodiscard]] std::size_t nzp() const { return 3 * nz / 2; }   // phys z
 };
 
-/// How each global exchange is executed. The paper (Section 4.3) relies on
-/// FFTW 3.3's transpose planner, which times several implementations
-/// (MPI_Alltoall, MPI_Sendrecv rounds, ...) and keeps the fastest;
-/// autotune_transforms (pencil/autotune.hpp) reproduces that by timing
-/// both strategies on the RK3 substage workload.
-enum class exchange_strategy {
-  alltoall,  // one alltoallv per transpose
-  pairwise,  // P-1 rounds of pairwise sendrecv exchanges
-};
-
 /// Kernel configuration. The defaults are the paper's customized kernel;
 /// `p3dfft_mode()` reproduces P3DFFT 2.5.1's implementation choices for the
 /// Table 6 comparison.
@@ -78,10 +68,6 @@ struct kernel_config {
   // the exchange of group k with the FFT/reorder of its neighbours on a
   // dedicated comm thread (vmpi::async_proxy). 1 = fully synchronous.
   int pipeline_depth = 1;
-  // Exchange strategy per communicator (CommA = z<->x, CommB = y<->z);
-  // the autotuner writes its measured winners here.
-  exchange_strategy strategy_a = exchange_strategy::alltoall;
-  exchange_strategy strategy_b = exchange_strategy::alltoall;
 
   static kernel_config p3dfft_mode() {
     return kernel_config{false, false, 1, 1};
@@ -187,8 +173,8 @@ class parallel_fft {
   /// suspend/resume cycle — the lane may sit on different pool blocks
   /// now). The lane must be freshly reacquired with this kernel as its
   /// first checkout, which reproduces the construction-time offsets.
-  /// Plans, counts and exchange strategies are untouched, so a rebind
-  /// costs one bump allocation per buffer.
+  /// Plans and counts are untouched, so a rebind costs one bump
+  /// allocation per buffer.
   void rebind_workspace();
 
   /// Section timers (accumulated across calls).

@@ -52,7 +52,6 @@ struct group_state {
 
   // Statistics.
   std::atomic<std::uint64_t> alltoall_calls{0};
-  std::atomic<std::uint64_t> exchange_calls{0};
   std::atomic<std::uint64_t> reduce_calls{0};
   std::atomic<std::uint64_t> bytes_sent{0};
 
@@ -101,7 +100,6 @@ void communicator::barrier() {
 comm_stats communicator::stats() const {
   comm_stats s;
   s.alltoall_calls = state_->alltoall_calls.load();
-  s.exchange_calls = state_->exchange_calls.load();
   s.reduce_calls = state_->reduce_calls.load();
   s.bytes_sent = state_->bytes_sent.load();
   return s;
@@ -160,31 +158,6 @@ void communicator::alltoallv_bytes(const void* send,
   }
   st.alltoall_calls.fetch_add(rank_ == 0 ? 1 : 0);
   st.bytes_sent.fetch_add(received);
-  st.barrier();
-}
-
-void communicator::exchange_bytes(const void* send, std::size_t sbytes,
-                                  int dest, void* recv, std::size_t rbytes) {
-  check_liveness();
-  auto& st = *state_;
-  const int p = st.size;
-  PCF_REQUIRE(dest >= 0 && dest < p, "exchange destination out of range");
-  st.slots[static_cast<std::size_t>(rank_)] = {send, nullptr, nullptr, sbytes,
-                                               dest, 0};
-  st.barrier();
-  int src = -1;
-  for (int r = 0; r < p; ++r) {
-    if (st.slots[static_cast<std::size_t>(r)].i0 == rank_) {
-      PCF_REQUIRE(src == -1, "exchange dests must form a permutation");
-      src = r;
-    }
-  }
-  PCF_REQUIRE(src >= 0, "no rank sent to this rank in exchange");
-  const auto& s = st.slots[static_cast<std::size_t>(src)];
-  PCF_REQUIRE(s.n == rbytes, "exchange size mismatch");
-  std::memcpy(recv, s.p0, rbytes);
-  if (rank_ == 0) st.exchange_calls.fetch_add(1);
-  st.bytes_sent.fetch_add(sbytes);
   st.barrier();
 }
 

@@ -5,9 +5,11 @@
 // runtime instead: ranks are threads in one process, and the collectives
 // exchange data through shared memory. What it preserves from real MPI is
 // exactly what the DNS code depends on — communicator/sub-communicator
-// topology (MPI_Cart_create / MPI_Cart_sub), alltoall(v) semantics, and the
-// pairwise-exchange pattern FFTW's transpose planner generates — so the
-// transpose code paths are the genuine ones and are testable at 4-64 ranks.
+// topology (MPI_Cart_create / MPI_Cart_sub) and alltoall(v) semantics — so
+// the transpose code paths are the genuine ones and are testable at 4-64
+// ranks. Every transpose is one alltoallv: two rendezvous and one memcpy
+// per peer, where p-1 MPI_Sendrecv rounds would need 2(p-1) rendezvous for
+// the same copies (DESIGN.md §10).
 //
 // Simplification relative to MPI: every operation is *bulk-synchronous* —
 // all ranks of a communicator must call the same operation together (the
@@ -38,7 +40,6 @@ namespace pcf::vmpi {
 /// its ranks; byte counts are totals over all ranks).
 struct comm_stats {
   std::uint64_t alltoall_calls = 0;
-  std::uint64_t exchange_calls = 0;
   std::uint64_t reduce_calls = 0;
   std::uint64_t bytes_sent = 0;
 };
@@ -70,15 +71,6 @@ class communicator {
                  const std::size_t* sdispls, T* recv,
                  const std::size_t* rcounts, const std::size_t* rdispls) {
     alltoallv_bytes(send, scounts, sdispls, recv, rcounts, rdispls, sizeof(T));
-  }
-
-  /// Pairwise exchange (MPI_Sendrecv where every rank participates):
-  /// send `scount` elements to `dest`; receive into recv from whichever
-  /// rank targeted this one. The dest assignment must be a permutation.
-  template <class T>
-  void exchange(const T* send, std::size_t scount, int dest, T* recv,
-                std::size_t rcount) {
-    exchange_bytes(send, scount * sizeof(T), dest, recv, rcount * sizeof(T));
   }
 
   /// Element-wise reductions over all ranks; every rank gets the result.
@@ -134,8 +126,6 @@ class communicator {
                        const std::size_t* sdispls, void* recv,
                        const std::size_t* rcounts, const std::size_t* rdispls,
                        std::size_t elem_size);
-  void exchange_bytes(const void* send, std::size_t sbytes, int dest,
-                      void* recv, std::size_t rbytes);
   void bcast_bytes(void* data, std::size_t bytes, int root);
   void allgather_bytes(const void* send, void* recv, std::size_t bytes);
 

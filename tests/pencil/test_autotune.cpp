@@ -1,6 +1,6 @@
 // The autotuner: cache round trips, key discrimination, the
-// measure-agree-persist flow, world-wide agreement on the per-communicator
-// exchange strategies, and the measured process split.
+// measure-agree-persist flow, world-wide agreement on the whole choice,
+// the measured process split and the untimed 1-rank tune.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +14,6 @@ namespace {
 
 using pcf::pencil::apply_tuning;
 using pcf::pencil::autotune_transforms;
-using pcf::pencil::exchange_strategy;
 using pcf::pencil::find_tuning_entry;
 using pcf::pencil::grid;
 using pcf::pencil::kernel_config;
@@ -51,10 +50,7 @@ tune_key key_for(std::uint32_t nx) {
 }
 
 /// A choice on the 2 x 2 split key_for() requests.
-tune_choice choice_for(exchange_strategy sa, exchange_strategy sb, int batch,
-                       int depth) {
-  return {sa, sb, batch, depth, 2, 2};
-}
+tune_choice choice_for(int batch, int depth) { return {batch, depth, 2, 2}; }
 
 TEST(TuningCache, MissingFileIsASilentMiss) {
   std::vector<std::string> warnings;
@@ -67,10 +63,8 @@ TEST(TuningCache, MissingFileIsASilentMiss) {
 TEST(TuningCache, RoundTripsEntries) {
   const std::string path = cache_path("roundtrip");
   std::vector<tune_entry> in;
-  in.push_back({key_for(16), choice_for(exchange_strategy::pairwise,
-                                        exchange_strategy::alltoall, 5, 2)});
-  in.push_back({key_for(32), choice_for(exchange_strategy::alltoall,
-                                        exchange_strategy::pairwise, 3, 1)});
+  in.push_back({key_for(16), choice_for(5, 2)});
+  in.push_back({key_for(32), choice_for(3, 1)});
   save_tuning_cache(path, in);
 
   std::vector<std::string> warnings;
@@ -105,11 +99,7 @@ TEST(TuningCache, LookupDiscriminatesEveryKeyField) {
 TEST(TuningCache, ApplyTuningMapsEveryChoiceField) {
   kernel_config base;
   base.max_batch = 5;
-  const kernel_config k = apply_tuning(
-      base,
-      {exchange_strategy::pairwise, exchange_strategy::alltoall, 3, 2});
-  EXPECT_EQ(k.strategy_a, exchange_strategy::pairwise);
-  EXPECT_EQ(k.strategy_b, exchange_strategy::alltoall);
+  const kernel_config k = apply_tuning(base, {3, 2});
   EXPECT_EQ(k.max_batch, 3);
   EXPECT_EQ(k.pipeline_depth, 2);
 }
@@ -181,10 +171,10 @@ TEST(Autotune, EmptyCachePathMeasuresAndPersistsNothing) {
   });
 }
 
-TEST(Autotune, EveryRankOfA2x2CartGetsTheSameStrategyPair) {
-  // CommA and CommB each form two independent groups on a 2x2 cart; the
-  // strategy timings are max-reduced over the whole world, so all four
-  // ranks must come back with one pair even when the groups' own
+TEST(Autotune, EveryRankOfA2x2CartGetsTheSameChoice) {
+  // CommA and CommB each form two independent groups on a 2x2 cart; every
+  // timing is max-reduced over the whole world, so all four ranks must
+  // come back with one split, batch and depth even when the groups' own
   // timings would pick differently.
   run_world(4, [](communicator& world) {
     const grid g{8, 9, 8};
@@ -193,16 +183,42 @@ TEST(Autotune, EveryRankOfA2x2CartGetsTheSameStrategyPair) {
     tune_options opt;  // no cache: every call measures
     opt.reps = 1;
     for (int trial = 0; trial < 3; ++trial) {
-      const tune_report rep = autotune_transforms(g, world, 2, 2, base, opt);
-      const double mine[2] = {
-          rep.choice.strat_a == exchange_strategy::pairwise ? 1.0 : 0.0,
-          rep.choice.strat_b == exchange_strategy::pairwise ? 1.0 : 0.0};
-      double mx[2], mn[2];
-      world.allreduce_max(mine, mx, 2);
-      world.allreduce_min(mine, mn, 2);
-      EXPECT_EQ(mx[0], mn[0]) << "trial " << trial;
-      EXPECT_EQ(mx[1], mn[1]) << "trial " << trial;
+      const tune_report rep = autotune_transforms(g, world, 0, 0, base, opt);
+      const double mine[4] = {static_cast<double>(rep.choice.pa),
+                              static_cast<double>(rep.choice.pb),
+                              static_cast<double>(rep.choice.batch),
+                              static_cast<double>(rep.choice.pipeline_depth)};
+      double mx[4], mn[4];
+      world.allreduce_max(mine, mx, 4);
+      world.allreduce_min(mine, mn, 4);
+      for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(mx[i], mn[i]) << "trial " << trial << " word " << i;
     }
+  });
+}
+
+TEST(Autotune, OneRankTimesNothingAndKeepsBaseBatchAndDepth) {
+  // One rank runs no exchange, so batch width and depth only re-chunk the
+  // same FFT lines: the tune keeps base's values and times nothing, for a
+  // given and for a measured split alike. A depth past the batch is
+  // clamped to it, so the choice still fits its own key on reload.
+  run_world(1, [](communicator& world) {
+    const grid g{8, 9, 8};
+    kernel_config base;
+    base.max_batch = 3;
+    base.pipeline_depth = 2;
+    tune_options opt;
+    opt.reps = 1;
+    for (const int p : {0, 1}) {
+      const tune_report rep = autotune_transforms(g, world, p, p, base, opt);
+      EXPECT_TRUE(rep.measured.empty()) << "split " << p;
+      EXPECT_FALSE(rep.from_cache);
+      EXPECT_EQ(rep.choice, (tune_choice{3, 2, 1, 1})) << "split " << p;
+    }
+    base.pipeline_depth = 5;
+    const tune_report deep = autotune_transforms(g, world, 1, 1, base, opt);
+    EXPECT_TRUE(deep.measured.empty());
+    EXPECT_EQ(deep.choice, (tune_choice{3, 3, 1, 1}));
   });
 }
 
@@ -214,8 +230,7 @@ TEST(TuningCache, RoundTripsDecompositionEntries) {
   e.key = key_for(16);
   e.key.pa = 0;
   e.key.pb = 0;
-  e.choice = {exchange_strategy::alltoall, exchange_strategy::pairwise, 3, 2,
-              1, 4};
+  e.choice = {3, 2, 1, 4};
   save_tuning_cache(path, {e});
 
   std::vector<std::string> warnings;
@@ -328,8 +343,6 @@ TEST(Autotune, TunedConfigConstructsWithoutRemeasuring) {
     const tune_report rep = autotune_transforms(g, world, 2, 2, base, opt);
     const kernel_config tuned = apply_tuning(base, rep.choice);
     parallel_fft pf(g, cart, tuned);
-    EXPECT_EQ(pf.config().strategy_a, rep.choice.strat_a);
-    EXPECT_EQ(pf.config().strategy_b, rep.choice.strat_b);
     EXPECT_EQ(pf.config().max_batch, rep.choice.batch);
     EXPECT_EQ(pf.config().pipeline_depth, rep.choice.pipeline_depth);
   });

@@ -13,7 +13,6 @@ namespace {
 
 using pcf::aligned_buffer;
 using pcf::pencil::cplx;
-using pcf::pencil::exchange_strategy;
 using pcf::pencil::grid;
 using pcf::pencil::kernel_config;
 using pcf::pencil::parallel_fft;
@@ -150,48 +149,6 @@ INSTANTIATE_TEST_SUITE_P(
         // and a trailing one-field chunk runs as one group
         BCase{2, 2, 1, 1, 0, 5, 5}, BCase{2, 2, 1, 1, 0, 2, 3},
         BCase{2, 2, 1, 1, 1, 2, 3}));
-
-TEST(PfftBatch, PairwiseStrategyBatchesIdentically) {
-  const grid g{16, 7, 8};
-  for (std::size_t F : {std::size_t{3}}) {
-    run_world(4, [&](communicator& world) {
-      cart2d cart(world, 2, 2);
-      std::vector<std::vector<double>> outs;
-      for (auto strat :
-           {exchange_strategy::alltoall, exchange_strategy::pairwise}) {
-        kernel_config cfg;
-        cfg.strategy_a = strat;
-        cfg.strategy_b = strat;
-        cfg.max_batch = static_cast<int>(F);
-        parallel_fft pf(g, cart, cfg);
-        const auto& d = pf.dec();
-        std::vector<aligned_buffer<cplx>> spec(F);
-        std::vector<aligned_buffer<double>> phys(F);
-        std::vector<const cplx*> sp(F);
-        std::vector<double*> ph(F);
-        for (std::size_t f = 0; f < F; ++f) {
-          spec[f].reset(d.y_pencil_elems());
-          phys[f].reset(d.x_pencil_real_elems());
-          for (std::size_t x = 0; x < d.xs.count; ++x)
-            for (std::size_t z = 0; z < d.zs.count; ++z)
-              for (std::size_t y = 0; y < g.ny; ++y)
-                spec[f][(x * d.zs.count + z) * g.ny + y] = spec_value(
-                    f, d.xs.offset + x, d.zs.offset + z, y, g, false, true);
-          sp[f] = spec[f].data();
-          ph[f] = phys[f].data();
-        }
-        pf.to_physical_batch(sp.data(), ph.data(), F);
-        std::vector<double> all;
-        for (std::size_t f = 0; f < F; ++f)
-          all.insert(all.end(), phys[f].begin(), phys[f].end());
-        outs.push_back(std::move(all));
-      }
-      ASSERT_EQ(outs[0].size(), outs[1].size());
-      for (std::size_t i = 0; i < outs[0].size(); ++i)
-        ASSERT_EQ(outs[0][i], outs[1][i]) << "rank " << world.rank();
-    });
-  }
-}
 
 // The point of the batching: all F fields ride ONE exchange per transpose
 // stage, visible both in the vmpi per-communicator call counts and in the

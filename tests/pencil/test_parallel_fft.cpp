@@ -12,7 +12,6 @@ namespace {
 
 using pcf::aligned_buffer;
 using pcf::pencil::cplx;
-using pcf::pencil::exchange_strategy;
 using pcf::pencil::grid;
 using pcf::pencil::kernel_config;
 using pcf::pencil::parallel_fft;
@@ -232,45 +231,6 @@ TEST(Pfft, NegativeSpanwiseModeUsesPaddedTail) {
                     1e-12);
       }
   });
-}
-
-TEST(Pfft, PairwiseStrategyMatchesAlltoall) {
-  // The planner's two exchange implementations (paper Section 4.3) must be
-  // interchangeable: identical results from either.
-  const grid g{16, 9, 8};
-  std::vector<double> ref;
-  for (auto strat : {exchange_strategy::alltoall,
-                     exchange_strategy::pairwise}) {
-    std::vector<double> got;
-    std::mutex m;
-    run_world(4, [&](communicator& world) {
-      cart2d cart(world, 2, 2);
-      kernel_config cfg;
-      cfg.strategy_a = strat;
-      cfg.strategy_b = strat;
-      parallel_fft pf(g, cart, cfg);
-      const auto& d = pf.dec();
-      aligned_buffer<cplx> spec(d.y_pencil_elems());
-      for (std::size_t x = 0; x < d.xs.count; ++x)
-        for (std::size_t z = 0; z < d.zs.count; ++z)
-          for (std::size_t y = 0; y < g.ny; ++y)
-            spec[(x * d.zs.count + z) * g.ny + y] = spec_value(
-                d.xs.offset + x, d.zs.offset + z, y, g, false, true);
-      aligned_buffer<double> phys(d.x_pencil_real_elems());
-      pf.to_physical(spec.data(), phys.data());
-      if (world.rank() == 2) {
-        std::lock_guard<std::mutex> lk(m);
-        got.assign(phys.begin(), phys.end());
-      }
-    });
-    if (ref.empty())
-      ref = got;
-    else {
-      ASSERT_EQ(ref.size(), got.size());
-      for (std::size_t i = 0; i < ref.size(); ++i)
-        EXPECT_EQ(ref[i], got[i]);
-    }
-  }
 }
 
 TEST(Pfft, MoreRanksThanDataInSomeDimension) {

@@ -17,6 +17,7 @@
 
 #include "io/atomic_file.hpp"
 #include "pencil/autotune.hpp"
+#include "util/crc.hpp"
 
 namespace {
 
@@ -25,7 +26,6 @@ using pcf::io::fault_kind;
 using pcf::io::fault_policy;
 using pcf::io::injected_crash;
 using pcf::pencil::autotune_transforms;
-using pcf::pencil::exchange_strategy;
 using pcf::pencil::find_tuning_entry;
 using pcf::pencil::grid;
 using pcf::pencil::kernel_config;
@@ -60,12 +60,7 @@ tune_key some_key(std::uint32_t nx = 16) {
 }
 
 std::vector<tune_entry> two_entries() {
-  return {{some_key(16),
-           {exchange_strategy::pairwise, exchange_strategy::alltoall, 5, 2, 2,
-            2}},
-          {some_key(32),
-           {exchange_strategy::alltoall, exchange_strategy::alltoall, 3, 1, 2,
-            2}}};
+  return {{some_key(16), {5, 2, 2, 2}}, {some_key(32), {3, 1, 2, 2}}};
 }
 
 std::vector<char> slurp(const std::string& path) {
@@ -99,17 +94,65 @@ TEST(TuningFaults, BadMagicFallsBackWithWarning) {
   std::remove(path.c_str());
 }
 
+// Two skewed inputs: a current file whose version word says 99, and a
+// version-3 file — the layout that also stored an exchange strategy per
+// communicator: 16 payload words (10 key + {pa, pb, strategy A, strategy
+// B, batch, depth}) and a CRC, 68 bytes an entry. Neither is ever read as
+// a version-4 choice, even with a valid CRC and a key this run asks for:
+// each warns, and the tuner re-measures and rewrites the file.
 TEST(TuningFaults, VersionSkewFallsBackWithWarning) {
   const std::string path = cache_path("version");
-  save_tuning_cache(path, two_entries());
-  auto bytes = slurp(path);
-  const std::uint32_t future = 99;
-  std::memcpy(bytes.data() + 4, &future, 4);  // version word
-  dump(path, bytes);
-  std::vector<std::string> warnings;
-  EXPECT_TRUE(load_tuning_cache(path, &warnings).empty());
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("version"), std::string::npos);
+  const grid g{8, 9, 8};
+  kernel_config base;
+  base.max_batch = 3;
+  const tune_key key = pcf::pencil::make_tune_key(g, base, 4, 2, 2);
+
+  save_tuning_cache(path, {{key, {3, 1, 2, 2}}});
+  std::vector<char> future = slurp(path);
+  const std::uint32_t v99 = 99;
+  std::memcpy(future.data() + 4, &v99, 4);  // version word
+
+  std::uint32_t entry[17] = {key.nx, key.ny, key.nz, key.ranks,
+                             key.pa, key.pb, key.fft_threads,
+                             key.reorder_threads, key.max_batch, key.flags,
+                             2, 2, 1, 0, 3, 1};  // strategy codes 1, 0
+  entry[16] = pcf::crc32(entry, 16 * sizeof(std::uint32_t));
+  const std::uint32_t hdr[3] = {0x50465443, 3, 1};
+  std::vector<char> v3(sizeof(hdr) + sizeof(entry));
+  std::memcpy(v3.data(), hdr, sizeof(hdr));
+  std::memcpy(v3.data() + sizeof(hdr), entry, sizeof(entry));
+  ASSERT_EQ(v3.size(), 12u + 68u);
+
+  for (const std::vector<char>& bytes : {future, v3}) {
+    pcf::pencil::tuning_memo_reset();  // the file, not the memo, answers
+    dump(path, bytes);
+    std::vector<std::string> warnings;
+    EXPECT_TRUE(load_tuning_cache(path, &warnings).empty());
+    ASSERT_EQ(warnings.size(), 1u);
+    EXPECT_NE(warnings[0].find("version"), std::string::npos);
+
+    run_world(4, [&](communicator& world) {
+      tune_options opt;
+      opt.cache_path = path;
+      opt.reps = 1;
+      const tune_report rep = autotune_transforms(g, world, 2, 2, base, opt);
+      EXPECT_EQ(rep.key, key);
+      EXPECT_FALSE(rep.from_cache);
+      EXPECT_FALSE(rep.measured.empty());
+      if (world.rank() == 0) {
+        ASSERT_FALSE(rep.warnings.empty());
+        EXPECT_NE(rep.warnings[0].find("version"), std::string::npos);
+        EXPECT_TRUE(rep.stored);
+      }
+    });
+    // The rewritten file is version 4: 60 bytes an entry, read back clean.
+    EXPECT_EQ(slurp(path).size(), 12u + 60u);
+    warnings.clear();
+    const auto entries = load_tuning_cache(path, &warnings);
+    EXPECT_TRUE(warnings.empty());
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].key, key);
+  }
   std::remove(path.c_str());
 }
 
@@ -209,21 +252,21 @@ TEST(TuningFaults, ChoiceOutsideItsKeyIsSkippedAndRemeasured) {
   key.nx = 8;
   key.ny = 9;
   key.nz = 8;
-  key.ranks = 1;
-  key.pa = 1;
-  key.pb = 1;
+  key.ranks = 4;
+  key.pa = 2;
+  key.pb = 2;
   key.max_batch = 3;
   key.flags = 3;  // kernel_config defaults: drop_nyquist, dealias
   tune_choice over_ceiling;
   over_ceiling.batch = 1000;
-  over_ceiling.pa = 1;
-  over_ceiling.pb = 1;
+  over_ceiling.pa = 2;
+  over_ceiling.pb = 2;
   tune_choice deep = over_ceiling;
   deep.batch = 2;
   deep.pipeline_depth = 3;
   tune_choice split = over_ceiling;
   split.batch = 3;
-  split.pb = 2;  // 1 x 2 does not cover 1 rank
+  split.pb = 1;  // 2 x 1 does not cover 4 ranks
 
   for (const tune_choice& bad : {over_ceiling, deep, split}) {
     save_tuning_cache(path, {tune_entry{key, bad}});
@@ -234,16 +277,18 @@ TEST(TuningFaults, ChoiceOutsideItsKeyIsSkippedAndRemeasured) {
   }
 
   save_tuning_cache(path, {tune_entry{key, over_ceiling}});
-  run_world(1, [&](communicator& world) {
+  run_world(4, [&](communicator& world) {
     tune_options opt;
     opt.cache_path = path;
     opt.reps = 1;
-    const tune_report rep = autotune_transforms(g, world, 1, 1, base, opt);
+    const tune_report rep = autotune_transforms(g, world, 2, 2, base, opt);
     EXPECT_EQ(rep.key, key);
     EXPECT_FALSE(rep.from_cache);
     EXPECT_FALSE(rep.measured.empty());
     EXPECT_LE(rep.choice.batch, 3);
-    EXPECT_FALSE(rep.warnings.empty());
+    if (world.rank() == 0) {
+      EXPECT_FALSE(rep.warnings.empty());
+    }
   });
   std::remove(path.c_str());
 }

@@ -70,19 +70,16 @@ TEST(TuningMemo, ConcurrentSameKeyCallersMeasureOnceAndAgree) {
     for (auto& t : threads) t.join();
   }
 
-  int measured = 0;
+  // The owner resolves the key (untimed on one rank: no exchange to
+  // shape); every other caller is served by the memo (the file was still
+  // being written or just written by the owner).
+  int owners = 0;
   for (const tune_report& r : reps) {
-    if (!r.from_cache) {
-      ++measured;
-      EXPECT_FALSE(r.measured.empty());
-    } else {
-      // Served without measuring — by the memo (the file was still being
-      // written or just written by the owner).
-      EXPECT_TRUE(r.measured.empty());
-    }
+    if (!r.from_cache) ++owners;
+    EXPECT_TRUE(r.measured.empty());
     EXPECT_EQ(r.choice, reps[0].choice);
   }
-  EXPECT_EQ(measured, 1);
+  EXPECT_EQ(owners, 1);
 
   const auto stats = tuning_memo_statistics();
   EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kCallers - 1));
@@ -122,8 +119,9 @@ TEST(TuningMemo, DistinctKeysMergingIntoOneFileKeepEveryEntry) {
 }
 
 // Cold measure, memo hit, file hit after a memo reset, memo re-seeded:
-// on one rank with a given split, and on four ranks measuring the split
-// (the whole choice, split included, rides the same tiers).
+// on one rank with a given split (resolved untimed), and on four ranks
+// measuring the split (the whole choice, split included, rides the same
+// tiers).
 TEST(TuningMemo, MemoFrontsTheFileCache) {
   const grid g{8, 9, 8};
   struct shape {
@@ -140,6 +138,11 @@ TEST(TuningMemo, MemoFrontsTheFileCache) {
     EXPECT_FALSE(cold.from_cache);
     EXPECT_FALSE(cold.from_memo);
     EXPECT_EQ(cold.choice.pa * cold.choice.pb, sh.ranks);
+    EXPECT_EQ(cold.measured.empty(), sh.ranks == 1);
+    if (sh.ranks == 1) {
+      EXPECT_EQ(cold.choice.batch, 3);  // tune_once's base max_batch
+      EXPECT_EQ(cold.choice.pipeline_depth, 1);
+    }
 
     // Warm: served by the memo, no file I/O.
     const tune_report warm = tune();
@@ -167,13 +170,14 @@ TEST(TuningMemo, ForceRetuneRemeasuresAndRepublishes) {
   const std::string path = cache_path("force");
   const grid g{8, 9, 8};
 
-  (void)tune_once(g, path);
-  const tune_report forced = tune_once(g, path, /*force=*/true);
+  // Two ranks, so the forced re-tune really times its candidates.
+  (void)tune_once(g, path, false, 2, 2, 1);
+  const tune_report forced = tune_once(g, path, /*force=*/true, 2, 2, 1);
   EXPECT_FALSE(forced.from_cache);
   EXPECT_FALSE(forced.measured.empty());
 
   // The re-measured choice was republished into the memo.
-  const tune_report warm = tune_once(g, path);
+  const tune_report warm = tune_once(g, path, false, 2, 2, 1);
   EXPECT_TRUE(warm.from_memo);
   EXPECT_EQ(warm.choice, forced.choice);
   std::remove(path.c_str());
