@@ -19,7 +19,10 @@
 // BENCH_banded.json.
 //
 // Between the two, a blocked-apply row: the per-line A x product against
-// apply_many over a panel of 8 interleaved complex lines, at n = 33 and 49.
+// apply_many over a panel of 8 interleaved complex lines, at n = 33 and 49;
+// and a mode-interleaved row: 8 separate 2-RHS solves of 8 bands against
+// one solve_interleaved pass over the same bands (each timing includes the
+// panel restore, a copy of the same size on both sides).
 //
 // Usage: bench_table1_banded [--fast]
 //   --fast: smaller system / shorter timing floor — the ctest `perf`-label
@@ -201,6 +204,57 @@ int main(int argc, char** argv) {
                 pcf::text_table::fmt(t_line / t_many, 2) + "x"});
   }
   std::fputs(at.str().c_str(), stdout);
+
+  // --- Mode-interleaved solve ----------------------------------------------
+  // The implicit stage's Helmholtz pass: 8 modes, each with its own
+  // factored band and 2 complex right-hand sides (omega, phi), as 8
+  // separate 2-RHS solve_many calls against one solve_interleaved pass over
+  // the 8 bands stored lane-innermost.
+  pcf::bench::print_header(
+      "Mode-interleaved solve",
+      "8 bands x 2 complex RHS, h = 7: 8 solve_many calls vs one "
+      "interleaved pass (median of 5 runs +/- half the IQR)");
+  pcf::text_table it({"n", "8 x solve_many", "interleaved", "Speedup"});
+  for (int na : {33, 49}) {
+    constexpr int kBands = pcf::banded::kBlockBands, kRhs = 2;
+    const int h = 7;
+    const auto un = static_cast<std::size_t>(na);
+    std::vector<compact_banded> bands;
+    std::vector<double> block(un * (2 * h + 1) * kBands);
+    for (int r = 0; r < kBands; ++r) {
+      compact_banded A(na, h);
+      gb_matrix<double> Gr(na, 2 * h, 2 * h);
+      gb_matrix<cplx> Gc(na, 2 * h, 2 * h);
+      fill(A, Gr, Gc, 4000 + static_cast<std::uint64_t>(na * 10 + r));
+      A.factorize();
+      pcf::banded::interleave_band(A.data(), na, h, r, block.data());
+      bands.push_back(std::move(A));
+    }
+    pcf::rng r(17);
+    std::vector<cplx> x0(un * kRhs * kBands), x(x0.size());
+    for (auto& v : x0) v = cplx{r.uniform(-1, 1), r.uniform(-1, 1)};
+    std::vector<double> p0(x0.size() * 2), p(p0.size());
+    for (auto& v : p0) v = r.uniform(-1, 1);
+    const double floor = fast ? 0.005 : 0.05;
+    const pcf::bench::timing t_sep = pcf::bench::time_median(
+        [&] {
+          x = x0;
+          for (int b = 0; b < kBands; ++b)
+            bands[static_cast<std::size_t>(b)].solve_many(
+                x.data() + static_cast<std::size_t>(b) * kRhs * un, kRhs, un);
+        },
+        floor);
+    const pcf::bench::timing t_int = pcf::bench::time_median(
+        [&] {
+          p = p0;
+          pcf::banded::solve_interleaved<cplx>(block.data(), na, h, p.data(),
+                                               kRhs, kBands);
+        },
+        floor);
+    it.add_row({std::to_string(na), cell(t_sep), cell(t_int),
+                pcf::text_table::fmt(t_sep.median / t_int.median, 2) + "x"});
+  }
+  std::fputs(it.str().c_str(), stdout);
 
   // --- Blocked multi-RHS substitution profile ------------------------------
   pcf::bench::print_header(

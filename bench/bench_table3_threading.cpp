@@ -8,6 +8,7 @@
 // *correct threaded execution with flat wall-clock* (the ideal result for
 // oversubscribed threads), and the model section reproduces the paper's
 // Lonestar/Mira rows from the machine descriptions.
+#include <atomic>
 #include <complex>
 #include <vector>
 
@@ -39,16 +40,26 @@ double advance_kernel_time(int threads, int modes,
                            const pcf::core::wall_normal_operators& ops) {
   const auto n = static_cast<std::size_t>(ops.n());
   thread_pool pool(threads);
+  std::vector<double> k2s(static_cast<std::size_t>(modes));
+  for (int m = 0; m < modes; ++m)
+    k2s[static_cast<std::size_t>(m)] = 1.0 + 0.4 * m;
+  pcf::core::solver_arena arena;
+  arena.build(ops, 1e-4, k2s, pool);
+  const std::size_t lines = n * static_cast<std::size_t>(modes);
+  std::vector<cplx> om(lines, cplx{0.2, 0.1}), phi(lines, cplx{0.1, 0.2}),
+      v(lines), h(lines, cplx{0.3, -0.1}), hp_om(lines), hp_phi(lines);
+  std::vector<std::vector<cplx>> scratch(
+      static_cast<std::size_t>(threads),
+      std::vector<cplx>(pcf::core::advance_scratch(n, 2)));
+  const pcf::core::substep_weights w{1e-4, 0.5, -0.2};
   return pcf::bench::time_call([&] {
-    pool.run(static_cast<std::size_t>(modes),
-             [&](std::size_t mb, std::size_t me) {
-               std::vector<cplx> rhs(n, cplx{0.2, 0.1}), p(n), v(n);
-               for (std::size_t m = mb; m < me; ++m) {
-                 pcf::core::mode_solver s(ops, 1e-4, 1.0 + 0.4 * m);
-                 auto b = rhs;
-                 s.solve_phi_v(b.data(), p.data(), v.data());
-               }
-             });
+    std::atomic<int> tid{0};
+    pool.run(arena.blocks(), [&](std::size_t bb, std::size_t be) {
+      cplx* work = scratch[static_cast<std::size_t>(tid.fetch_add(1))].data();
+      for (std::size_t b = bb; b < be; ++b)
+        arena.advance(0, b, w, {om.data(), h.data(), hp_om.data()},
+                      {phi.data(), h.data(), hp_phi.data()}, v.data(), work);
+    });
   });
 }
 

@@ -32,6 +32,42 @@ constexpr int kLanesPerRhs = std::is_same_v<S, cplx> ? 2 : 1;
 /// doubles). apply_many and solve_panel take panels of any width.
 constexpr int kMaxLanes = 8;
 
+/// One forward-elimination update of kBlockBands lanes, each with its own
+/// multiplier l[r]: x -= l * y.
+inline void lane_update(double* __restrict x, const double* __restrict y,
+                        const double* __restrict l) {
+  for (int r = 0; r < kBlockBands; ++r) x[r] -= l[r] * y[r];
+}
+
+/// lane_update, skipped per lane where l is zero, as solve() skips it:
+/// -0.0 - (+0.0 * y) would be +0.0. The test is l != 0.0 spelled as
+/// (l < 0 || l > 0 || l != l), the form GCC turns into a packed compare
+/// and select.
+inline void lane_update_skip(double* __restrict x, const double* __restrict y,
+                             const double* __restrict l) {
+  for (int r = 0; r < kBlockBands; ++r) {
+    const double v = x[r] - l[r] * y[r];
+    const bool nonzero = l[r] < 0.0 || l[r] > 0.0 || l[r] != l[r];
+    x[r] = nonzero ? v : x[r];
+  }
+}
+
+/// One back-substitution row of kBlockBands lanes: x[r] = (x[r] - sum over
+/// c of u[c][r] * x(row below by c)[r]) / u[0][r], in solve()'s order.
+/// Row c of the lane group sits c * row doubles after x; u entry c at
+/// u + c * kBlockBands.
+inline void lane_back(double* __restrict x, std::size_t row,
+                      const double* __restrict u, int len) {
+  double acc[kBlockBands];
+  for (int r = 0; r < kBlockBands; ++r) acc[r] = x[r];
+  for (int c = 1; c <= len; ++c) {
+    const double* uc = u + c * kBlockBands;
+    const double* xc = x + static_cast<std::size_t>(c) * row;
+    for (int r = 0; r < kBlockBands; ++r) acc[r] -= uc[r] * xc[r];
+  }
+  for (int r = 0; r < kBlockBands; ++r) x[r] = acc[r] / u[r];
+}
+
 /// The factorization and substitution kernels are instantiated with a
 /// compile-time half-bandwidth for the common cases (the paper hand-unrolls
 /// these loops; here the fixed trip counts let the compiler do it).
@@ -201,6 +237,55 @@ struct kernels {
     }
   }
 
+  /// Substitution over kBlockBands interleaved factored bands with K real
+  /// lanes each (solve_interleaved). The multipliers differ per band,
+  /// so the zero skip of solve() becomes a per-lane select, and the back
+  /// substitution keeps one accumulator per band in solve()'s order.
+  static void solve_interleaved(const double* a, int n, int rh, double* p,
+                                int K) {
+    constexpr int B = kBlockBands;
+    const int h = HC > 0 ? HC : rh;
+    const int w = 2 * h + 1;
+    const std::size_t row = static_cast<std::size_t>(K) * B;
+    auto band = [&](int i, int j) {
+      return a + (static_cast<std::size_t>(i) * static_cast<std::size_t>(w) +
+                  static_cast<std::size_t>(j - row_start(i, n, h))) *
+                     B;
+    };
+    // Forward substitution with unit-diagonal L.
+    for (int j = 0; j < n; ++j) {
+      const double* xj = p + static_cast<std::size_t>(j) * row;
+      auto eliminate = [&](int k) {
+        const double* l = band(k, j);
+        double* xk = p + static_cast<std::size_t>(k) * row;
+        // A multiplier is zero in every band of the block (a structural
+        // zero of the collocation band) or in none, nearly always; only a
+        // mixed block pays for the per-lane select.
+        int nonzero = 0;
+        for (int r = 0; r < B; ++r) nonzero += l[r] != 0.0 ? 1 : 0;
+        if (nonzero == B) {
+          for (int q = 0; q < K; ++q) lane_update(xk + q * B, xj + q * B, l);
+        } else if (nonzero > 0) {
+          for (int q = 0; q < K; ++q)
+            lane_update_skip(xk + q * B, xj + q * B, l);
+        }
+      };
+      const int band_end = std::min(j + h, n - 1);
+      for (int k = j + 1; k <= band_end; ++k) eliminate(k);
+      if (j >= n - 1 - 2 * h) {
+        const int lo = std::max(band_end + 1, n - h);
+        for (int k = lo; k < n; ++k) eliminate(k);
+      }
+    }
+    // Back substitution with U.
+    for (int j = n - 1; j >= 0; --j) {
+      const int len = 2 * h - (j - row_start(j, n, h));
+      const double* u = band(j, j);  // entry (j, j + c) at u + c * B
+      double* xj = p + static_cast<std::size_t>(j) * row;
+      for (int q = 0; q < K; ++q) lane_back(xj + q * B, row, u, len);
+    }
+  }
+
   /// y = A x over interleaved panels of L real lanes (unfactored band),
   /// chunked like the back substitution. Each lane accumulates from +0.0
   /// in column order, which for the two lanes of a complex line is exactly
@@ -288,6 +373,9 @@ void apply_for_h(const double* a, int n, int h, const double* x, double* y,
     case 16:  // a full mode block of the nonlinear stage
       kernels<HC>::template apply_panel<16>(a, n, h, x, y, lanes);
       return;
+    case 32:  // two fields of a full mode block (the implicit stage)
+      kernels<HC>::template apply_panel<32>(a, n, h, x, y, lanes);
+      return;
     default: kernels<HC>::template apply_panel<0>(a, n, h, x, y, lanes);
   }
 }
@@ -303,6 +391,20 @@ void apply_dispatch(const double* a, int n, int h, const double* x,
     case 6: apply_for_h<6>(a, n, h, x, y, lanes); break;
     case 7: apply_for_h<7>(a, n, h, x, y, lanes); break;
     default: apply_for_h<0>(a, n, h, x, y, lanes); break;
+  }
+}
+
+void interleaved_dispatch(const double* a, int n, int h, double* p,
+                          int lanes) {
+  switch (h) {
+    case 1: kernels<1>::solve_interleaved(a, n, h, p, lanes); break;
+    case 2: kernels<2>::solve_interleaved(a, n, h, p, lanes); break;
+    case 3: kernels<3>::solve_interleaved(a, n, h, p, lanes); break;
+    case 4: kernels<4>::solve_interleaved(a, n, h, p, lanes); break;
+    case 5: kernels<5>::solve_interleaved(a, n, h, p, lanes); break;
+    case 6: kernels<6>::solve_interleaved(a, n, h, p, lanes); break;
+    case 7: kernels<7>::solve_interleaved(a, n, h, p, lanes); break;
+    default: kernels<0>::solve_interleaved(a, n, h, p, lanes); break;
   }
 }
 
@@ -422,6 +524,23 @@ void solve_many_on(const double* a, int n, int h, S* x, int nrhs,
 
 }  // namespace
 
+void interleave_band(const double* band, int n, int h, int r,
+                     double* block) {
+  const std::size_t e = static_cast<std::size_t>(n) *
+                        static_cast<std::size_t>(2 * h + 1);
+  for (std::size_t i = 0; i < e; ++i)
+    block[i * kBlockBands + static_cast<std::size_t>(r)] = band[i];
+}
+
+template <class S>
+void solve_interleaved(const double* block, int n, int h, double* p,
+                       int nrhs, int live) {
+  PCF_REQUIRE(nrhs > 0 && live >= 0 && live <= kBlockBands,
+              "solve_interleaved: bad RHS or band count");
+  interleaved_dispatch(block, n, h, p, nrhs * kLanesPerRhs<S>);
+  for (int r = 0; r < live; ++r) account_solve_block<S>(n, 2 * h + 1, nrhs);
+}
+
 void compact_banded::factorize() {
   std::uint64_t flops = 0;
   switch (h_) {
@@ -514,6 +633,10 @@ void banded_view::solve_many(S* x, int nrhs, std::size_t stride) const {
   solve_many_on(a_, n_, h_, x, nrhs, stride, true);
 }
 
+template void solve_interleaved<double>(const double*, int, int, double*,
+                                        int, int);
+template void solve_interleaved<cplx>(const double*, int, int, double*, int,
+                                      int);
 template void compact_banded::apply_many(const double*, double*, int) const;
 template void compact_banded::apply_many(const cplx*, cplx*, int) const;
 template void compact_banded::solve_panel(double*, int) const;

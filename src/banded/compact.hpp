@@ -50,6 +50,29 @@ class banded_view {
   int n_ = 0, h_ = 0;
 };
 
+/// Bands per block of the mode-interleaved substitution: each (row,
+/// column) entry of the block's bands fills one 64-byte cache line.
+inline constexpr int kBlockBands = 8;
+
+/// Copies factored compact-band storage (n rows of 2h+1 entries) into slot
+/// r of an interleaved block: entry e of the band goes to
+/// block[e * kBlockBands + r].
+void interleave_band(const double* band, int n, int h, int r, double* block);
+
+/// Forward and back substitution over a block of kBlockBands factored bands
+/// stored interleaved (interleave_band), each with its own right-hand
+/// sides. p holds nrhs right-hand sides of type S per band, lane-innermost:
+/// real lane k of band r in row i sits at p[(i * K + k) * kBlockBands + r],
+/// K = nrhs real lanes (2 * nrhs for complex S, whose RHS q is lanes 2q and
+/// 2q + 1). Every lane runs solve()'s arithmetic in solve()'s order with
+/// its own band, and a zero multiplier skips the update of its lane only,
+/// so each lane's bits equal solve() of its band on that line. The first
+/// `live` bands are counted in the flop/byte accounting (as solve_many of
+/// nrhs right-hand sides each); the rest of the block is padding.
+template <class S>
+void solve_interleaved(const double* block, int n, int h, double* p,
+                       int nrhs, int live);
+
 class compact_banded {
  public:
   /// n x n matrix, half-bandwidth h (stored bandwidth 2h+1); needs n >= 2h+1.

@@ -13,16 +13,20 @@
 // of phi are combined with the particular solution so that v' vanishes at
 // both walls.
 //
-// The omega and phi systems share the factored Helmholtz operator, so the
-// substep loop feeds both right-hand sides as one 2-complex-RHS panel into
-// the blocked multi-RHS solver (4 real lanes per band pass) — fused_solve()
-// below. Per-mode factored state lives either in a standalone mode_solver
-// or, for the simulation's per-substep caches, in a solver_arena that packs
-// every mode's bands and influence data into one contiguous slab.
+// The factored operators live in mode-blocked arenas. The active modes
+// (k2 > 0), in mode order, form blocks of kModeBlock; each block's bands
+// are interleaved lane-innermost (banded::interleave_band), so one band
+// pass of banded::solve_interleaved solves every mode of the block. A short
+// last block is padded with copies of its first mode, computed but never
+// written back. advance() runs one block of a substep: the explicit side
+// through A0/A2 panels, the Helmholtz pass, and for the velocity the
+// Poisson recovery of v with the influence correction.
 #pragma once
 
+#include <algorithm>
 #include <complex>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/operators.hpp"
@@ -33,199 +37,180 @@ class thread_pool;
 
 namespace pcf::core {
 
-/// Fused substep solve shared by mode_solver and solver_arena.
-///
-/// panel is 2n contiguous complex entries: [0, n) the omega right-hand
-/// side, [n, 2n) the phi right-hand side. Boundary rows of both halves are
-/// overwritten with homogeneous Dirichlet data, then both Helmholtz systems
-/// are solved in one blocked 2-RHS pass. Outputs are spline-coefficient
-/// vectors; the influence correction enforces v(+-1) = v'(+-1) = 0.
-/// phi12 / v12 hold the two influence solutions contiguously (solution 1
-/// at [0, n), solution 2 at [n, 2n)); minv is the inverted 2x2 influence
-/// matrix. Results are bit-identical to the separate solve_dirichlet() +
-/// solve_phi_v() path.
-void fused_solve(const wall_normal_operators& ops, banded::banded_view helm,
-                 banded::banded_view pois, const double* phi12,
-                 const double* v12, const double (*minv)[2], cplx* panel,
-                 cplx* c_om, cplx* c_phi, cplx* c_v);
-
-/// Solver for one wavenumber pair at one implicit coefficient. Assembles
-/// and factorizes on construction; solve() may then be applied to any
-/// number of right-hand sides (it is reused for omega and phi).
-class mode_solver {
- public:
-  /// @param ops   shared wall-normal operators
-  /// @param c     implicit coefficient beta_i * nu * dt
-  /// @param k2    kx^2 + kz^2 (> 0)
-  mode_solver(const wall_normal_operators& ops, double c, double k2);
-
-  /// Solve the Helmholtz system with Dirichlet wall data lo / hi (in
-  /// place; rhs -> spline coefficients). The operator's boundary rows are
-  /// identity rows folded into the band, so writing the wall value into
-  /// rows 0 / n-1 of the right-hand side imposes it exactly: on a clamped
-  /// spline the first/last coefficient IS the wall value. The defaults
-  /// keep the homogeneous no-slip behavior.
-  void solve_dirichlet(cplx* rhs, cplx lo = cplx{0.0, 0.0},
-                       cplx hi = cplx{0.0, 0.0}) const;
-
-  /// Advance phi and recover v with the influence-matrix correction:
-  /// on input rhs_phi holds the interior right-hand side (rows 0 / n-1 are
-  /// overwritten); outputs are spline coefficient vectors c_phi, c_v
-  /// satisfying (A2 - k2 A0) c_v = phi, v(+-1) = v'(+-1) = 0.
-  void solve_phi_v(cplx* rhs_phi, cplx* c_phi, cplx* c_v) const;
-
-  /// Fused omega + phi + v substep solve (see fused_solve). panel is the
-  /// 2n-entry RHS panel; bit-identical to solve_dirichlet + solve_phi_v.
-  void solve_block(cplx* panel, cplx* c_om, cplx* c_phi, cplx* c_v) const;
-
-  [[nodiscard]] double k2() const { return k2_; }
-
- private:
-  const wall_normal_operators& ops_;
-  double k2_;
-  banded::compact_banded helm_;  // factored Helmholtz operator
-  banded::compact_banded pois_;  // factored (A2 - k2 A0)
-  // Influence solutions (each 2n, both solutions contiguous so construction
-  // batches them through one 2-RHS solve) and the 2x2 inverse influence
-  // matrix.
-  std::vector<double> phi12_, v12_;
-  double minv_[2][2] = {{0, 0}, {0, 0}};
+/// Explicit side of one RK3 substep for advance():
+///   rhs = [A0 + ca (A2 - k2 A0)] c + g h + z h_prev.
+struct substep_weights {
+  double ca = 0.0;  // alpha_i * diffusivity * dt
+  double g = 0.0;   // gamma_i * dt, weight of this substep's nonlinear term
+  double z = 0.0;   // zeta_i * dt, weight of the previous substep's
 };
 
-/// Contiguous arena of factored per-mode solvers for one implicit
-/// coefficient beta_i * nu * dt. Replaces a vector of per-mode mode_solver
-/// allocations: all factored Helmholtz / Poisson bands, influence solutions
-/// and inverse influence matrices live in ONE slab (struct-of-arrays by
-/// section), built in parallel on the advance pool. Solves go through
-/// non-owning banded_view handles into the slab.
+/// One evolved field's lines for advance(); line m of each array starts at
+/// m * n.
+struct field_lines {
+  cplx* c = nullptr;        // spline coefficients: state in, solution out
+  const cplx* h = nullptr;  // this substep's nonlinear term
+  cplx* h_prev = nullptr;   // history: read, then overwritten with h
+};
+
+/// Complex entries of per-thread scratch that one advance() over `fields`
+/// fields of n-point lines needs: three panels of kModeBlock * fields
+/// lines. The velocity advance counts as 2 fields (omega and phi).
+constexpr std::size_t advance_scratch(std::size_t n, std::size_t fields) {
+  return 3 * kModeBlock * fields * n;
+}
+
+/// The active mode slots of a k2 table (k2 > 0) in mode order, cut into
+/// blocks of kModeBlock; only the last block may be short.
+class mode_blocks {
+ public:
+  void assign(const std::vector<double>& k2s);
+  void clear();
+
+  [[nodiscard]] std::size_t count() const {
+    return (active_ + kModeBlock - 1) / kModeBlock;
+  }
+  /// Mode slots of block b's kModeBlock lanes; the padding lanes of a
+  /// short block repeat its first mode.
+  [[nodiscard]] const std::size_t* ids(std::size_t b) const {
+    return ids_.data() + b * kModeBlock;
+  }
+  /// How many lanes of block b are real modes.
+  [[nodiscard]] std::size_t live(std::size_t b) const {
+    return std::min(kModeBlock, active_ - b * kModeBlock);
+  }
+  [[nodiscard]] const std::vector<double>& k2s() const { return k2s_; }
+  [[nodiscard]] bool active(int m) const {
+    return m >= 0 && static_cast<std::size_t>(m) < k2s_.size() &&
+           k2s_[static_cast<std::size_t>(m)] > 0.0;
+  }
+
+ private:
+  std::vector<double> k2s_;       // the table the blocks were cut from
+  std::vector<std::size_t> ids_;  // active slots in mode order, padded
+  std::size_t active_ = 0;
+};
+
+/// Factored velocity solvers for every active mode of a k2 table, for one
+/// or more implicit coefficients c_s = beta_s * nu * dt. One slab holds:
+///   - ONE Poisson section (A2 - k2 A0): it depends only on k2, so every
+///     coefficient shares it;
+///   - one section per coefficient: the Helmholtz bands, the influence
+///     solutions phi1/phi2 and v1/v2, and the inverted 2x2 influence matrix.
+/// Every section is mode-blocked and lane-interleaved: within a block,
+/// band entry e of mode lane r is at [e * 8 + r], influence solution q at
+/// row i at [(i * 2 + q) * 8 + r], and minv entry (l, q) at
+/// [(2 l + q) * 8 + r].
 ///
-/// Lifetime rules: build() (re)allocates the slab only when the mode count
-/// or operator shape changes; a dt change rebuilds *contents* in place.
-/// clear() drops the built flag without releasing storage. Views handed out
-/// by solve_block() are valid until the next build() or destruction.
+/// Lifetime: build() with the same operators and k2 table keeps a built
+/// Poisson section and rebuilds only the coefficient sections (a dt
+/// change); invalidate() drops those and keeps the Poisson section;
+/// reset() frees the slab (the suspend path). Storage is reallocated only
+/// when the shape changes.
 class solver_arena {
  public:
   solver_arena() = default;
 
-  /// Build (or rebuild) the arena over k2s.size() mode slots; slot m is
-  /// active iff k2s[m] > 0 (the (0,0) mean mode and any masked modes are
-  /// inactive). Assembly, factorization and the batched influence solves
-  /// run chunk-parallel on pool.
+  /// One-coefficient build: the Poisson section plus one coefficient
+  /// section.
   void build(const wall_normal_operators& ops, double c,
+             const std::vector<double>& k2s, thread_pool& pool) {
+    build(ops, std::span<const double>(&c, 1), k2s, pool);
+  }
+
+  /// Build (or rebuild) one coefficient section per entry of cs over the
+  /// active slots of k2s. Factorization and the blocked influence solves
+  /// run block-parallel on pool.
+  void build(const wall_normal_operators& ops, std::span<const double> cs,
              const std::vector<double>& k2s, thread_pool& pool);
 
-  /// Forget the built contents (storage is kept for the next build()).
-  void clear() { built_ = false; }
+  /// Forget the coefficient sections (a dt change); the Poisson section
+  /// and all storage are kept for the next build().
+  void invalidate() { built_ = false; }
 
-  /// Forget the contents AND free the slab (the simulation's suspend
-  /// path: a parked run should not pin its factored bands). The next
-  /// build() reallocates and repopulates — bit-identical to a cold build,
-  /// which the dt-change path already exercises.
-  void reset() {
-    built_ = false;
-    nm_ = 0;
-    slab_.clear();
-    slab_.shrink_to_fit();
-    active_.clear();
-    active_.shrink_to_fit();
-  }
+  /// Forget everything AND free the slab: a parked run should not pin its
+  /// factored bands. The next build() repopulates every section,
+  /// bit-identical to a cold build.
+  void reset();
 
   [[nodiscard]] bool built() const { return built_; }
-  [[nodiscard]] double coeff() const { return c_; }
-  [[nodiscard]] int modes() const { return nm_; }
-  [[nodiscard]] bool active(int m) const {
-    return built_ && m >= 0 && m < nm_ &&
-           active_[static_cast<std::size_t>(m)] != 0;
+  [[nodiscard]] int sections() const { return static_cast<int>(cs_.size()); }
+  [[nodiscard]] double coeff(int s) const {
+    return cs_[static_cast<std::size_t>(s)];
   }
+  [[nodiscard]] bool active(int m) const {
+    return built_ && blocks_.active(m);
+  }
+  [[nodiscard]] std::size_t blocks() const { return blocks_.count(); }
   [[nodiscard]] std::size_t storage_bytes() const {
-    return slab_.size() * sizeof(double) + active_.size();
+    return slab_.size() * sizeof(double);
   }
 
-  /// Fused omega + phi + v substep solve for mode slot m (see fused_solve).
-  void solve_block(int m, cplx* panel, cplx* c_om, cplx* c_phi,
-                   cplx* c_v) const;
+  /// Advance mode block b through the substep of coefficient section s:
+  /// omega and phi (om.c, phi.c) go through one Helmholtz pass of 4 lanes
+  /// per mode, then v (c_v) through one Poisson pass of 2 lanes per mode
+  /// and the influence correction. Each mode's bits equal those of a
+  /// per-mode solve with its own bands. scratch holds
+  /// advance_scratch(n, 2) complex entries.
+  void advance(int s, std::size_t b, const substep_weights& w,
+               const field_lines& om, const field_lines& phi, cplx* c_v,
+               cplx* scratch) const;
 
  private:
-  [[nodiscard]] const double* helm_at(int m) const {
-    return slab_.data() + helm_off_ + static_cast<std::size_t>(m) * be_;
-  }
-  [[nodiscard]] const double* pois_at(int m) const {
-    return slab_.data() + pois_off_ + static_cast<std::size_t>(m) * be_;
-  }
-  [[nodiscard]] const double* phi12_at(int m) const {
-    return slab_.data() + phi_off_ +
-           static_cast<std::size_t>(m) * 2 * static_cast<std::size_t>(n_);
-  }
-  [[nodiscard]] const double* v12_at(int m) const {
-    return slab_.data() + v_off_ +
-           static_cast<std::size_t>(m) * 2 * static_cast<std::size_t>(n_);
-  }
+  // Slab offsets: block b's Poisson bands, and its record (Helmholtz
+  // bands, phi12, v12, minv) in coefficient section s.
+  [[nodiscard]] std::size_t record() const;
+  [[nodiscard]] std::size_t pois_at(std::size_t b) const;
+  [[nodiscard]] std::size_t section_at(std::size_t s, std::size_t b) const;
 
   const wall_normal_operators* ops_ = nullptr;
-  double c_ = 0.0;
-  int nm_ = 0, n_ = 0, h_ = 0;
-  std::size_t be_ = 0;  // stored band elements per factored operator
-  // Section offsets into slab_: [helm bands | pois bands | phi12 | v12 |
-  // minv], each section packed by mode slot.
-  std::size_t helm_off_ = 0, pois_off_ = 0, phi_off_ = 0, v_off_ = 0,
-              minv_off_ = 0;
+  int n_ = 0, h_ = 0;
+  mode_blocks blocks_;
+  std::vector<double> cs_;
+  // [Poisson bands of every block | per coefficient: per block the
+  // Helmholtz bands, phi12, v12, minv].
   std::vector<double> slab_;
-  std::vector<unsigned char> active_;
+  bool pois_built_ = false;
   bool built_ = false;
 };
 
-/// Contiguous arena of factored per-mode *scalar* Helmholtz operators for
-/// one diffusive coefficient beta_i * kappa * dt. Passive-scalar transport
-/// needs only the Dirichlet Helmholtz solve — no influence correction, no
-/// Poisson recovery — so the slab holds just the factored bands (roughly a
-/// fifth of solver_arena's storage per mode). solve() takes `count`
-/// contiguous complex right-hand sides through one blocked multi-RHS band
-/// pass (2 * count real lanes), so scalars sharing a Prandtl number share
-/// one pass. Same lifetime rules as solver_arena.
+/// Factored scalar Helmholtz operators for one diffusive coefficient
+/// beta_i * kappa * dt, in solver_arena's blocked layout. Passive-scalar
+/// transport needs only the Dirichlet Helmholtz solve (no influence
+/// correction, no Poisson recovery), so the slab holds just the bands.
+/// Same lifetime rules as solver_arena.
 class scalar_arena {
  public:
   scalar_arena() = default;
 
-  /// Build (or rebuild) over k2s.size() mode slots; slot m is active iff
-  /// k2s[m] > 0. Assembly and factorization run chunk-parallel on pool.
+  /// Build (or rebuild) over the active slots of k2s; factorization runs
+  /// block-parallel on pool.
   void build(const wall_normal_operators& ops, double c,
              const std::vector<double>& k2s, thread_pool& pool);
 
   /// Forget the built contents (storage is kept for the next build()).
-  void clear() { built_ = false; }
+  void invalidate() { built_ = false; }
 
   /// Forget the contents AND free the slab (the suspend path).
-  void reset() {
-    built_ = false;
-    nm_ = 0;
-    slab_.clear();
-    slab_.shrink_to_fit();
-    active_.clear();
-    active_.shrink_to_fit();
-  }
+  void reset();
 
   [[nodiscard]] bool built() const { return built_; }
   [[nodiscard]] double coeff() const { return c_; }
-  [[nodiscard]] bool active(int m) const {
-    return built_ && m >= 0 && m < nm_ &&
-           active_[static_cast<std::size_t>(m)] != 0;
-  }
+  [[nodiscard]] std::size_t blocks() const { return blocks_.count(); }
 
-  /// Dirichlet solve of `count` contiguous n-entry complex right-hand
-  /// sides for mode slot m: every RHS gets wall values lo / hi written
-  /// into its boundary rows (a wall-uniform scalar's fluctuation modes use
-  /// the homogeneous defaults), then one blocked band pass covers all of
-  /// them. In place; outputs are spline-coefficient lines.
-  void solve(int m, cplx* panel, std::size_t count,
-             cplx lo = cplx{0.0, 0.0}, cplx hi = cplx{0.0, 0.0}) const;
+  /// Advance `count` scalars that share this diffusivity over mode block b
+  /// (homogeneous Dirichlet walls: wall values live in the mean): one band
+  /// pass of 2 * count lanes per mode. scratch holds
+  /// advance_scratch(n, count) complex entries.
+  void advance(std::size_t b, const substep_weights& w, const field_lines* f,
+               std::size_t count, cplx* scratch) const;
 
  private:
   const wall_normal_operators* ops_ = nullptr;
   double c_ = 0.0;
-  int nm_ = 0, n_ = 0, h_ = 0;
-  std::size_t be_ = 0;  // stored band elements per factored operator
+  int n_ = 0, h_ = 0;
+  mode_blocks blocks_;
   std::vector<double> slab_;
-  std::vector<unsigned char> active_;
   bool built_ = false;
 };
 

@@ -30,17 +30,20 @@ wall_normal_operators::wall_normal_operators(int ny, int degree,
     dw_hi_[static_cast<std::size_t>(c)] = ders[static_cast<std::size_t>(p + 1 + c)];
 }
 
-double wall_normal_operators::dspline_lower(const double* coef) const {
+double wall_normal_operators::dspline_lower(const double* coef,
+                                            std::size_t stride) const {
   double acc = 0.0;
-  for (std::size_t c = 0; c < dw_lo_.size(); ++c) acc += dw_lo_[c] * coef[c];
+  for (std::size_t c = 0; c < dw_lo_.size(); ++c)
+    acc += dw_lo_[c] * coef[c * stride];
   return acc;
 }
-double wall_normal_operators::dspline_upper(const double* coef) const {
+double wall_normal_operators::dspline_upper(const double* coef,
+                                            std::size_t stride) const {
   const int n = basis_.size();
   const int p = basis_.degree();
   double acc = 0.0;
   for (std::size_t c = 0; c < dw_hi_.size(); ++c)
-    acc += dw_hi_[c] * coef[static_cast<std::size_t>(n - p - 1) + c];
+    acc += dw_hi_[c] * coef[(static_cast<std::size_t>(n - p - 1) + c) * stride];
   return acc;
 }
 cplx wall_normal_operators::dspline_lower(const cplx* coef) const {

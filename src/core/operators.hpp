@@ -18,6 +18,12 @@ namespace pcf::core {
 
 using cplx = std::complex<double>;
 
+/// Active modes per wall-normal panel: the nonlinear stage's velocity and
+/// assembly panels (8 complex lines, 16 real lanes per row) and the
+/// implicit stage's band passes (one interleaved band per mode). A
+/// compile-time constant: it sizes the thread lanes (dns_workspace_sizes).
+inline constexpr std::size_t kModeBlock = banded::kBlockBands;
+
 class wall_normal_operators {
  public:
   /// ny = number of basis functions (collocation points); the spline space
@@ -65,8 +71,12 @@ class wall_normal_operators {
   }
 
   /// Derivative of the spline at the walls (for the influence matrix).
-  [[nodiscard]] double dspline_lower(const double* coef) const;
-  [[nodiscard]] double dspline_upper(const double* coef) const;
+  /// The real forms read coefficient i at coef[i * stride], so they take
+  /// one lane of an interleaved panel.
+  [[nodiscard]] double dspline_lower(const double* coef,
+                                     std::size_t stride = 1) const;
+  [[nodiscard]] double dspline_upper(const double* coef,
+                                     std::size_t stride = 1) const;
   [[nodiscard]] cplx dspline_lower(const cplx* coef) const;
   [[nodiscard]] cplx dspline_upper(const cplx* coef) const;
 

@@ -100,9 +100,9 @@ struct channel_dns::impl {
   /// Park this instance: free the factored-solver slabs and hand every
   /// workspace slab back to the block pool. Evolved state, statistics and
   /// timers are untouched. Legal only at a step boundary; the permanent
-  /// workspace checkouts (pencil exchange buffers, hU/hW, CFL maxima,
-  /// solve panels) are all contents-dead there — each is zero-filled or
-  /// fully rewritten before its next read.
+  /// workspace checkouts (pencil exchange buffers, hU/hW, CFL maxima)
+  /// are all contents-dead there — each is zero-filled or fully rewritten
+  /// before its next read.
   void suspend() {
     if (suspended_) return;
     implicit.drop_arenas();
@@ -115,16 +115,15 @@ struct channel_dns::impl {
   /// re-establish every permanent checkout in construction order, so each
   /// lands at its construction offset on the new base: transform lane —
   /// pf's exchange buffers; shared lane — field_state's hU/hW then the
-  /// nonlinear stage's CFL maxima; thread lanes — the implicit solve
-  /// panels. Solver arenas rebuild lazily on the next step (the dt-change
-  /// path already proves that bit-identical).
+  /// nonlinear stage's CFL maxima. The thread lanes hold no permanent
+  /// checkout. Solver arenas rebuild lazily on the next step (the
+  /// dt-change path already proves that bit-identical).
   void resume() {
     if (!suspended_) return;
     ws.reacquire();
     pf.rebind_workspace();
     state.rebind_workspace(ws);
     nonlinear.rebind_workspace();
-    implicit.rebind_workspace();
     suspended_ = false;
   }
 

@@ -9,10 +9,9 @@ implicit_stage::implicit_stage(stage_context& ctx, phase_timer::id parent)
     : ctx_(ctx),
       ph_run_(ctx.timers.add("implicit", parent)),
       ph_build_(ctx.timers.add("build", ph_run_)) {
-  const std::size_t n = ctx.modes.n;
   // Group scalars by Prandtl number (first-occurrence order) so scalars
-  // with equal diffusivity share one factored operator and one blocked
-  // multi-RHS pass per mode.
+  // with equal diffusivity share one factored operator and one band pass
+  // per mode block.
   const auto& scalars = ctx.cfg.scenario.scalars;
   for (std::size_t s = 0; s < scalars.size(); ++s) {
     const double kappa = 1.0 / (ctx.cfg.re_tau * scalars[s].prandtl);
@@ -42,29 +41,33 @@ implicit_stage::implicit_stage(stage_context& ctx, phase_timer::id parent)
       }
   }
   for (auto& a : sc_arena_) a.resize(groups_.size());
+}
 
-  panels_.resize(ctx.ws.num_thread_lanes());
-  for (std::size_t t = 0; t < panels_.size(); ++t)
-    panels_[t] = ctx.ws.thread(t).alloc<cplx>((3 + scalars.size()) * n);
+std::size_t implicit_stage::scratch_elems(const channel_config& c) {
+  // The widest Prandtl group: scalars whose diffusivities compare equal.
+  const auto& scalars = c.scenario.scalars;
+  std::size_t widest = 2;  // the velocity's omega + phi
+  for (const auto& a : scalars) {
+    const double kappa = 1.0 / (c.re_tau * a.prandtl);
+    const auto same = std::count_if(
+        scalars.begin(), scalars.end(), [&](const scalar_spec& b) {
+          return 1.0 / (c.re_tau * b.prandtl) == kappa;
+        });
+    widest = std::max(widest, static_cast<std::size_t>(same));
+  }
+  return advance_scratch(static_cast<std::size_t>(c.ny), widest);
 }
 
 void implicit_stage::invalidate() {
-  for (auto& a : arena_) a.clear();
+  arena_.invalidate();
   for (auto& v : sc_arena_)
-    for (auto& a : v) a.clear();
+    for (auto& a : v) a.invalidate();
 }
 
 void implicit_stage::drop_arenas() {
-  for (auto& a : arena_) a.reset();
+  arena_.reset();
   for (auto& v : sc_arena_)
     for (auto& a : v) a.reset();
-}
-
-void implicit_stage::rebind_workspace() {
-  const std::size_t n = ctx_.modes.n;
-  for (std::size_t t = 0; t < panels_.size(); ++t)
-    panels_[t] = ctx_.ws.thread(t).alloc<cplx>(
-        (3 + ctx_.cfg.scenario.scalars.size()) * n);
 }
 
 void implicit_stage::run(int i) {
@@ -73,90 +76,61 @@ void implicit_stage::run(int i) {
   auto& st = ctx_.state;
   const auto& ops = ctx_.ops;
   const std::size_t n = mt.n;
-  aligned_buffer<cplx>& hv = st.u_s;
-  aligned_buffer<cplx>& hg = st.v_s;
 
   const double nu = 1.0 / ctx_.cfg.re_tau;
-  const double ca = rk3::kAlpha[i] * ctx_.cfg.dt * nu;
-  const double cb = rk3::kBeta[i] * ctx_.cfg.dt * nu;
-  const double g = rk3::kGamma[i] * ctx_.cfg.dt;
-  const double z = rk3::kZeta[i] * ctx_.cfg.dt;
+  const double dt = ctx_.cfg.dt;
+  const double g = rk3::kGamma[i] * dt;
+  const double z = rk3::kZeta[i] * dt;
 
-  // (Re)build the substep's solver arena if dt changed or it was never
-  // built; assembly and factorization are parallel on the advance pool.
-  if (!arena_[i].built() || arena_[i].coeff() != cb) {
+  // (Re)build the arena for all three substeps if dt changed or it was
+  // never built; assembly and factorization are parallel on the pool.
+  const double cs[3] = {rk3::kBeta[0] * dt * nu, rk3::kBeta[1] * dt * nu,
+                        rk3::kBeta[2] * dt * nu};
+  if (!arena_.built() || arena_.coeff(i) != cs[i]) {
     phase_timer::section build(ctx_.timers, ph_build_);
-    arena_[i].build(ops, cb, mt.k2s, ctx_.pool);
+    arena_.build(ops, cs, mt.k2s, ctx_.pool);
   }
   for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
     scalar_arena& a = sc_arena_[i][gi];
-    const double cbs = rk3::kBeta[i] * ctx_.cfg.dt * groups_[gi].kappa;
+    const double cbs = rk3::kBeta[i] * dt * groups_[gi].kappa;
     if (!a.built() || a.coeff() != cbs) {
       phase_timer::section build(ctx_.timers, ph_build_);
       a.build(ops, cbs, mt.k2s, ctx_.pool);
     }
   }
 
+  // Spanwise Nyquist modes are held at zero; the mean mode is the mean
+  // flow stage's.
+  for (std::size_t m = 0; m < mt.nmodes; ++m) {
+    if (!mt.skip[m] || (mt.has_mean && m == mt.mean_idx)) continue;
+    std::fill_n(st.line(st.c_v, m), n, cplx{0, 0});
+    std::fill_n(st.line(st.c_om, m), n, cplx{0, 0});
+    std::fill_n(st.line(st.c_phi, m), n, cplx{0, 0});
+    for (auto& sc : st.scalars) std::fill_n(st.line(sc.c_th, m), n, cplx{0, 0});
+  }
+
+  // h_g drives omega and h_v drives phi (the nonlinear stage leaves them
+  // in u_s / v_s); each scalar's h_theta is in its th_s.
+  const substep_weights wv{rk3::kAlpha[i] * dt * nu, g, z};
+  const field_lines om{st.c_om.data(), st.v_s.data(), st.hg_prev.data()};
+  const field_lines phi{st.c_phi.data(), st.u_s.data(), st.hv_prev.data()};
+  field_lines sc[kMaxScalars];
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    auto& s = st.scalars[order_[k]];
+    sc[k] = {s.c_th.data(), s.th_s.data(), s.hth_prev.data()};
+  }
+  const std::size_t scratch = scratch_elems(ctx_.cfg);
   std::atomic<int> tid_counter{0};
-  ctx_.pool.run(mt.nmodes, [&](std::size_t mb, std::size_t me) {
-    // Per-thread scratch: 2n-entry RHS panel (omega then phi) plus n for
-    // the RHS-operator apply — no allocation inside the substep loop.
+  ctx_.pool.run(arena_.blocks(), [&](std::size_t bb, std::size_t be) {
     const auto tid = static_cast<std::size_t>(tid_counter.fetch_add(1));
-    cplx* panel = panels_[tid];
-    cplx* tmp = panel + 2 * n;
-    for (std::size_t m = mb; m < me; ++m) {
-      if (mt.skip[m]) {
-        if (!(mt.has_mean && m == mt.mean_idx)) {
-          // Spanwise Nyquist modes are held at zero.
-          std::fill_n(st.line(st.c_v, m), n, cplx{0, 0});
-          std::fill_n(st.line(st.c_om, m), n, cplx{0, 0});
-          std::fill_n(st.line(st.c_phi, m), n, cplx{0, 0});
-          for (auto& sc : st.scalars)
-            std::fill_n(st.line(sc.c_th, m), n, cplx{0, 0});
-        }
-        continue;
-      }
-      const double k2 = mt.k2s[m];
-      // Assemble both right-hand sides of the fused solve: omega in
-      // panel rows [0, n), phi in rows [n, 2n).
-      ops.apply_rhs_operator(ca, k2, st.line(st.c_om, m), panel, tmp);
-      const cplx* hgm = st.line(hg, m);
-      cplx* hgp = st.line(st.hg_prev, m);
-      for (std::size_t j = 0; j < n; ++j)
-        panel[j] += g * hgm[j] + z * hgp[j];
-      ops.apply_rhs_operator(ca, k2, st.line(st.c_phi, m), panel + n, tmp);
-      const cplx* hvm = st.line(hv, m);
-      cplx* hvp = st.line(st.hv_prev, m);
-      for (std::size_t j = 0; j < n; ++j)
-        panel[n + j] += g * hvm[j] + z * hvp[j];
-      // One blocked 2-RHS Helmholtz solve covers omega and phi, then the
-      // Poisson recovery of v with the influence correction.
-      arena_[i].solve_block(static_cast<int>(m), panel, st.line(st.c_om, m),
-                            st.line(st.c_phi, m), st.line(st.c_v, m));
-      // Save nonlinear history for the next substep.
-      std::copy_n(hgm, n, hgp);
-      std::copy_n(hvm, n, hvp);
-      // Passive scalars: assemble every scalar's diffusive RHS into its
-      // panel row, then one blocked multi-RHS band pass per Prandtl group
-      // (homogeneous Dirichlet — wall values live entirely in the mean).
+    workspace_lane::scope panels(ctx_.ws.thread(tid));
+    cplx* work = ctx_.ws.thread(tid).alloc<cplx>(scratch);
+    for (std::size_t b = bb; b < be; ++b) {
+      arena_.advance(i, b, wv, om, phi, st.c_v.data(), work);
       for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
         const scalar_group& grp = groups_[gi];
-        const double cas = rk3::kAlpha[i] * ctx_.cfg.dt * grp.kappa;
-        cplx* rows = panel + (3 + grp.start) * n;
-        for (std::size_t r = 0; r < grp.count; ++r) {
-          auto& sc = st.scalars[order_[grp.start + r]];
-          cplx* row = rows + r * n;
-          ops.apply_rhs_operator(cas, k2, st.line(sc.c_th, m), row, tmp);
-          const cplx* hm = st.line(sc.th_s, m);
-          cplx* hp = st.line(sc.hth_prev, m);
-          for (std::size_t j = 0; j < n; ++j)
-            row[j] += g * hm[j] + z * hp[j];
-          std::copy_n(hm, n, hp);
-        }
-        sc_arena_[i][gi].solve(static_cast<int>(m), rows, grp.count);
-        for (std::size_t r = 0; r < grp.count; ++r)
-          std::copy_n(rows + r * n, n,
-                      st.line(st.scalars[order_[grp.start + r]].c_th, m));
+        const substep_weights ws{rk3::kAlpha[i] * dt * grp.kappa, g, z};
+        sc_arena_[i][gi].advance(b, ws, sc + grp.start, grp.count, work);
       }
     }
   });

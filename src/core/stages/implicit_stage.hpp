@@ -12,39 +12,38 @@ namespace pcf::core {
 
 class implicit_stage {
  public:
-  /// Registers "implicit" (with child "build") under `parent` and checks a
-  /// permanent (3 + S)n-complex solve panel (2n RHS + n operator scratch +
-  /// one RHS row per passive scalar) out of every thread lane, so the mode
-  /// loop never allocates.
+  /// Registers "implicit" (with child "build") under `parent`. The stage
+  /// keeps no permanent workspace: each advance-pool thread checks its
+  /// block panels out of its thread lane for the duration of run().
   implicit_stage(stage_context& ctx, phase_timer::id parent);
 
   /// Advance every non-mean mode through substep i. Reads h_v from
   /// state.u_s and h_g from state.v_s (where the nonlinear stage leaves
   /// them), updates c_om / c_phi / c_v and saves the nonlinear history.
-  /// Passive scalars advance through the same loop: their diffusive
-  /// Helmholtz solves are packed into the panel's scalar rows, grouped by
-  /// Prandtl number so equal-diffusivity scalars share one blocked
-  /// multi-RHS band pass.
+  /// The active modes advance in blocks of kModeBlock, split across the
+  /// pool by block. Passive scalars advance block by block too, grouped by
+  /// Prandtl number so equal-diffusivity scalars share one band pass.
   void run(int i);
 
-  /// Drop the cached per-substep solver arenas (call when dt changes).
+  /// Drop the Helmholtz sections of the cached arenas (call when dt
+  /// changes); the shared Poisson section stays.
   void invalidate();
 
   /// Drop the arenas AND free their slabs (the suspend path: parked runs
   /// must not pin the factored bands). Rebuilt lazily on the next run().
   void drop_arenas();
 
-  /// Re-check the per-thread solve panels out of the thread lanes after a
-  /// workspace release/reacquire cycle (the simulation's resume path).
-  void rebind_workspace();
+  /// Complex entries of thread-lane scratch run() checks out per thread:
+  /// the block panels of the velocity or of the widest scalar group.
+  [[nodiscard]] static std::size_t scratch_elems(const channel_config& c);
 
  private:
   stage_context& ctx_;
-  // One contiguous solver arena per RK substep index, since cb = beta_i dt
-  // nu differs per substep; valid while dt is fixed.
-  solver_arena arena_[3];
+  // One arena for the three RK substeps: a shared Poisson section and one
+  // Helmholtz section per beta_i * nu * dt; valid while dt is fixed.
+  solver_arena arena_;
   // Scalars grouped by Prandtl number; `order_` lists scalar indices
-  // group-major so each group's panel rows are contiguous.
+  // group-major so each group's fields are contiguous.
   struct scalar_group {
     double kappa = 0.0;                // 1 / (re_tau * prandtl)
     std::size_t start = 0, count = 0;  // slice of order_
@@ -54,7 +53,6 @@ class implicit_stage {
   // Per-substep, per-group factored scalar Helmholtz arenas (coefficient
   // beta_i dt kappa_g differs per substep and per group).
   std::vector<scalar_arena> sc_arena_[3];
-  std::vector<cplx*> panels_;  // per-thread-lane permanent solve panels
   phase_timer::id ph_run_, ph_build_;
 };
 

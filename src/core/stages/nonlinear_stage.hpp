@@ -14,11 +14,6 @@
 
 namespace pcf::core {
 
-/// Active modes per wall-normal panel of the velocity and assembly
-/// sub-steps: 8 complex lines, 16 real lanes per panel row. A compile-time
-/// constant: it sizes the thread lanes (dns_workspace_sizes).
-inline constexpr std::size_t kModeBlock = 8;
-
 class nonlinear_stage {
  public:
   /// Registers its phase tree under `parent` ("nonlinear" with children

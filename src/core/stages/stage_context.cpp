@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numbers>
 
-#include "core/stages/nonlinear_stage.hpp"
+#include "core/stages/implicit_stage.hpp"
 
 namespace pcf::core {
 
@@ -164,18 +164,19 @@ field_workspace::sizes dns_workspace_sizes(const channel_config& c,
                  + 16 * n * sizeof(double)
                  + 8 * nbins * sizeof(double)
                  + 40 * kAlignment;
-  // Thread lanes. Permanent: the implicit stage's (3 + S)n-complex solve
-  // panel (omega/phi rows, operator scratch, one RHS row per passive
-  // scalar). Deepest transient scope: the nonlinear assembly's 12 mode
-  // panels (c1..c5, d1, d2a, d3, d4a, d5, d2b, d4b), each kModeBlock
-  // complex lines = 16 n doubles; the scalars reuse c1/d1. The velocity
-  // sub-stage needs 5 panels + 1 real line, under that. At kModeBlock = 8
-  // the panels are 12 * 8 * 49 * 16 B = 73.5 KiB per thread for ny = 49.
-  const std::size_t nsc = c.scenario.scalars.size();
-  s.thread_bytes = (3 + nsc) * n * sizeof(cplx)
-                 + 12 * kModeBlock * n * sizeof(cplx)
-                 + n * sizeof(double)
-                 + (20 + 2 * nsc) * kAlignment;
+  // Thread lanes hold no permanent checkout; capacity covers the deeper
+  // of two transient scopes. The nonlinear assembly's 12 mode panels
+  // (c1..c5, d1, d2a, d3, d4a, d5, d2b, d4b), each kModeBlock complex lines
+  // = 16 n doubles (the scalars reuse c1/d1; the velocity sub-stage needs
+  // 5 panels + 1 real line, under that): at ny = 49, 12 * 8 * 49 * 16 B =
+  // 73.5 KiB per thread. The implicit stage's 3 block panels of kModeBlock
+  // lines per field, for omega + phi or the widest Prandtl group of
+  // scalars: 48 n complex = 36.75 KiB at ny = 49 for up to 2 scalars per
+  // group, deeper than the assembly from 5 per group on.
+  s.thread_bytes = std::max(12 * kModeBlock * n * sizeof(cplx)
+                                + n * sizeof(double) + 20 * kAlignment,
+                            implicit_stage::scratch_elems(c) * sizeof(cplx)
+                                + 2 * kAlignment);
   s.transform_bytes = pencil::transform_workspace_bytes(d, dns_kernel_config(c));
   return s;
 }

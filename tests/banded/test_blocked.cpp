@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstring>
 #include <functional>
@@ -353,6 +354,131 @@ TEST(Blocked, SolvePanelMatchesPerLineSolve) {
       check_solve_panel<double>(h, lines);
       check_solve_panel<cplx>(h, lines);
     }
+}
+
+/// A block of kBlockBands factored bands for the interleaved solve: random
+/// diagonally dominant bands, except that band 3 has no multiplier (L = I)
+/// and no U entry off the diagonal in row 1, so the block mixes zero and
+/// nonzero multipliers in the same slot.
+std::vector<std::vector<double>> interleaved_bands(int n, int h) {
+  std::vector<std::vector<double>> bands;
+  for (int r = 0; r < pcf::banded::kBlockBands; ++r) {
+    compact_banded M(n, h);
+    fill_profile(M, 500 + static_cast<std::uint64_t>(n * 10 + r));
+    M.factorize();
+    std::vector<double> a(M.data(), M.data() + M.band_elems());
+    if (r == 3) {
+      const auto w = static_cast<std::size_t>(M.bandwidth());
+      for (int i = 0; i < n; ++i)
+        for (int j = M.row_start(i); j <= M.row_start(i) + 2 * h; ++j)
+          if (j < i || (i == 1 && j > i))
+            a[static_cast<std::size_t>(i) * w +
+              static_cast<std::size_t>(j - M.row_start(i))] = 0.0;
+    }
+    bands.push_back(std::move(a));
+  }
+  return bands;
+}
+
+/// solve_interleaved over `live` bands (the rest padding copies of band
+/// 0) with nrhs complex right-hand sides each, against banded_view solves
+/// of every live band alone: memcmp per band. Band 3's first RHS holds
+/// -1 in row 0, -0.0 in row 1, and below them U times a positive vector.
+/// Its multipliers are all zero, and only the per-lane skip keeps row 1 at
+/// -0.0: without it -0.0 - (+0.0 * -1) is +0.0, and row 1's back
+/// substitution (zero U entries times positive values) keeps that sign.
+void check_interleaved(int n, int nrhs, int live) {
+  constexpr int B = pcf::banded::kBlockBands;
+  const int h = 7;
+  const auto bands = interleaved_bands(n, h);
+  std::vector<double> block(bands[0].size() * B);
+  for (int r = 0; r < B; ++r)
+    pcf::banded::interleave_band(
+        bands[static_cast<std::size_t>(r < live ? r : 0)].data(), n, h, r,
+        block.data());
+  const auto un = static_cast<std::size_t>(n);
+  const auto ur = static_cast<std::size_t>(nrhs);
+  std::vector<std::vector<cplx>> lines;  // band r: nrhs lines of n
+  for (int r = 0; r < B; ++r) {
+    auto x = random_panel<cplx>(ur * un, 40 + static_cast<std::uint64_t>(r));
+    if (r == 3) {
+      const auto& a = bands[3];
+      const auto w = static_cast<std::size_t>(2 * h + 1);
+      const compact_banded shape(n, h);
+      for (int i = 2; i < n; ++i) {
+        const int s0 = shape.row_start(i);
+        double b = 0.0;
+        for (int j = i; j <= s0 + 2 * h; ++j)
+          b += a[static_cast<std::size_t>(i) * w +
+                 static_cast<std::size_t>(j - s0)] *
+               (1.0 + 0.01 * j);
+        x[static_cast<std::size_t>(i)] = cplx{b, b};
+      }
+      x[0] = cplx{-1.0, -1.0};
+      x[1] = cplx{-0.0, -0.0};
+    }
+    lines.push_back(r < live ? x : lines[0]);
+  }
+  const std::size_t K = 2 * ur;
+  std::vector<double> p(un * K * B);
+  for (int r = 0; r < B; ++r)
+    for (std::size_t q = 0; q < ur; ++q)
+      for (std::size_t i = 0; i < un; ++i) {
+        const cplx v = lines[static_cast<std::size_t>(r)][q * un + i];
+        p[(i * K + 2 * q) * B + static_cast<std::size_t>(r)] = v.real();
+        p[(i * K + 2 * q + 1) * B + static_cast<std::size_t>(r)] = v.imag();
+      }
+  pcf::banded::solve_interleaved<cplx>(block.data(), n, h, p.data(), nrhs,
+                                       live);
+  for (int r = 0; r < live; ++r) {
+    auto want = lines[static_cast<std::size_t>(r)];
+    const banded_view v(bands[static_cast<std::size_t>(r)].data(), n, h);
+    if (nrhs == 1)
+      v.solve(want.data());
+    else
+      v.solve_many(want.data(), nrhs, un);
+    std::vector<cplx> got(want.size());
+    for (std::size_t q = 0; q < ur; ++q)
+      for (std::size_t i = 0; i < un; ++i)
+        got[q * un + i] =
+            cplx{p[(i * K + 2 * q) * B + static_cast<std::size_t>(r)],
+                 p[(i * K + 2 * q + 1) * B + static_cast<std::size_t>(r)]};
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(cplx)),
+              0)
+        << "n=" << n << " nrhs=" << nrhs << " live=" << live << " band " << r;
+    if (r == 3) EXPECT_TRUE(std::signbit(got[1].real()));
+  }
+}
+
+TEST(Blocked, InterleavedSolveMatchesPerBandSolve) {
+  for (int n : {33, 49})
+    for (int nrhs : {1, 2, 3})  // K = 2, 4, 6 real lanes per band
+      for (int live : {8, 5}) check_interleaved(n, nrhs, live);
+}
+
+TEST(BlockedCounters, InterleavedChargesLiveBandsAsSolveMany) {
+  // Each live band is charged as one solve_many of nrhs right-hand sides
+  // (band read once per pass); padding bands are not charged.
+  const int n = 49, h = 7, nrhs = 2, live = 5;
+  const auto bands = interleaved_bands(n, h);
+  std::vector<double> block(bands[0].size() * pcf::banded::kBlockBands);
+  for (int r = 0; r < pcf::banded::kBlockBands; ++r)
+    pcf::banded::interleave_band(bands[0].data(), n, h, r, block.data());
+  std::vector<double> p(static_cast<std::size_t>(n) * 2 * nrhs *
+                            pcf::banded::kBlockBands,
+                        0.5);
+  const auto blk = count([&] {
+    pcf::banded::solve_interleaved<cplx>(block.data(), n, h, p.data(), nrhs,
+                                         live);
+  });
+  std::vector<cplx> x(static_cast<std::size_t>(n) * nrhs, cplx{0.5, 0.5});
+  const auto one = count([&] {
+    banded_view(bands[0].data(), n, h)
+        .solve_many(x.data(), nrhs, static_cast<std::size_t>(n));
+  });
+  EXPECT_EQ(blk.flops, live * one.flops);
+  EXPECT_EQ(blk.bytes_read, live * one.bytes_read);
+  EXPECT_EQ(blk.bytes_written, live * one.bytes_written);
 }
 
 }  // namespace

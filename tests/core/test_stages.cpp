@@ -4,6 +4,7 @@
 // guarantee of the hot loop (counting global operator new).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -243,8 +244,8 @@ void seed_implicit_inputs(stage_harness& h) {
 TEST(Stages, ImplicitHoldsSpanwiseNyquistAtZero) {
   // The seeded inputs are nonzero on every mode, so the skipped spanwise
   // Nyquist modes come out zero only if the stage writes them. The solved
-  // modes are checked against standalone mode_solvers by
-  // SolverArena.MatchesStandaloneModeSolvers.
+  // modes are checked against per-mode solves by
+  // Stages.ImplicitMatchesPerModeReference.
   run_world(1, [&](communicator& world) {
     stage_harness h(small_config(), world);
     seed_implicit_inputs(h);
@@ -678,6 +679,227 @@ TEST(Stages, AssembleMatchesPerModeReference) {
         EXPECT_EQ(std::memcmp(got_means.data(), want_means.data(),
                               want_means.size() * sizeof(double)),
                   0);
+      });
+}
+
+// ---------------------------------------------------------------------------
+// Per-mode reference for the mode-blocked implicit stage: the one-mode-at-a-
+// time code the blocked arena replaced (per-mode factored bands, the fused
+// omega + phi solve, the Poisson recovery and the influence correction,
+// scalar groups as multi-RHS solves), copied here with its applies on the
+// seed's one-line kernel.
+
+/// One mode's factored operators at one coefficient, as the per-mode arena
+/// held them.
+struct reference_mode {
+  pcf::banded::compact_banded helm, pois;
+  std::vector<double> phi12, v12;
+  double minv[2][2] = {{0, 0}, {0, 0}};
+
+  reference_mode(const wall_normal_operators& ops, double c, double k2)
+      : helm(ops.helmholtz(c, k2)), pois(ops.poisson(k2)) {
+    const auto n = static_cast<std::size_t>(ops.n());
+    helm.factorize();
+    pois.factorize();
+    phi12.assign(2 * n, 0.0);
+    v12.assign(2 * n, 0.0);
+    phi12[0] = 1.0;
+    phi12[2 * n - 1] = 1.0;
+    helm.solve_many(phi12.data(), 2, n);
+    seed_ops::apply(ops.A0(), phi12.data(), v12.data());
+    seed_ops::apply(ops.A0(), phi12.data() + n, v12.data() + n);
+    v12[0] = v12[n - 1] = 0.0;
+    v12[n] = v12[2 * n - 1] = 0.0;
+    pois.solve_many(v12.data(), 2, n);
+    const double m00 = ops.dspline_lower(v12.data());
+    const double m01 = ops.dspline_lower(v12.data() + n);
+    const double m10 = ops.dspline_upper(v12.data());
+    const double m11 = ops.dspline_upper(v12.data() + n);
+    const double det = m00 * m11 - m01 * m10;
+    minv[0][0] = m11 / det;
+    minv[0][1] = -m01 / det;
+    minv[1][0] = -m10 / det;
+    minv[1][1] = m00 / det;
+  }
+
+  /// The fused substep solve: omega and phi right-hand sides in panel rows
+  /// [0, n) and [n, 2n).
+  void solve(const wall_normal_operators& ops, cplx* panel, cplx* c_om,
+             cplx* c_phi, cplx* c_v) const {
+    const auto n = static_cast<std::size_t>(ops.n());
+    panel[0] = panel[n - 1] = cplx{0.0, 0.0};
+    panel[n] = panel[2 * n - 1] = cplx{0.0, 0.0};
+    helm.solve_many(panel, 2, n);
+    for (std::size_t i = 0; i < n; ++i) c_om[i] = panel[i];
+    for (std::size_t i = 0; i < n; ++i) c_phi[i] = panel[n + i];
+    seed_ops::apply(ops.A0(), c_phi, c_v);
+    c_v[0] = cplx{0.0, 0.0};
+    c_v[n - 1] = cplx{0.0, 0.0};
+    pois.solve(c_v);
+    const cplx rl = -ops.dspline_lower(c_v);
+    const cplx ru = -ops.dspline_upper(c_v);
+    const cplx a1 = minv[0][0] * rl + minv[0][1] * ru;
+    const cplx a2 = minv[1][0] * rl + minv[1][1] * ru;
+    for (std::size_t i = 0; i < n; ++i) {
+      c_phi[i] += a1 * phi12[i] + a2 * phi12[n + i];
+      c_v[i] += a1 * v12[i] + a2 * v12[n + i];
+    }
+  }
+};
+
+/// y = [A0 + c (A2 - k2 A0)] x, the explicit side of the substep.
+void reference_rhs_operator(const wall_normal_operators& ops, double c,
+                            double k2, const cplx* x, cplx* y, cplx* tmp) {
+  seed_ops::apply(ops.A0(), x, y);
+  seed_ops::apply(ops.A2(), x, tmp);
+  const double c0 = 1.0 + c * (-k2);
+  for (int i = 0; i < ops.n(); ++i)
+    y[i] = c0 * y[i] + c * tmp[i];
+}
+
+/// Substep i of the implicit stage, one mode at a time. Scalars are
+/// grouped by Prandtl number in first-occurrence order, as the stage does.
+void reference_implicit(stage_harness& h, int i) {
+  const auto& mt = h.modes;
+  auto& st = h.state;
+  const auto& ops = h.ops;
+  const auto& cfg = h.cfg;
+  const std::size_t n = mt.n;
+  const double nu = 1.0 / cfg.re_tau;
+  const double ca = pcf::core::rk3::kAlpha[i] * cfg.dt * nu;
+  const double cb = pcf::core::rk3::kBeta[i] * cfg.dt * nu;
+  const double g = pcf::core::rk3::kGamma[i] * cfg.dt;
+  const double z = pcf::core::rk3::kZeta[i] * cfg.dt;
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<double> kappas;
+  for (std::size_t s = 0; s < cfg.scenario.scalars.size(); ++s) {
+    const double kappa = 1.0 / (cfg.re_tau * cfg.scenario.scalars[s].prandtl);
+    const auto it = std::find(kappas.begin(), kappas.end(), kappa);
+    if (it == kappas.end()) {
+      kappas.push_back(kappa);
+      groups.push_back({s});
+    } else {
+      groups[static_cast<std::size_t>(it - kappas.begin())].push_back(s);
+    }
+  }
+  std::vector<cplx> panel((3 + cfg.scenario.scalars.size()) * n);
+  cplx* tmp = panel.data() + 2 * n;
+  for (std::size_t m = 0; m < mt.nmodes; ++m) {
+    if (mt.skip[m]) {
+      if (!(mt.has_mean && m == mt.mean_idx)) {
+        std::fill_n(st.line(st.c_v, m), n, cplx{0, 0});
+        std::fill_n(st.line(st.c_om, m), n, cplx{0, 0});
+        std::fill_n(st.line(st.c_phi, m), n, cplx{0, 0});
+        for (auto& sc : st.scalars)
+          std::fill_n(st.line(sc.c_th, m), n, cplx{0, 0});
+      }
+      continue;
+    }
+    const double k2 = mt.k2s[m];
+    const reference_mode solver(ops, cb, k2);
+    reference_rhs_operator(ops, ca, k2, st.line(st.c_om, m), panel.data(),
+                           tmp);
+    const cplx* hgm = st.line(st.v_s, m);
+    cplx* hgp = st.line(st.hg_prev, m);
+    for (std::size_t j = 0; j < n; ++j) panel[j] += g * hgm[j] + z * hgp[j];
+    reference_rhs_operator(ops, ca, k2, st.line(st.c_phi, m),
+                           panel.data() + n, tmp);
+    const cplx* hvm = st.line(st.u_s, m);
+    cplx* hvp = st.line(st.hv_prev, m);
+    for (std::size_t j = 0; j < n; ++j)
+      panel[n + j] += g * hvm[j] + z * hvp[j];
+    solver.solve(ops, panel.data(), st.line(st.c_om, m),
+                 st.line(st.c_phi, m), st.line(st.c_v, m));
+    std::copy_n(hgm, n, hgp);
+    std::copy_n(hvm, n, hvp);
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+      const double cas = pcf::core::rk3::kAlpha[i] * cfg.dt * kappas[gi];
+      const double cbs = pcf::core::rk3::kBeta[i] * cfg.dt * kappas[gi];
+      auto helm = ops.helmholtz(cbs, k2);
+      helm.factorize();
+      cplx* rows = panel.data() + 3 * n;
+      const auto& members = groups[gi];
+      for (std::size_t r = 0; r < members.size(); ++r) {
+        auto& sc = st.scalars[members[r]];
+        cplx* row = rows + r * n;
+        reference_rhs_operator(ops, cas, k2, st.line(sc.c_th, m), row, tmp);
+        const cplx* hm = st.line(sc.th_s, m);
+        cplx* hp = st.line(sc.hth_prev, m);
+        for (std::size_t j = 0; j < n; ++j) row[j] += g * hm[j] + z * hp[j];
+        std::copy_n(hm, n, hp);
+        row[0] = row[n - 1] = cplx{0.0, 0.0};
+      }
+      helm.solve_many(rows, static_cast<int>(members.size()), n);
+      for (std::size_t r = 0; r < members.size(); ++r)
+        std::copy_n(rows + r * n, n,
+                    st.line(st.scalars[members[r]].c_th, m));
+    }
+  }
+}
+
+/// blocked_config's 36-mode grid (29 active: blocks of 8, 8, 8 and 5) with
+/// `scalars` scalars whose Prandtl numbers alternate 0.71, 7, 0.71: three
+/// scalars make two groups, the first of them not contiguous in scalar
+/// order.
+channel_config implicit_config(int threads, int scalars) {
+  channel_config cfg = blocked_config(threads, 0);
+  for (int s = 0; s < scalars; ++s)
+    cfg.scenario.scalars.push_back(
+        pcf::core::scalar_spec{s % 2 == 0 ? 0.71 : 7.0, 0.0, 1.0});
+  return cfg;
+}
+
+TEST(Stages, ImplicitMatchesPerModeReference) {
+  for (int threads : {1, 2})
+    for (int scalars : {0, 3})
+      run_world(1, [&](communicator& world) {
+        stage_harness h(implicit_config(threads, scalars), world);
+        ASSERT_EQ(h.modes.nmodes, 36u);
+        auto& st = h.state;
+        // Inputs: state, nonlinear terms (h_v in u_s, h_g in v_s, each
+        // scalar's in th_s) and histories, with signed zeros and all-zero
+        // lines mixed in.
+        std::vector<pcf::aligned_buffer<cplx>*> fields = {
+            &st.c_om, &st.c_phi, &st.c_v, &st.u_s,
+            &st.v_s,  &st.hv_prev, &st.hg_prev};
+        for (auto& sc : st.scalars) {
+          fields.push_back(&sc.c_th);
+          fields.push_back(&sc.th_s);
+          fields.push_back(&sc.hth_prev);
+        }
+        for (std::size_t k = 0; k < fields.size(); ++k)
+          seed_lines(h, *fields[k], static_cast<int>(k));
+        auto snapshot = [&] {
+          std::vector<std::vector<cplx>> v;
+          for (auto* f : fields) v.push_back(copy_of(*f));
+          return v;
+        };
+        auto restore = [&](const std::vector<std::vector<cplx>>& v) {
+          for (std::size_t k = 0; k < fields.size(); ++k)
+            std::copy(v[k].begin(), v[k].end(), fields[k]->data());
+        };
+        // All three substeps, then a dt change and the first substep again.
+        const int substeps[4] = {0, 1, 2, 0};
+        const auto inputs = snapshot();
+        std::vector<std::vector<std::vector<cplx>>> got;
+        for (int k = 0; k < 4; ++k) {
+          if (k == 3) {
+            h.cfg.dt = 2.5e-4;
+            h.implicit.invalidate();
+          }
+          h.implicit.run(substeps[k]);
+          got.push_back(snapshot());
+        }
+        h.cfg.dt = 1e-4;
+        restore(inputs);
+        for (int k = 0; k < 4; ++k) {
+          if (k == 3) h.cfg.dt = 2.5e-4;
+          reference_implicit(h, substeps[k]);
+          for (std::size_t f = 0; f < fields.size(); ++f)
+            EXPECT_TRUE(same_bits(*fields[f], got[k][f]))
+                << "field " << f << " call " << k << " threads " << threads
+                << " scalars " << scalars;
+        }
       });
 }
 
