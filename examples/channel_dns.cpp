@@ -176,10 +176,10 @@ int main(int argc, char** argv) {
         std::printf("checkpoint written to %s\n", o.checkpoint_path.c_str());
     }
     if (world.rank() == 0) {
-      auto t = dns.timings();
-      std::printf("section times: transpose %.2fs  FFT %.2fs  advance %.2fs "
-                  " total %.2fs\n",
-                  t.transpose, t.fft, t.advance, t.total);
+      std::printf("per-stage times on rank 0 (parents include children):\n");
+      for (const auto& p : dns.timings().phases)
+        std::printf("  %*s%-14s %9.2fs\n", 2 * p.depth, "", p.name.c_str(),
+                    p.seconds);
     }
   });
   return 0;

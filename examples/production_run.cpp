@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       std::printf("  -- stage timings (last %ld steps) --\n",
                   plan.timings_every);
       for (const auto& p : t.phases)
-        std::printf("     %*s%-12s %9.3fs  %8ld calls\n", 2 * p.depth, "",
+        std::printf("     %*s%-14s %9.3fs  %8ld calls\n", 2 * p.depth, "",
                     p.name.c_str(), p.seconds, p.calls);
     };
 

@@ -38,12 +38,11 @@ int main(int argc, char** argv) {
     }
 
     auto t = dns.timings();
-    std::printf("\nper-section time: transpose %.3fs, FFT %.3fs, "
-                "N-S advance %.3fs, total %.3fs\n",
-                t.transpose, t.fft, t.advance, t.total);
-    std::printf("\nper-stage breakdown (parents include children):\n");
+    std::printf("\nper-stage breakdown (parents include children; the "
+                "transforms split into\ntheir pack, exchange and FFT "
+                "stages):\n");
     for (const auto& p : t.phases)
-      std::printf("  %*s%-12s %9.3fs  %8ld calls\n", 2 * p.depth, "",
+      std::printf("  %*s%-14s %9.3fs  %8ld calls\n", 2 * p.depth, "",
                   p.name.c_str(), p.seconds, p.calls);
 
     std::printf("\nworkspace high-water:\n");

@@ -114,16 +114,4 @@ void wall_normal_operators::poisson_into(banded::compact_banded& M,
   M.at(n - 1, n - 1) = 1.0;
 }
 
-void wall_normal_operators::apply_rhs_operator(double c, double k2,
-                                               const cplx* x, cplx* y,
-                                               cplx* scratch) const {
-  const int n = basis_.size();
-  a0_.apply(x, y);
-  a2_.apply(x, scratch);
-  const double c0 = 1.0 + c * (-k2);
-  for (int i = 0; i < n; ++i)
-    y[static_cast<std::size_t>(i)] = c0 * y[static_cast<std::size_t>(i)] +
-                                     c * scratch[static_cast<std::size_t>(i)];
-}
-
 }  // namespace pcf::core

@@ -95,12 +95,6 @@ class wall_normal_operators {
   void helmholtz_into(banded::compact_banded& M, double c, double k2) const;
   void poisson_into(banded::compact_banded& M, double k2) const;
 
-  /// y = [A0 + c (A2 - k2 A0)] x — the explicit side of the IMEX substep.
-  /// `scratch` (length n()) is caller-provided so the per-mode RK3 loop
-  /// does not allocate.
-  void apply_rhs_operator(double c, double k2, const cplx* x, cplx* y,
-                          cplx* scratch) const;
-
  private:
   bspline::basis basis_;
   banded::compact_banded a0_, a1_, a2_;

@@ -161,14 +161,14 @@ struct spectrum_data {
   std::vector<double> euu, evv, eww;  // indexed by wavenumber index
 };
 
-/// Section timings of one or more steps (the breakdown of Tables 9-10).
-///
-/// The flat fields are the legacy view; `phases` is the hierarchical
-/// per-stage breakdown from the staged pipeline (step > nonlinear >
-/// {velocities, to_physical, products, to_spectral, assemble}, implicit >
-/// build, mean_flow, reduce). Parent rows include their children. The
-/// flop/byte attribution is populated only on single-rank runs (counter
-/// buckets are process-global and vmpi ranks share the process).
+/// Section timings of one or more steps (the breakdown of Tables 9-10):
+/// the phase rows in tree order, step > nonlinear > {velocities,
+/// to_physical > <the pencil kernel's inverse stage rows>, products,
+/// to_spectral > <its forward stage rows>, assemble}, implicit > build,
+/// mean_flow, reduce. Parents include their children; pipelined exchange
+/// rows overlap their siblings (parallel_fft::stage_phases()). Flops and
+/// bytes are attributed only on single-rank runs (counter buckets are
+/// process-global and vmpi ranks share the process), never to stage rows.
 struct step_timings {
   struct phase_report {
     std::string name;
@@ -179,11 +179,14 @@ struct step_timings {
     std::uint64_t bytes = 0;  // read + written
   };
 
-  double transpose = 0.0;  // communication + on-node reorder
-  double fft = 0.0;
-  double advance = 0.0;    // nonlinear assembly + implicit solves
-  double total = 0.0;
   std::vector<phase_report> phases;
+
+  /// Seconds of the row named `name` (0 if there is none).
+  [[nodiscard]] double seconds(const std::string& name) const {
+    for (const auto& p : phases)
+      if (p.name == name) return p.seconds;
+    return 0.0;
+  }
 
   /// Per-lane workspace high-water marks ("shared", "transform",
   /// "thread[i]"): capacity vs the deepest bytes ever checked out.

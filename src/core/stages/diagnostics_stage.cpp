@@ -32,25 +32,20 @@ double diagnostics_stage::finish_step() {
 
 step_timings diagnostics_stage::report() const {
   step_timings t;
-  t.transpose = ctx_.pf.comm_seconds() + ctx_.pf.reorder_seconds();
-  t.fft = ctx_.pf.fft_seconds();
+  const auto add = [&t](const phase_stats& p, int depth) {
+    t.phases.push_back({p.name, depth, p.seconds, p.calls, p.ops.flops,
+                        p.ops.bytes_read + p.ops.bytes_written});
+  };
+  // The pencil kernel's stage rows go under the phases that call it: the
+  // inverse rows under to_physical, the forward rows under to_spectral.
+  const auto& stages = ctx_.pf.stage_phases();
+  constexpr std::size_t k = pencil::parallel_fft::kStageRows;
   for (const auto& p : ctx_.timers.phases()) {
-    step_timings::phase_report r;
-    r.name = p.name;
-    r.depth = p.depth;
-    r.seconds = p.seconds;
-    r.calls = p.calls;
-    r.flops = p.ops.flops;
-    r.bytes = p.ops.bytes_read + p.ops.bytes_written;
-    t.phases.push_back(r);
-    if (p.name == "step") t.total = p.seconds;
-    // The compute phases; "implicit" includes its "build" child, and the
-    // batched transforms ("to_physical" / "to_spectral") are excluded,
-    // matching the original advance timer's coverage.
-    if (p.name == "velocities" || p.name == "products" ||
-        p.name == "assemble" || p.name == "implicit" ||
-        p.name == "mean_flow")
-      t.advance += p.seconds;
+    add(p, p.depth);
+    if (p.name != "to_physical" && p.name != "to_spectral") continue;
+    const std::size_t first = p.name == "to_physical" ? 0 : k;
+    for (std::size_t i = first; i < first + k; ++i)
+      add(stages[i], p.depth + 1);
   }
   // Workspace high-water marks and (process-wide) block-pool telemetry.
   for (const auto& u : ctx_.ws.usage())

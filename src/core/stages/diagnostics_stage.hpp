@@ -25,10 +25,8 @@ class diagnostics_stage {
   /// lives in the simulation's config.
   [[nodiscard]] double finish_step();
 
-  /// Assemble the public timing report from the phase tree: the
-  /// hierarchical per-stage rows plus the legacy flat fields (transpose /
-  /// fft from the pencil kernel's own timers; advance = the compute
-  /// phases, excluding the transforms, matching the pre-stage breakdown).
+  /// Assemble the public timing report from the phase tree, with the
+  /// pencil kernel's stage rows as children of to_physical / to_spectral.
   [[nodiscard]] step_timings report() const;
 
  private:

@@ -249,20 +249,23 @@ void nonlinear_stage::assemble() {
     const auto tid = static_cast<std::size_t>(tid_counter.fetch_add(1));
     workspace_lane::scope scratch(ctx_.ws.thread(tid));
     auto& lane = ctx_.ws.thread(tid);
-    // Twelve panels of kModeBlock lines: the five products' coefficients
-    // and their seven derivatives.
+    // Eight panels of kModeBlock lines: the five products' coefficients
+    // and three derivatives. The other four derivatives land in the panel
+    // of a coefficient already differentiated by then (derivative order
+    // below): d2a over c1, d4a over c3, d2b over c5, d4b over c2. c2 and c4
+    // stay live until their second derivative.
     cplx* c1 = lane.alloc<cplx>(n * kModeBlock);
     cplx* c2 = lane.alloc<cplx>(n * kModeBlock);
     cplx* c3 = lane.alloc<cplx>(n * kModeBlock);
     cplx* c4 = lane.alloc<cplx>(n * kModeBlock);
     cplx* c5 = lane.alloc<cplx>(n * kModeBlock);
     cplx* d1 = lane.alloc<cplx>(n * kModeBlock);
-    cplx* d2a = lane.alloc<cplx>(n * kModeBlock);
     cplx* d3 = lane.alloc<cplx>(n * kModeBlock);
-    cplx* d4a = lane.alloc<cplx>(n * kModeBlock);
     cplx* d5 = lane.alloc<cplx>(n * kModeBlock);
-    cplx* d2b = lane.alloc<cplx>(n * kModeBlock);
-    cplx* d4b = lane.alloc<cplx>(n * kModeBlock);
+    cplx* d2a = c1;
+    cplx* d4a = c3;
+    cplx* d2b = c5;
+    cplx* d4b = c2;
     for (std::size_t m = mb; m < me; ++m) {
       if (!mt.skip[m]) continue;
       // Skipped modes get zero right-hand sides; the mean mode feeds
@@ -345,7 +348,7 @@ void nonlinear_stage::assemble() {
       // Scalar right-hand sides h_theta = -(i kx (u th)^ + d(v th)^/dy +
       // i kz (w th)^), assembled into th_s (free once the products are
       // formed, mirroring h_v / h_g into u_s / v_s), through the c1/d1
-      // panels.
+      // panels (free once h_v and h_g are formed).
       for (auto& sc : st.scalars) {
         gather(st, sc.qv, ids, nb, c1);
         ops.to_coefficients(c1, lines);

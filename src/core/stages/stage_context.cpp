@@ -165,15 +165,16 @@ field_workspace::sizes dns_workspace_sizes(const channel_config& c,
                  + 8 * nbins * sizeof(double)
                  + 40 * kAlignment;
   // Thread lanes hold no permanent checkout; capacity covers the deeper
-  // of two transient scopes. The nonlinear assembly's 12 mode panels
-  // (c1..c5, d1, d2a, d3, d4a, d5, d2b, d4b), each kModeBlock complex lines
-  // = 16 n doubles (the scalars reuse c1/d1; the velocity sub-stage needs
-  // 5 panels + 1 real line, under that): at ny = 49, 12 * 8 * 49 * 16 B =
-  // 73.5 KiB per thread. The implicit stage's 3 block panels of kModeBlock
-  // lines per field, for omega + phi or the widest Prandtl group of
-  // scalars: 48 n complex = 36.75 KiB at ny = 49 for up to 2 scalars per
-  // group, deeper than the assembly from 5 per group on.
-  s.thread_bytes = std::max(12 * kModeBlock * n * sizeof(cplx)
+  // of two transient scopes. The nonlinear assembly's 8 mode panels
+  // (c1..c5, d1, d3, d5; the other four derivatives overwrite consumed
+  // coefficient panels), each kModeBlock complex lines = 16 n doubles (the
+  // scalars reuse c1/d1; the velocity sub-stage needs 5 panels + 1 real
+  // line, under that): at ny = 49, 8 * 8 * 49 * 16 B = 49 KiB per thread.
+  // The implicit stage's 3 block panels of kModeBlock lines per field, for
+  // omega + phi or the widest Prandtl group of scalars: 48 n complex =
+  // 36.75 KiB at ny = 49 for up to 2 scalars per group, deeper than the
+  // assembly from 3 per group on.
+  s.thread_bytes = std::max(8 * kModeBlock * n * sizeof(cplx)
                                 + n * sizeof(double) + 20 * kAlignment,
                             implicit_stage::scratch_elems(c) * sizeof(cplx)
                                 + 2 * kAlignment);

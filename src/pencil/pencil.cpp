@@ -86,6 +86,18 @@ int owner(std::size_t n, int p, std::size_t i) {
   return q;
 }
 
+/// The stage rows of parallel_fft::stage_phases(), registered in this
+/// order so a row's id is its index.
+enum stage_row : phase_timer::id {
+  pack_y, exchange_yz, fft_z_inverse, exchange_zx, fft_c2r,  // inverse
+  fft_r2c, exchange_xz, fft_z_forward, exchange_zy, unpack_y,  // forward
+  stage_rows
+};
+constexpr const char* kStageRowNames[stage_rows] = {
+    "pack_y",  "exchange_yz", "fft_z_inverse", "exchange_zx", "fft_c2r",
+    "fft_r2c", "exchange_xz", "fft_z_forward", "exchange_zy", "unpack_y"};
+static_assert(stage_rows == 2 * parallel_fft::kStageRows);
+
 /// Where one FFT stage's lines sit in an exchange layout. `rel` holds each
 /// element's slot inside its rank segment and `seg` that segment; per call,
 /// prepare(nf) adds the segment displacements nf * displ[q] + f * count[q]
@@ -207,7 +219,10 @@ struct parallel_fft::impl {
   stage_map zy_map, zx_map, xs_map;
   std::vector<fft::line_slot> phys_slots;
 
-  section_timer comm_t, reorder_t, fft_t;
+  // One wall-time row per fused stage (stage_row). Each row has one
+  // owning thread at a time: the exchange rows run on the comm thread
+  // when a chunk is pipelined, every other row on the caller.
+  phase_timer stages{false};
 
   // Batched-path counters. Written by the rank's own threads only; reads
   // are ordered behind the transform call (or the async wait inside it).
@@ -231,6 +246,7 @@ struct parallel_fft::impl {
     PCF_REQUIRE(cfg.pipeline_depth >= 1, "pipeline_depth must be >= 1");
     run_a_ = p3d_ || comm_a.size() > 1;
     run_b_ = p3d_ || comm_b.size() > 1;
+    for (const char* name : kStageRowNames) stages.add(name);
     build_counts();
     build_maps();
     exch_scratch_.resize(4 *
@@ -399,7 +415,7 @@ struct parallel_fft::impl {
   // still feed all reorder threads.
 
   void pack_y_to_z(const cplx* const* specs, cplx* send, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const phase_timer::section time_sec(stages, pack_y);
     const std::size_t zc = d.zs.count, ny = d.g.ny;
     const std::size_t* sc = sc_yz.data();
     const std::size_t* sd = sd_yz.data();
@@ -420,7 +436,7 @@ struct parallel_fft::impl {
   }
 
   void unpack_y_pencil(const cplx* recv, cplx* const* specs, std::size_t nf) {
-    const section_timer::section time_sec(reorder_t);
+    const phase_timer::section time_sec(stages, unpack_y);
     const std::size_t zc = d.zs.count, ny = d.g.ny;
     const std::size_t* sc = sc_yz.data();
     const std::size_t* sd = sd_yz.data();
@@ -448,9 +464,9 @@ struct parallel_fft::impl {
   // spans two fields.
 
   template <class Plan, class In, class Out>
-  void fft_stage(const Plan& plan, std::size_t lines, std::size_t nf, In in,
-                 Out out) {
-    const section_timer::section time_sec(fft_t);
+  void fft_stage(stage_row row, const Plan& plan, std::size_t lines,
+                 std::size_t nf, In in, Out out) {
+    const phase_timer::section time_sec(stages, row);
     fft_pool.run(lines * nf, [&](std::size_t b, std::size_t e) {
       while (b < e) {
         const std::size_t f = b / lines, l0 = b % lines;
@@ -477,22 +493,22 @@ struct parallel_fft::impl {
   // --- transposes (communication) ------------------------------------------
 
   void a2a_yz(const cplx* send, cplx* recv, std::size_t nf) {
-    const section_timer::section time_sec(comm_t);
+    const phase_timer::section time_sec(stages, exchange_yz);
     do_exchange_batch(comm_b, send, sc_yz.data(), sd_yz.data(), recv,
                       rc_yz.data(), rd_yz.data(), nf);
   }
   void a2a_zy(const cplx* send, cplx* recv, std::size_t nf) {
-    const section_timer::section time_sec(comm_t);
+    const phase_timer::section time_sec(stages, exchange_zy);
     do_exchange_batch(comm_b, send, rc_yz.data(), rd_yz.data(), recv,
                       sc_yz.data(), sd_yz.data(), nf);
   }
   void a2a_zx(const cplx* send, cplx* recv, std::size_t nf) {
-    const section_timer::section time_sec(comm_t);
+    const phase_timer::section time_sec(stages, exchange_zx);
     do_exchange_batch(comm_a, send, sc_zx.data(), sd_zx.data(), recv,
                       rc_zx.data(), rd_zx.data(), nf);
   }
   void a2a_xz(const cplx* send, cplx* recv, std::size_t nf) {
-    const section_timer::section time_sec(comm_t);
+    const phase_timer::section time_sec(stages, exchange_xz);
     do_exchange_batch(comm_a, send, rc_zx.data(), rd_zx.data(), recv,
                       sc_zx.data(), sd_zx.data(), nf);
   }
@@ -627,7 +643,7 @@ struct parallel_fft::impl {
           zy_map.prepare(fb.count);
           zx_map.prepare(fb.count);
           fft_stage(
-              *z_inv, d.xs.count * d.yb.count, fb.count,
+              fft_z_inverse, *z_inv, d.xs.count * d.yb.count, fb.count,
               [&](std::size_t f) {
                 return run_b_ ? zy_map.at(yz, f)
                               : zy_map.at(specs[fb.offset + f], 0);
@@ -642,7 +658,7 @@ struct parallel_fft::impl {
           const cplx* zx = at(zx_recv, g);
           xs_map.prepare(fb.count);
           fft_stage(
-              *x_inv, d.yb.count * d.zp.count, fb.count,
+              fft_c2r, *x_inv, d.yb.count * d.zp.count, fb.count,
               [&](std::size_t f) { return xs_map.at(zx, f); },
               [&](std::size_t f) { return phys_at(phys[fb.offset + f]); });
         });
@@ -674,7 +690,7 @@ struct parallel_fft::impl {
           cplx* zx = at(w1, g);
           xs_map.prepare(fb.count);
           fft_stage(
-              *x_fwd, d.yb.count * d.zp.count, fb.count,
+              fft_r2c, *x_fwd, d.yb.count * d.zp.count, fb.count,
               [&](std::size_t f) { return phys_at(phys[fb.offset + f]); },
               [&](std::size_t f) { return xs_map.at(zx, f); });
         },
@@ -688,7 +704,7 @@ struct parallel_fft::impl {
           zx_map.prepare(fb.count);
           zy_map.prepare(fb.count);
           fft_stage(
-              *z_fwd, d.xs.count * d.yb.count, fb.count,
+              fft_z_forward, *z_fwd, d.xs.count * d.yb.count, fb.count,
               [&](std::size_t f) { return zx_map.at(zx, f); },
               [&](std::size_t f) {
                 return run_b_ ? zy_map.at(ys, f, scale)
@@ -765,15 +781,24 @@ std::size_t parallel_fft::workspace_bytes() const {
 
 void parallel_fft::rebind_workspace() { impl_->checkout_buffers(); }
 
-double parallel_fft::comm_seconds() const { return impl_->comm_t.total(); }
+const std::vector<phase_stats>& parallel_fft::stage_phases() const {
+  return impl_->stages.phases();
+}
+
+double parallel_fft::comm_seconds() const {
+  const auto& r = stage_phases();
+  return r[exchange_yz].seconds + r[exchange_zx].seconds +
+         r[exchange_xz].seconds + r[exchange_zy].seconds;
+}
 double parallel_fft::reorder_seconds() const {
-  return impl_->reorder_t.total();
+  const auto& r = stage_phases();
+  return r[pack_y].seconds + r[unpack_y].seconds;
 }
-double parallel_fft::fft_seconds() const { return impl_->fft_t.total(); }
-void parallel_fft::reset_timers() {
-  impl_->comm_t.reset();
-  impl_->reorder_t.reset();
-  impl_->fft_t.reset();
+double parallel_fft::fft_seconds() const {
+  const auto& r = stage_phases();
+  return r[fft_z_inverse].seconds + r[fft_c2r].seconds + r[fft_r2c].seconds +
+         r[fft_z_forward].seconds;
 }
+void parallel_fft::reset_timers() { impl_->stages.reset(); }
 
 }  // namespace pcf::pencil

@@ -23,9 +23,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "fft/fft.hpp"
-#include "util/timer.hpp"
+#include "util/phase_timer.hpp"
 #include "util/workspace.hpp"
 #include "vmpi/vmpi.hpp"
 
@@ -177,7 +178,18 @@ class parallel_fft {
   /// allocation per buffer.
   void rebind_workspace();
 
-  /// Section timers (accumulated across calls).
+  /// Wall time per fused stage, one phase_timer row each, accumulated
+  /// across calls. Rows [0, kStageRows) are the inverse transform's in
+  /// schedule order (pack_y, exchange_yz, fft_z_inverse, exchange_zx,
+  /// fft_c2r), the next kStageRows the forward one's (fft_r2c,
+  /// exchange_xz, fft_z_forward, exchange_zy, unpack_y). A stage that does
+  /// not run on this split keeps calls == 0. With pipeline_depth > 1 the
+  /// exchange rows run on the comm thread, overlapping their siblings.
+  static constexpr std::size_t kStageRows = 5;
+  [[nodiscard]] const std::vector<phase_stats>& stage_phases() const;
+
+  /// Sums over the stage rows: the four exchanges, the y-pencil pack and
+  /// unpack, the four FFT stages.
   [[nodiscard]] double comm_seconds() const;
   [[nodiscard]] double reorder_seconds() const;
   [[nodiscard]] double fft_seconds() const;

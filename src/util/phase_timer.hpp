@@ -1,9 +1,10 @@
 // Hierarchical per-stage phase timing, wired into util/counters.
 //
-// The paper's Tables 9-10 break a step into sections with MPI_Wtime();
-// section_timer reproduces that flat view. The staged pipeline wants a
-// *tree* — step > nonlinear > {velocities, to_physical, ...} — with each
-// phase also attributing the flop/byte counts accumulated while it ran.
+// The paper's Tables 9-10 break a step into sections with MPI_Wtime().
+// phase_timer is the one accumulating timer: a *tree* — step > nonlinear >
+// {velocities, to_physical, ...} — with each phase also attributing the
+// flop/byte counts accumulated while it ran. The paper's flat columns
+// (transpose, FFT, N-S advance) are sums over its rows.
 //
 // Phases are registered once (add()) and identified by small integer ids,
 // so start()/stop() in the hot loop are allocation-free: start() drains
@@ -17,8 +18,13 @@
 // nonsense attribution. Construct with track_ops = false there (the DNS
 // does so automatically for world.size() > 1): start()/stop() then touch
 // no counters and record wall time only.
+//
+// Threads: each phase has one owning thread at a time, and distinct phases
+// may run on distinct threads at once (the pencil kernel's comm thread);
+// a phase's state is its own. add() and reset() are single-threaded.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 #include <vector>
@@ -65,7 +71,6 @@ class phase_timer {
     auto& l = live_[static_cast<std::size_t>(p)];
     assert(!l.running && "phase started twice without an intervening stop");
     l.running = true;
-    ++open_;
     if (track_ops_) {
       counters::drain();
       l.mark = counters::total();
@@ -79,7 +84,6 @@ class phase_timer {
     auto& s = phases_[static_cast<std::size_t>(p)];
     assert(l.running && "phase stopped without a matching start");
     l.running = false;
-    --open_;
     s.seconds += l.t.seconds();
     if (track_ops_) {
       counters::drain();
@@ -111,12 +115,15 @@ class phase_timer {
   /// Number of phases currently between start() and stop(). Zero at every
   /// step boundary; a nonzero value there means an unbalanced start/stop
   /// pair (the debug asserts in start()/stop() catch the usual culprits).
-  [[nodiscard]] int open_phases() const { return open_; }
+  [[nodiscard]] int open_phases() const {
+    return static_cast<int>(std::count_if(
+        live_.begin(), live_.end(), [](const live& l) { return l.running; }));
+  }
 
   /// Zero every phase's accumulation; the registered tree is kept. Resets
   /// are step-boundary operations: no phase may still be open.
   void reset() {
-    assert(open_ == 0 && "phase timer reset with a phase still open");
+    assert(open_phases() == 0 && "phase timer reset with a phase still open");
     for (auto& p : phases_) {
       p.seconds = 0.0;
       p.calls = 0;
@@ -131,7 +138,6 @@ class phase_timer {
     bool running = false;
   };
   bool track_ops_ = true;
-  int open_ = 0;
   std::vector<phase_stats> phases_;
   std::vector<live> live_;
 };

@@ -1,4 +1,5 @@
 // Wall-clock timing, the moral equivalent of the paper's MPI_Wtime() use.
+// Accumulated per-section timing lives in util/phase_timer.hpp.
 #pragma once
 
 #include <chrono>
@@ -21,45 +22,6 @@ class wall_timer {
 
  private:
   clock::time_point start_;
-};
-
-/// Accumulates time across start/stop intervals, e.g. per code section
-/// (transpose / FFT / N-S advance) as in the paper's Tables 9-10.
-class section_timer {
- public:
-  void start() { t_.restart(); running_ = true; }
-  void stop() {
-    if (running_) {
-      total_ += t_.seconds();
-      ++count_;
-      running_ = false;
-    }
-  }
-  [[nodiscard]] double total() const { return total_; }
-  [[nodiscard]] long count() const { return count_; }
-  [[nodiscard]] bool running() const { return running_; }
-  void reset() { total_ = 0.0; count_ = 0; running_ = false; }
-
-  /// RAII start/stop: the interval is charged even when the timed code
-  /// throws, so an exception (blow-up abort, workspace overflow) cannot
-  /// leave the timer running and fold the unwound frames into the next
-  /// interval's wall time.
-  class section {
-   public:
-    explicit section(section_timer& t) : t_(&t) { t.start(); }
-    ~section() { t_->stop(); }
-    section(const section&) = delete;
-    section& operator=(const section&) = delete;
-
-   private:
-    section_timer* t_;
-  };
-
- private:
-  wall_timer t_;
-  double total_ = 0.0;
-  long count_ = 0;
-  bool running_ = false;
 };
 
 }  // namespace pcf

@@ -107,25 +107,6 @@ TEST(Operators, PoissonSolveMatchesAnalytic) {
     EXPECT_NEAR(back[i], std::sin(pi * pts[i]), 1e-8);
 }
 
-TEST(Operators, RhsOperatorIsConsistentWithHelmholtz) {
-  // For any x: helmholtz(c) x + [rhs_op(-c)] ... more directly:
-  // [A0 - c(A2 - k2 A0)] and [A0 + c(A2 - k2 A0)] applied to the same
-  // coefficients must average to A0 x.
-  wall_normal_operators ops(30, 7, 2.0);
-  const double c = 0.02, k2 = 7.0;
-  const std::size_t n = static_cast<std::size_t>(ops.n());
-  std::vector<cplx> x(n), plus(n), a0x(n), scratch(n);
-  for (std::size_t i = 0; i < n; ++i)
-    x[i] = cplx{std::sin(0.1 * i), std::cos(0.2 * i)};
-  ops.apply_rhs_operator(c, k2, x.data(), plus.data(), scratch.data());
-  ops.apply_rhs_operator(-c, k2, x.data(), a0x.data(), scratch.data());
-  std::vector<cplx> avg(n), direct(n);
-  for (std::size_t i = 0; i < n; ++i) avg[i] = 0.5 * (plus[i] + a0x[i]);
-  ops.to_points(x.data(), direct.data());
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_LT(std::abs(avg[i] - direct[i]), 1e-11);
-}
-
 TEST(Operators, RejectsTooFewPoints) {
   EXPECT_THROW(wall_normal_operators(20, 7, 2.0), pcf::precondition_error);
 }

@@ -6,6 +6,9 @@
 #include <cmath>
 #include <mutex>
 #include <numbers>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/simulation.hpp"
 
@@ -227,13 +230,67 @@ TEST(Dns, TimingsBreakdownAccumulates) {
     channel_dns dns(cfg, world);
     dns.initialize(0.0);
     dns.step();
-    auto t = dns.timings();
-    EXPECT_GT(t.total, 0.0);
-    EXPECT_GT(t.fft, 0.0);
-    EXPECT_GT(t.advance, 0.0);
+    const auto t = dns.timings();
+    EXPECT_GT(t.seconds("step"), 0.0);
+    EXPECT_GT(t.seconds("fft_c2r"), 0.0);
+    EXPECT_GT(t.seconds("implicit"), 0.0);
     dns.reset_timings();
-    EXPECT_EQ(dns.timings().total, 0.0);
+    for (const auto& p : dns.timings().phases) {
+      EXPECT_EQ(p.seconds, 0.0) << p.name;
+      EXPECT_EQ(p.calls, 0) << p.name;
+    }
   });
+}
+
+// The pencil kernel's stage rows are children of the transform phases
+// that call them, and at pipeline depth 1 every parent encloses its
+// children. The exchanges run only where a communicator spans ranks.
+TEST(Dns, PencilStageRowsNestUnderTransforms) {
+  const char* const kids[2][5] = {
+      {"pack_y", "exchange_yz", "fft_z_inverse", "exchange_zx", "fft_c2r"},
+      {"fft_r2c", "exchange_xz", "fft_z_forward", "exchange_zy", "unpack_y"}};
+  for (const int p : {1, 2}) {
+    auto cfg = small_config();
+    cfg.pa = cfg.pb = p;
+    cfg.pipeline_depth = 1;
+    pcf::core::step_timings t;
+    run_world(p * p, [&](communicator& world) {
+      channel_dns dns(cfg, world);
+      dns.initialize(0.1, 7);
+      dns.reset_timings();  // a window of steps only
+      for (int s = 0; s < 2; ++s) dns.step();
+      if (world.rank() == 0) t = dns.timings();
+    });
+    // Rows are in tree order: a row's parent is the last row before it one
+    // level up.
+    const auto& rows = t.phases;
+    std::vector<double> kids_s(rows.size(), 0.0);
+    std::vector<std::size_t> open;
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(names.insert(rows[i].name).second) << rows[i].name;
+      while (!open.empty() && rows[open.back()].depth >= rows[i].depth)
+        open.pop_back();
+      if (!open.empty()) kids_s[open.back()] += rows[i].seconds;
+      open.push_back(i);
+      const int dir = rows[i].name == "to_physical"   ? 0
+                      : rows[i].name == "to_spectral" ? 1
+                                                      : -1;
+      if (dir < 0) continue;
+      ASSERT_LE(i + 6, rows.size());
+      for (std::size_t k = 0; k < 5; ++k) {
+        const auto& r = rows[i + 1 + k];
+        EXPECT_EQ(r.name, kids[dir][k]);
+        EXPECT_EQ(r.depth, rows[i].depth + 1) << r.name;
+        if (r.name.rfind("exchange_", 0) == 0) {
+          EXPECT_EQ(r.calls > 0, p == 2) << r.name << " on " << p << "x" << p;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      EXPECT_GE(rows[i].seconds, kids_s[i] - 1e-12)
+          << rows[i].name << " on " << p << "x" << p;
+  }
 }
 
 }  // namespace

@@ -208,7 +208,9 @@ TEST(PfftBatch, AggregatesExchangesAcrossFields) {
 }
 
 // Each chunk of nf fields runs as G = min(pipeline_depth, nf) groups, and
-// every group issues its own exchange per transpose stage.
+// every group issues its own exchange per transpose stage. Each group also
+// passes every stage row once; with G > 1 the exchange rows accumulate on
+// the comm thread while the caller accumulates the others.
 TEST(PfftBatch, PipelineIssuesOneExchangePerGroupAndStage) {
   const grid g{16, 8, 8};
   struct row {
@@ -227,12 +229,13 @@ TEST(PfftBatch, PipelineIssuesOneExchangePerGroupAndStage) {
       std::vector<aligned_buffer<cplx>> spec(r.fields);
       std::vector<aligned_buffer<double>> phys(r.fields);
       std::vector<const cplx*> sp(r.fields);
+      std::vector<cplx*> sw(r.fields);
       std::vector<double*> ph(r.fields);
       for (std::size_t f = 0; f < r.fields; ++f) {
         spec[f].reset(d.y_pencil_elems());
         spec[f].fill(cplx{0.0, 0.0});
         phys[f].reset(d.x_pencil_real_elems());
-        sp[f] = spec[f].data();
+        sp[f] = sw[f] = spec[f].data();
         ph[f] = phys[f].data();
       }
       const auto a0 = cart.comm_a().stats();
@@ -246,6 +249,16 @@ TEST(PfftBatch, PipelineIssuesOneExchangePerGroupAndStage) {
           << "depth " << r.depth << " max_batch " << r.max_batch;
       EXPECT_EQ(pf.batching().exchanges, 2 * r.groups);
       EXPECT_EQ(pf.batching().fields, r.fields);
+      pf.to_spectral_batch(ph.data(), sw.data(), r.fields);
+      double comm = 0.0;
+      for (const auto& st : pf.stage_phases()) {
+        EXPECT_EQ(st.calls, static_cast<long>(r.groups)) << st.name;
+        EXPECT_GT(st.seconds, 0.0) << st.name;
+        if (st.name.rfind("exchange_", 0) == 0) comm += st.seconds;
+      }
+      EXPECT_DOUBLE_EQ(pf.comm_seconds(), comm);
+      pf.reset_timers();
+      for (const auto& st : pf.stage_phases()) EXPECT_EQ(st.calls, 0) << st.name;
     });
   }
 }

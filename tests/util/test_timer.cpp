@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <thread>
 
 #include "util/timer.hpp"
 
 namespace {
 
-using pcf::section_timer;
 using pcf::wall_timer;
 
 TEST(WallTimer, MeasuresElapsedTime) {
@@ -23,57 +21,6 @@ TEST(WallTimer, RestartResets) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   t.restart();
   EXPECT_LT(t.seconds(), 0.015);
-}
-
-TEST(SectionTimer, AccumulatesAcrossIntervals) {
-  section_timer t;
-  for (int i = 0; i < 3; ++i) {
-    t.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    t.stop();
-  }
-  EXPECT_GE(t.total(), 0.012);
-  EXPECT_EQ(t.count(), 3);
-}
-
-TEST(SectionTimer, StopWithoutStartIsNoop) {
-  section_timer t;
-  t.stop();
-  EXPECT_EQ(t.total(), 0.0);
-  EXPECT_EQ(t.count(), 0);
-}
-
-TEST(SectionTimer, DoubleStopCountsOnce) {
-  section_timer t;
-  t.start();
-  t.stop();
-  t.stop();
-  EXPECT_EQ(t.count(), 1);
-}
-
-TEST(SectionTimer, ResetClears) {
-  section_timer t;
-  t.start();
-  t.stop();
-  t.reset();
-  EXPECT_EQ(t.total(), 0.0);
-  EXPECT_EQ(t.count(), 0);
-}
-
-TEST(SectionTimer, RaiiSectionStopsOnException) {
-  section_timer t;
-  EXPECT_THROW(
-      {
-        section_timer::section sec(t);
-        throw std::runtime_error("timed code threw");
-      },
-      std::runtime_error);
-  EXPECT_FALSE(t.running());
-  EXPECT_EQ(t.count(), 1);
-  {
-    section_timer::section sec(t);
-  }
-  EXPECT_EQ(t.count(), 2);
 }
 
 }  // namespace
