@@ -294,7 +294,7 @@ TEST(Pfft, OneRankRunsNoReorderPass) {
 }
 
 // With pb > 1 the y-pencils are packed for and unpacked from CommB, so
-// every section timer runs.
+// every stage row runs.
 TEST(Pfft, TimersAccumulateAndReset) {
   const grid g{16, 4, 8};
   run_world(2, [&](communicator& world) {
@@ -312,6 +312,32 @@ TEST(Pfft, TimersAccumulateAndReset) {
     EXPECT_EQ(pf.fft_seconds(), 0.0);
     EXPECT_EQ(pf.reorder_seconds(), 0.0);
     EXPECT_EQ(pf.comm_seconds(), 0.0);
+  });
+}
+
+// On a 2x2 split every stage row runs once per transform, and the three
+// timer accessors partition the rows: exchanges, pack/unpack, FFTs.
+TEST(Pfft, TimerAccessorsSumStageRows) {
+  const grid g{16, 8, 8};
+  run_world(4, [&](communicator& world) {
+    cart2d cart(world, 2, 2);
+    parallel_fft pf(g, cart, kernel_config{});
+    const auto& d = pf.dec();
+    aligned_buffer<cplx> spec(d.y_pencil_elems(), cplx{0, 0});
+    aligned_buffer<double> phys(d.x_pencil_real_elems());
+    pf.to_physical(spec.data(), phys.data());
+    pf.to_spectral(phys.data(), spec.data());
+    ASSERT_EQ(pf.stage_phases().size(), 2 * parallel_fft::kStageRows);
+    double comm = 0.0, reorder = 0.0, fft = 0.0;
+    for (const auto& r : pf.stage_phases()) {
+      EXPECT_EQ(r.calls, 1) << r.name;
+      (r.name.rfind("exchange_", 0) == 0 ? comm
+       : r.name.rfind("fft_", 0) == 0    ? fft
+                                         : reorder) += r.seconds;
+    }
+    EXPECT_DOUBLE_EQ(pf.comm_seconds(), comm);
+    EXPECT_DOUBLE_EQ(pf.reorder_seconds(), reorder);
+    EXPECT_DOUBLE_EQ(pf.fft_seconds(), fft);
   });
 }
 
